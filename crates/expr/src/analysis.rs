@@ -26,8 +26,8 @@
 //!   for some" — warnings are conservative and their absence proves nothing.
 //! - [`determinism_lint`] checks the invariants the bit-identity contract
 //!   between the interpreter and native codegen relies on: no FMA-contracted
-//!   patterns in the emitted source, per-segment statement parity between
-//!   the scalar and laned kernels, and reduction-tree shape reporting for
+//!   patterns in the emitted source, each segment lowered exactly once and
+//!   exported at every kernel width, and reduction-tree shape reporting for
 //!   long additive chains.
 //! - [`analyze`] bundles all of the above plus per-segment statistics into a
 //!   [`ProgramReport`] (the payload of the `ark-lint` CLI in `crates/bench`).
@@ -454,7 +454,8 @@ impl SystemProgram {
     }
 
     /// The Rust source the native-codegen backend emits for this program
-    /// (scalar plus laned segment functions). Emission is pure string
+    /// (each segment once, generic over the lane width, plus the exported
+    /// scalar and laned wrappers). Emission is pure string
     /// generation — no toolchain, cache, or dlopen involved — so this is
     /// always available; [`determinism_lint`] and the `ark-lint` CLI use
     /// it to cross-check the emitted kernels against the interpreter
@@ -919,9 +920,10 @@ fn transfer_cmp(op: CmpOp, a: Interval, b: Interval) -> Interval {
 ///   (`mul_add` / `fma`) — fused multiply-adds round once where the
 ///   interpreter rounds twice, so a single contraction breaks bit
 ///   identity;
-/// - every laned segment function must perform exactly the scalar
-///   segment's statement sequence (per-segment statement parity between
-///   the scalar and laned kernels, at every generated lane width);
+/// - every segment must be lowered exactly once — the chunks its driver
+///   calls hold one store per IR instruction between them — and every
+///   exported width wrapper must call that driver at its own width, so the
+///   scalar and laned kernels run the same statement sequence;
 /// - long fully-skewed additive chains are reported (informational): a
 ///   left-leaning sum of `n` terms has depth `n - 1`, which both engines
 ///   evaluate in the same order (so determinism holds), but rebalancing
@@ -937,30 +939,10 @@ pub fn determinism_lint(prog: &SystemProgram) -> Vec<String> {
             ));
         }
     }
-    // Per-segment statement parity: each segment function writes exactly
-    // one `*r.add(` store per instruction, scalar and laned alike.
-    let seg_lens = [
-        ("ark_pp", prog.pprologue.len()),
-        ("ark_tp", prog.tprologue.len()),
-        ("ark_body", prog.body.len()),
-    ];
-    let mut names: Vec<(String, usize)> = Vec::new();
-    for (name, len) in seg_lens {
-        names.push((name.to_string(), len));
-        for lanes in codegen::NATIVE_LANE_WIDTHS {
-            names.push((format!("{name}{lanes}"), len));
-        }
-    }
-    for (name, expect) in names {
-        match segment_store_count(&source, &name) {
-            Some(got) if got == expect => {}
-            Some(got) => issues.push(format!(
-                "segment fn `{name}`: {got} stores emitted, {expect} instructions in the IR \
-                 (scalar/laned parity broken)"
-            )),
-            None => issues.push(format!("segment fn `{name}` missing from emitted source")),
-        }
-    }
+    issues.extend(kernel_parity_issues(
+        &source,
+        [prog.pprologue.len(), prog.tprologue.len(), prog.body.len()],
+    ));
     // Additive-chain shape: count terms and depth per register through the
     // additive slots of Add/MulAdd/AddMul. A fully-skewed chain of >= 8
     // terms (depth == terms - 1) is worth knowing about when reasoning
@@ -1014,22 +996,64 @@ pub fn determinism_lint(prog: &SystemProgram) -> Vec<String> {
     issues
 }
 
-/// Count register-store statements inside the body of the named segment
-/// function in emitted kernel source, or `None` if the function is absent.
+/// Check that emitted kernel source lowers each segment exactly once and
+/// exports it at every width: the chunks a segment's driver calls hold one
+/// register store per IR instruction between them (`seg_lens`, in
+/// [`Segment`] order), and each exported wrapper calls its segment's driver
+/// at its own width.
+fn kernel_parity_issues(source: &str, seg_lens: [usize; 3]) -> Vec<String> {
+    let mut issues = Vec::new();
+    for (seg, expect) in codegen::SEGMENT_NAMES.into_iter().zip(seg_lens) {
+        match segment_store_count(source, seg) {
+            Some(got) if got == expect => {}
+            Some(got) => issues.push(format!(
+                "segment `{seg}`: {got} stores across its chunks, {expect} instructions in the IR \
+                 (lowering parity broken)"
+            )),
+            None => issues.push(format!(
+                "segment `{seg}`: driver or a called chunk missing from emitted source"
+            )),
+        }
+        for width in codegen::KERNEL_WIDTHS {
+            let name = codegen::export_name(seg, width);
+            let call = format!("{{ {seg}::<{width}>(r, s, t) }}");
+            match source.lines().find(|l| l.contains(&format!("fn {name}("))) {
+                Some(line) if line.ends_with(&call) => {}
+                Some(_) => issues.push(format!(
+                    "exported fn `{name}` does not call `{seg}::<{width}>` (width binding broken)"
+                )),
+                None => issues.push(format!("exported fn `{name}` missing from emitted source")),
+            }
+        }
+    }
+    issues
+}
+
+/// Count register-store statements across the chunks segment `seg`'s
+/// driver calls, or `None` if the driver or a called chunk is absent.
 /// Operand *reads* also spell `*r.add(`, so only lines that *start* with
 /// the store (the destination is always the first token of a statement)
 /// are counted.
-fn segment_store_count(source: &str, name: &str) -> Option<usize> {
-    let sig = format!("fn {name}(");
-    let start = source.find(&sig)?;
-    let body = &source[start..];
-    let end = body.find("\n}\n").unwrap_or(body.len());
-    Some(
-        body[..end]
+fn segment_store_count(source: &str, seg: &str) -> Option<usize> {
+    let driver = top_level_item(source, &format!("\nunsafe fn {seg}<"))?;
+    let mut count = 0;
+    for chunk in driver
+        .lines()
+        .filter_map(|l| l.trim().strip_suffix("::run::<L>(r, s, t);"))
+    {
+        count += top_level_item(source, &format!("\nmod {chunk} {{"))?
             .lines()
             .filter(|l| l.trim_start().starts_with("*r.add("))
-            .count(),
-    )
+            .count();
+    }
+    Some(count)
+}
+
+/// The text of the top-level item starting at `header`, up to its closing
+/// brace (the first line holding a lone `}`).
+fn top_level_item<'a>(source: &'a str, header: &str) -> Option<&'a str> {
+    let rest = &source[source.find(header)?..];
+    Some(&rest[..rest.find("\n}\n").unwrap_or(rest.len())])
 }
 
 // ---------------------------------------------------------------------------
@@ -1301,14 +1325,32 @@ mod tests {
 
     #[test]
     fn laned_parity_breakage_detected() {
-        let prog = build("sin(var(x)) + 1");
-        let mut source = prog.codegen_source();
-        // Simulate a laned segment dropping a store.
-        let start = source.find("fn ark_body4(").expect("laned segment");
-        let cut = source[start..].find("*r.add(").expect("a store") + start;
-        let line_end = source[cut..].find('\n').unwrap() + cut;
-        source.replace_range(cut..=line_end, "\n");
-        let got = segment_store_count(&source, "ark_body4").unwrap();
-        assert_eq!(got + 1, prog.body_len());
+        // Long enough that the body spans several chunks.
+        let terms: Vec<String> = (1..=150).map(|k| format!("sin(var(x) * {k}.5)")).collect();
+        let prog = build(&terms.join(" + "));
+        let lens = [prog.pprologue.len(), prog.tprologue.len(), prog.body.len()];
+        let source = prog.codegen_source();
+        assert!(kernel_parity_issues(&source, lens).is_empty());
+        assert!(source.contains("\nmod body_2 {"), "body spans 3+ chunks");
+
+        // A store dropped from a middle chunk.
+        let mut dropped = source.clone();
+        let start = dropped.find("\nmod body_1 {").unwrap();
+        let cut = dropped[start..].find("*r.add(").unwrap() + start;
+        let line_end = dropped[cut..].find('\n').unwrap() + cut;
+        dropped.replace_range(cut..=line_end, "");
+        assert_eq!(
+            segment_store_count(&dropped, "body"),
+            Some(prog.body_len() - 1)
+        );
+        let issues = kernel_parity_issues(&dropped, lens);
+        assert_eq!(issues.len(), 1, "got {issues:?}");
+        assert!(issues[0].starts_with("segment `body`"), "got {issues:?}");
+
+        // A laned wrapper bound to the wrong width.
+        let rebound = source.replace("{ body::<4>(r, s, t) }", "{ body::<8>(r, s, t) }");
+        let issues = kernel_parity_issues(&rebound, lens);
+        assert_eq!(issues.len(), 1, "got {issues:?}");
+        assert!(issues[0].contains("`ark_body4`"), "got {issues:?}");
     }
 }

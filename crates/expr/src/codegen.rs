@@ -4,16 +4,29 @@
 //!
 //! Ark's compile-once discipline makes ahead-of-time codegen cheap to
 //! amortize: one design is replayed across ~10⁵ fabricated instances and
-//! millions of RHS evaluations, so a one-time `rustc` invocation (~0.1 s,
-//! ~5 KB `cdylib`) trades for the ~3 ns/instruction interpreter dispatch on
-//! every one of them. The lowering is deliberately boring: each program
-//! segment (parameter prologue, time prologue, body) becomes one
-//! straight-line `unsafe extern "C" fn(regs, slots, time)` whose statements
-//! mirror the interpreter's opcode execution *exactly* — same operations,
-//! same order, no FMA contraction, separate multiply-then-add — so native
-//! results are **bit-identical** to interpreted ones. Laned variants
-//! (`[f64; 4]` / `[f64; 8]` register files in the same struct-of-arrays
-//! layout as [`LaneScratch`](crate::LaneScratch)) are emitted alongside.
+//! millions of RHS evaluations, so a one-time `rustc` invocation trades for
+//! the ~3 ns/instruction interpreter dispatch on every one of them. The
+//! lowering is deliberately boring: each instruction becomes one statement
+//! that mirrors the interpreter's opcode execution *exactly* — same
+//! operations, same order, no FMA contraction, separate multiply-then-add —
+//! so native results are **bit-identical** to interpreted ones.
+//!
+//! # Emitted layout
+//!
+//! Each program segment (parameter prologue, time prologue, body) is lowered
+//! **once**, generic over the lane width `const L: usize`: every statement
+//! is a `for l in 0..L` loop over `*r.add(reg * L + l)` operands, the
+//! struct-of-arrays layout of [`LaneScratch`](crate::LaneScratch), with
+//! `L = 1` the scalar kernel. The statements are split into
+//! `#[inline(never)]` chunk functions of 128 instructions, each in its own
+//! module, called in order by a generic per-segment driver. Bounded chunks
+//! keep LLVM's superlinear per-function passes cheap, and separate modules
+//! let `rustc` build chunks in parallel codegen units. The exported
+//! `unsafe extern "C" fn(regs, slots, time)` symbols — `ark_pp`, `ark_tp`,
+//! `ark_body` and their `4`/`8` laned variants — are one-line wrappers that
+//! instantiate the driver at their width. The Figure 11 CNN's two kernels
+//! (the 777-instruction RHS and the observables) emit ~108 KiB of source
+//! and build cold in ~3 s on two cores.
 //!
 //! # Cache layout and concurrency
 //!
@@ -40,6 +53,7 @@
 //! [`SystemProgram::native_active`](crate::SystemProgram::native_active)
 //! reports what actually runs.
 
+use crate::analysis::Segment;
 use crate::ast::{BinaryOp, CmpOp, UnaryOp};
 use crate::program::{PInstr, POp, SystemProgram};
 use crate::tape::Builtin3;
@@ -173,6 +187,25 @@ impl fmt::Display for NativeStatus {
 /// the laned interpreter (still bit-identical — that is the whole spec).
 pub const NATIVE_LANE_WIDTHS: [usize; 2] = [4, 8];
 
+/// Every width with an exported kernel per segment: the scalar kernel, then
+/// each of [`NATIVE_LANE_WIDTHS`]. Also the row order of
+/// [`NativeKernel`]'s function table.
+pub(crate) const KERNEL_WIDTHS: [usize; 3] = [1, NATIVE_LANE_WIDTHS[0], NATIVE_LANE_WIDTHS[1]];
+
+/// Each segment's name in the emitted source, in [`Segment`] order: the
+/// generic driver is `<name>::<L>`, its chunks are modules `<name>_<k>`.
+pub(crate) const SEGMENT_NAMES: [&str; 3] = ["pp", "tp", "body"];
+
+/// The exported symbol of segment `seg` at `width`: `ark_<seg>` for the
+/// scalar kernel, `ark_<seg><width>` for a laned one.
+pub(crate) fn export_name(seg: &str, width: usize) -> String {
+    if width == 1 {
+        format!("ark_{seg}")
+    } else {
+        format!("ark_{seg}{width}")
+    }
+}
+
 /// Generated source plus the bounds the kernel may touch, used for the
 /// safety checks before handing it raw pointers.
 pub(crate) struct Emitted {
@@ -183,28 +216,15 @@ pub(crate) struct Emitted {
     min_slots: usize,
 }
 
-/// One operand-reference style: how register/slot reads and the destination
-/// store are spelled (scalar vs laned-at-lane-`l`).
-struct Style {
-    lanes: usize,
+/// Register operand `r` at lane `l` of a width-`L` register file (`L = 1`
+/// is the scalar layout).
+fn reg(r: u32) -> String {
+    format!("(*r.add({r} * L + l))")
 }
 
-impl Style {
-    fn reg(&self, r: u32) -> String {
-        if self.lanes == 1 {
-            format!("(*r.add({r}))")
-        } else {
-            format!("(*r.add({r} * {L} + l))", L = self.lanes)
-        }
-    }
-
-    fn slot(&self, s: u32) -> String {
-        if self.lanes == 1 {
-            format!("(*s.add({s}))")
-        } else {
-            format!("(*s.add({s} * {L} + l))", L = self.lanes)
-        }
-    }
+/// Input slot `s` at lane `l`, in the same lane-major layout.
+fn slot(s: u32) -> String {
+    format!("(*s.add({s} * L + l))")
 }
 
 /// The right-hand-side expression computing one instruction, mirroring
@@ -213,14 +233,13 @@ impl Style {
 /// is bit-identical (no FMA contraction: `rustc` does not enable
 /// floating-point contraction, and the multiply and add are separate
 /// expressions here just as they are separate ops in `exec`).
-fn pop_expr(op: &POp, st: &Style) -> String {
-    let r = |x: u32| st.reg(x);
+fn pop_expr(op: &POp) -> String {
     match *op {
         POp::Time => "t".to_string(),
-        POp::Load(s) => st.slot(s),
-        POp::NegLoad(s) => format!("-{}", st.slot(s)),
+        POp::Load(s) => slot(s),
+        POp::NegLoad(s) => format!("-{}", slot(s)),
         POp::Un(op, a) => {
-            let a = r(a);
+            let a = reg(a);
             match op {
                 UnaryOp::Neg => format!("-{a}"),
                 UnaryOp::Sin => format!("sin({a})"),
@@ -241,7 +260,7 @@ fn pop_expr(op: &POp, st: &Style) -> String {
             }
         }
         POp::Bin(op, a, b) => {
-            let (a, b) = (r(a), r(b));
+            let (a, b) = (reg(a), reg(b));
             match op {
                 BinaryOp::Add => format!("{a} + {b}"),
                 BinaryOp::Sub => format!("{a} - {b}"),
@@ -252,10 +271,10 @@ fn pop_expr(op: &POp, st: &Style) -> String {
                 BinaryOp::Max => format!("{a}.max({b})"),
             }
         }
-        POp::MulAdd(a, b, c) => format!("{} * {} + {}", r(a), r(b), r(c)),
-        POp::AddMul(a, b, c) => format!("{} + {} * {}", r(a), r(b), r(c)),
-        POp::MulSub(a, b, c) => format!("{} * {} - {}", r(a), r(b), r(c)),
-        POp::SubMul(a, b, c) => format!("{} - {} * {}", r(a), r(b), r(c)),
+        POp::MulAdd(a, b, c) => format!("{} * {} + {}", reg(a), reg(b), reg(c)),
+        POp::AddMul(a, b, c) => format!("{} + {} * {}", reg(a), reg(b), reg(c)),
+        POp::MulSub(a, b, c) => format!("{} * {} - {}", reg(a), reg(b), reg(c)),
+        POp::SubMul(a, b, c) => format!("{} - {} * {}", reg(a), reg(b), reg(c)),
         POp::Cmp(op, a, b) => {
             let sym = match op {
                 CmpOp::Lt => "<",
@@ -265,61 +284,82 @@ fn pop_expr(op: &POp, st: &Style) -> String {
                 CmpOp::Eq => "==",
                 CmpOp::Ne => "!=",
             };
-            format!("if {} {sym} {} {{ 1.0 }} else {{ 0.0 }}", r(a), r(b))
+            format!("if {} {sym} {} {{ 1.0 }} else {{ 0.0 }}", reg(a), reg(b))
         }
         POp::And(a, b) => format!(
             "if {} > 0.5 && {} > 0.5 {{ 1.0 }} else {{ 0.0 }}",
-            r(a),
-            r(b)
+            reg(a),
+            reg(b)
         ),
         POp::Or(a, b) => format!(
             "if {} > 0.5 || {} > 0.5 {{ 1.0 }} else {{ 0.0 }}",
-            r(a),
-            r(b)
+            reg(a),
+            reg(b)
         ),
-        POp::Not(a) => format!("if {} > 0.5 {{ 0.0 }} else {{ 1.0 }}", r(a)),
-        POp::Select(c, t, e) => format!("if {} > 0.5 {{ {} }} else {{ {} }}", r(c), r(t), r(e)),
+        POp::Not(a) => format!("if {} > 0.5 {{ 0.0 }} else {{ 1.0 }}", reg(a)),
+        POp::Select(c, t, e) => {
+            format!("if {} > 0.5 {{ {} }} else {{ {} }}", reg(c), reg(t), reg(e))
+        }
         POp::Call3(b3, a, b, c) => {
             let name = match b3 {
                 Builtin3::Pulse => "ark_pulse",
                 Builtin3::SquarePulse => "ark_square_pulse",
                 Builtin3::Smoothstep => "ark_smoothstep",
             };
-            format!("{name}({}, {}, {})", r(a), r(b), r(c))
+            format!("{name}({}, {}, {})", reg(a), reg(b), reg(c))
         }
     }
 }
 
-/// Emit one exported segment function over the given instruction list.
-fn emit_segment(out: &mut String, name: &str, instrs: &[PInstr], lanes: usize) {
-    let st = Style { lanes };
-    let _ = writeln!(out, "#[no_mangle]");
-    let _ = writeln!(
-        out,
-        "pub unsafe extern \"C\" fn {name}(r: *mut f64, s: *const f64, t: f64) {{"
-    );
-    if instrs.is_empty() {
-        let _ = writeln!(out, "    let _ = (r, s, t);");
-    } else if lanes == 1 {
-        for i in instrs {
-            let _ = writeln!(out, "    *r.add({}) = {};", i.dest, pop_expr(&i.op, &st));
-        }
-    } else {
+/// Instructions per emitted chunk function. LLVM's per-function passes are
+/// superlinear in function size, so bounded chunks compile far faster than
+/// one straight-line segment, and chunks in separate modules land in
+/// separate codegen units that `rustc` builds in parallel. On the Figure 11
+/// CNN body, 128 keeps the 4-lane kernel within a few percent of one
+/// unchunked function (8 lanes: ~8 % slower) and makes the scalar kernel
+/// faster; 64 costs ~10 % at 4 lanes, and 256 builds ~40 % slower.
+const CHUNK: usize = 128;
+
+/// Emit one segment, lowering each instruction once: `const L: usize`
+/// generic chunk functions (each `#[inline(never)]`, in its own module), a
+/// generic driver calling them in order, and one exported `extern "C"`
+/// wrapper per width in [`KERNEL_WIDTHS`]. `L = 1` is the scalar kernel.
+fn emit_segment(out: &mut String, seg: &str, instrs: &[PInstr]) {
+    let sig = "(r: *mut f64, s: *const f64, t: f64)";
+    for (k, chunk) in instrs.chunks(CHUNK).enumerate() {
+        let _ = writeln!(out, "mod {seg}_{k} {{");
+        let _ = writeln!(out, "    use super::*;");
+        let _ = writeln!(out, "    #[inline(never)]");
+        let _ = writeln!(out, "    pub unsafe fn run<const L: usize>{sig} {{");
         // Elementwise per-lane loop: lane `l` performs exactly the scalar
         // operation sequence on its own values, so per-lane results match
         // the scalar kernel (and the laned interpreter) bit for bit.
-        for i in instrs {
-            let _ = writeln!(out, "    for l in 0..{lanes}usize {{");
+        for i in chunk {
+            let _ = writeln!(out, "        for l in 0..L {{");
             let _ = writeln!(
                 out,
-                "        *r.add({} * {lanes} + l) = {};",
+                "            *r.add({} * L + l) = {};",
                 i.dest,
-                pop_expr(&i.op, &st)
+                pop_expr(&i.op)
             );
-            let _ = writeln!(out, "    }}");
+            let _ = writeln!(out, "        }}");
         }
+        let _ = writeln!(out, "    }}");
+        let _ = writeln!(out, "}}");
+    }
+    let _ = writeln!(out, "unsafe fn {seg}<const L: usize>{sig} {{");
+    for k in 0..instrs.len().div_ceil(CHUNK) {
+        let _ = writeln!(out, "    {seg}_{k}::run::<L>(r, s, t);");
     }
     let _ = writeln!(out, "}}");
+    for width in KERNEL_WIDTHS {
+        let _ = writeln!(out, "#[no_mangle]");
+        let _ = writeln!(
+            out,
+            "pub unsafe extern \"C\" fn {}{sig} {{ {seg}::<{width}>(r, s, t) }}",
+            export_name(seg, width)
+        );
+    }
 }
 
 /// Fixed prelude of every generated kernel: freestanding (`no_std`, so the
@@ -383,29 +423,21 @@ fn ark_smoothstep(t: f64, t0: f64, tau: f64) -> f64 {
 }
 "#;
 
-/// Lower a program's three instruction segments (plus laned variants) to
-/// Rust source. Only the instruction stream matters: the constant pool,
-/// parameter segment, and output map stay on the interpreter side, so two
-/// programs with identical streams share one kernel.
+/// Lower a program's three instruction segments to Rust source, each
+/// segment once for every kernel width. Only the instruction stream
+/// matters: the constant pool, parameter segment, and output map stay on
+/// the interpreter side, so two programs with identical streams share one
+/// kernel.
 pub(crate) fn emit(prog: &SystemProgram) -> Emitted {
     let mut source = String::from(PRELUDE);
-    let segs: [(&str, &[PInstr]); 3] = [
-        ("ark_pp", &prog.pprologue),
-        ("ark_tp", &prog.tprologue),
-        ("ark_body", &prog.body),
-    ];
-    for (name, instrs) in segs {
-        emit_segment(&mut source, name, instrs, 1);
-    }
-    for lanes in NATIVE_LANE_WIDTHS {
-        for (name, instrs) in segs {
-            emit_segment(&mut source, &format!("{name}{lanes}"), instrs, lanes);
-        }
+    let segs: [&[PInstr]; 3] = [&prog.pprologue, &prog.tprologue, &prog.body];
+    for (name, instrs) in SEGMENT_NAMES.into_iter().zip(segs) {
+        emit_segment(&mut source, name, instrs);
     }
     let mut min_regs = 0usize;
     let mut min_slots = 0usize;
     let mut touch_reg = |r: u32| min_regs = min_regs.max(r as usize + 1);
-    for i in segs.iter().flat_map(|(_, s)| s.iter()) {
+    for i in segs.into_iter().flatten() {
         touch_reg(i.dest);
         match i.op {
             POp::Time => {}
@@ -544,24 +576,18 @@ mod dl {
 
 type SegFn = unsafe extern "C" fn(*mut f64, *const f64, f64);
 
-/// A loaded native kernel: one function pointer per program segment
-/// (scalar plus each width in [`NATIVE_LANE_WIDTHS`]), with the register
-/// and slot bounds the generated code may touch.
+/// A loaded native kernel: one function pointer per program segment and
+/// kernel width, with the register and slot bounds the generated code may
+/// touch.
 ///
 /// Obtained from [`CodegenCache::prepare`]; consumed internally by
 /// [`SystemProgram`] evaluation. The backing library stays mapped for the
 /// process lifetime (function pointers into it are cached), so kernels are
 /// deliberately leaked, never unloaded.
 pub struct NativeKernel {
-    pp: SegFn,
-    tp: SegFn,
-    body: SegFn,
-    pp4: SegFn,
-    tp4: SegFn,
-    body4: SegFn,
-    pp8: SegFn,
-    tp8: SegFn,
-    body8: SegFn,
+    /// `fns[w][seg]`: width index `w` into [`KERNEL_WIDTHS`], segment in
+    /// [`Segment`] order.
+    fns: [[SegFn; 3]; 3],
     min_regs: usize,
     min_slots: usize,
 }
@@ -589,72 +615,43 @@ impl NativeKernel {
         self.min_slots
     }
 
-    fn check(&self, n_regs: usize, n_slots: usize) {
+    /// The width-`width` function for `seg`, once the caller's buffers
+    /// (counted in registers and slots of that width) are checked to cover
+    /// every index the generated code touches.
+    fn entry(&self, seg: Segment, width: usize, n_regs: usize, n_slots: usize) -> SegFn {
         assert!(
             n_regs >= self.min_regs && n_slots >= self.min_slots,
             "native kernel bounds exceed caller buffers"
         );
+        let w = KERNEL_WIDTHS
+            .iter()
+            .position(|&w| w == width)
+            .unwrap_or_else(|| unreachable!("unsupported native lane width {width}"));
+        self.fns[w][seg as usize]
     }
 
-    pub(crate) fn run_pp(&self, regs: &mut [f64], slots: &[f64], t: f64) {
-        self.check(regs.len(), slots.len());
-        // SAFETY: bounds checked above; the generated code only touches
-        // indices below min_regs/min_slots.
-        unsafe { (self.pp)(regs.as_mut_ptr(), slots.as_ptr(), t) }
+    /// Run `seg` over a scalar register file.
+    pub(crate) fn run(&self, seg: Segment, regs: &mut [f64], slots: &[f64], t: f64) {
+        let f = self.entry(seg, 1, regs.len(), slots.len());
+        // SAFETY: `entry` checked the bounds; the generated code only
+        // touches registers below min_regs and slots below min_slots.
+        unsafe { f(regs.as_mut_ptr(), slots.as_ptr(), t) }
     }
 
-    pub(crate) fn run_tp(&self, regs: &mut [f64], slots: &[f64], t: f64) {
-        self.check(regs.len(), slots.len());
-        // SAFETY: as in `run_pp`.
-        unsafe { (self.tp)(regs.as_mut_ptr(), slots.as_ptr(), t) }
-    }
-
-    pub(crate) fn run_body(&self, regs: &mut [f64], slots: &[f64], t: f64) {
-        self.check(regs.len(), slots.len());
-        // SAFETY: as in `run_pp`.
-        unsafe { (self.body)(regs.as_mut_ptr(), slots.as_ptr(), t) }
-    }
-
-    fn lane_fns<const L: usize>(&self) -> [SegFn; 3] {
-        match L {
-            4 => [self.pp4, self.tp4, self.body4],
-            8 => [self.pp8, self.tp8, self.body8],
-            _ => unreachable!("unsupported native lane width {L}"),
-        }
-    }
-
-    pub(crate) fn run_pp_lanes<const L: usize>(
+    /// Run `seg` over a width-`L` register file; `L` must be one of
+    /// [`KERNEL_WIDTHS`].
+    pub(crate) fn run_lanes<const L: usize>(
         &self,
+        seg: Segment,
         regs: &mut [[f64; L]],
         slots: &[[f64; L]],
         t: f64,
     ) {
-        self.check(regs.len(), slots.len());
+        let f = self.entry(seg, L, regs.len(), slots.len());
         // SAFETY: `[[f64; L]]` is a contiguous lane-major f64 buffer of
-        // len()*L elements; bounds checked in lane units above.
-        unsafe { (self.lane_fns::<L>()[0])(regs.as_mut_ptr().cast(), slots.as_ptr().cast(), t) }
-    }
-
-    pub(crate) fn run_tp_lanes<const L: usize>(
-        &self,
-        regs: &mut [[f64; L]],
-        slots: &[[f64; L]],
-        t: f64,
-    ) {
-        self.check(regs.len(), slots.len());
-        // SAFETY: as in `run_pp_lanes`.
-        unsafe { (self.lane_fns::<L>()[1])(regs.as_mut_ptr().cast(), slots.as_ptr().cast(), t) }
-    }
-
-    pub(crate) fn run_body_lanes<const L: usize>(
-        &self,
-        regs: &mut [[f64; L]],
-        slots: &[[f64; L]],
-        t: f64,
-    ) {
-        self.check(regs.len(), slots.len());
-        // SAFETY: as in `run_pp_lanes`.
-        unsafe { (self.lane_fns::<L>()[2])(regs.as_mut_ptr().cast(), slots.as_ptr().cast(), t) }
+        // len()*L elements, the layout the width-`L` kernel indexes; bounds
+        // checked in lane units by `entry`.
+        unsafe { f(regs.as_mut_ptr().cast(), slots.as_ptr().cast(), t) }
     }
 }
 
@@ -829,6 +826,10 @@ impl CodegenCache {
                 "opt-level=3",
                 "-C",
                 "panic=abort",
+                // Nothing to inline across the `inline(never)` chunk
+                // boundaries, so local ThinLTO would only cost build time.
+                "-C",
+                "lto=off",
                 "-C",
                 "strip=symbols",
                 "-C",
@@ -876,22 +877,19 @@ fn load_kernel(so: &Path, sig: u64, emitted: &Emitted) -> Result<Arc<NativeKerne
             so.display()
         )));
     }
-    let f = |name: &str| -> Result<SegFn, CodegenError> {
-        let p = dl::sym(h, name).map_err(CodegenError::Load)?;
+    let f = |seg: &str, width: usize| -> Result<SegFn, CodegenError> {
+        let p = dl::sym(h, &export_name(seg, width)).map_err(CodegenError::Load)?;
         // SAFETY: the generated library exports this symbol with exactly
         // the SegFn ABI (unsafe extern "C" fn(*mut f64, *const f64, f64)).
         Ok(unsafe { std::mem::transmute::<*mut std::ffi::c_void, SegFn>(p) })
     };
+    let row = |width: usize| -> Result<[SegFn; 3], CodegenError> {
+        let [pp, tp, body] = SEGMENT_NAMES;
+        Ok([f(pp, width)?, f(tp, width)?, f(body, width)?])
+    };
+    let [w1, w4, w8] = KERNEL_WIDTHS;
     Ok(Arc::new(NativeKernel {
-        pp: f("ark_pp")?,
-        tp: f("ark_tp")?,
-        body: f("ark_body")?,
-        pp4: f("ark_pp4")?,
-        tp4: f("ark_tp4")?,
-        body4: f("ark_body4")?,
-        pp8: f("ark_pp8")?,
-        tp8: f("ark_tp8")?,
-        body8: f("ark_body8")?,
+        fns: [row(w1)?, row(w4)?, row(w8)?],
         min_regs: emitted.min_regs,
         min_slots: emitted.min_slots,
     }))
@@ -922,6 +920,14 @@ mod tests {
         pb.finish(&[v], 0)
     }
 
+    /// Register stores in emitted source: one per lowered instruction.
+    fn stores(source: &str) -> usize {
+        source
+            .lines()
+            .filter(|l| l.trim_start().starts_with("*r.add("))
+            .count()
+    }
+
     #[test]
     fn emission_is_deterministic_and_covers_all_segments() {
         let prog = sample_program();
@@ -933,8 +939,10 @@ mod tests {
             "ark_tp",
             "ark_body",
             "ark_pp4",
+            "ark_tp4",
             "ark_body4",
             "ark_pp8",
+            "ark_tp8",
             "ark_body8",
         ] {
             assert!(
@@ -944,6 +952,29 @@ mod tests {
         }
         assert!(a.min_slots >= 1, "program loads slot 0");
         assert!(a.min_regs >= prog.body_len());
+
+        // Each instruction is lowered once, whatever the number of kernel
+        // widths, and no chunk exceeds CHUNK instructions.
+        let mut pb = ProgramBuilder::new();
+        let resolve = SlotResolver(|n: &str| (n == "x").then_some(0));
+        let terms: Vec<String> = (1..=150).map(|k| format!("sin(var(x) * {k}.5)")).collect();
+        let v = pb
+            .add_expr(&parse_expr(&terms.join(" + ")).unwrap(), &resolve)
+            .unwrap();
+        let long = pb.finish(&[v], 0);
+        assert!(long.body_len() > 2 * CHUNK, "body spans 3+ chunks");
+        let e = emit(&long);
+        assert_eq!(stores(&a.source), prog.len());
+        assert_eq!(stores(&e.source), long.len());
+        // Every module after the prelude's `lm` is a chunk.
+        let chunks: Vec<&str> = e.source.split("\nmod ").skip(2).collect();
+        let segs = [&long.pprologue, &long.tprologue, &long.body];
+        let expect: usize = segs.iter().map(|s| s.len().div_ceil(CHUNK)).sum();
+        assert_eq!(chunks.len(), expect);
+        for chunk in chunks {
+            let chunk = &chunk[..chunk.find("\n}").expect("closed module")];
+            assert!((1..=CHUNK).contains(&stores(chunk)), "{chunk}");
+        }
     }
 
     #[test]

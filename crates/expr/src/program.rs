@@ -36,6 +36,7 @@
 //! fuses identical arithmetic, never reassociates or changes it. Property
 //! tests in `ark-core` pin this down against the legacy per-tape path.
 
+use crate::analysis::Segment;
 use crate::ast::{BinaryOp, BoolExpr, CmpOp, Expr, UnaryOp};
 use crate::codegen::{
     Backend, CodegenCache, CodegenError, NativeKernel, NativeStatus, NATIVE_LANE_WIDTHS,
@@ -935,7 +936,7 @@ impl SystemProgram {
         if !scratch.pprologue_run {
             // Parameter-dependent, time-free values: once per instance.
             match native {
-                Some(k) => k.run_pp(regs, slots, time),
+                Some(k) => k.run(Segment::ParamPrologue, regs, slots, time),
                 None => {
                     for instr in &self.pprologue {
                         regs[instr.dest as usize] = exec(&instr.op, regs, slots, time);
@@ -959,7 +960,7 @@ impl SystemProgram {
             );
         } else if !(scratch.has_time && scratch.last_time == time.to_bits()) {
             match native {
-                Some(k) => k.run_tp(regs, slots, time),
+                Some(k) => k.run(Segment::TimePrologue, regs, slots, time),
                 None => {
                     for instr in &self.tprologue {
                         regs[instr.dest as usize] = exec(&instr.op, regs, slots, time);
@@ -972,7 +973,7 @@ impl SystemProgram {
         assert!(out.len() >= self.outputs.len(), "output buffer too short");
         let regs = &mut scratch.regs[..];
         match native {
-            Some(k) => k.run_body(regs, slots, time),
+            Some(k) => k.run(Segment::Body, regs, slots, time),
             None => {
                 for instr in &self.body {
                     regs[instr.dest as usize] = exec(&instr.op, regs, slots, time);
@@ -1140,7 +1141,7 @@ impl SystemProgram {
         if !scratch.pprologue_run {
             // Parameter-dependent, time-free values: once per lane group.
             match native {
-                Some(k) => k.run_pp_lanes::<L>(regs, slots, time),
+                Some(k) => k.run_lanes::<L>(Segment::ParamPrologue, regs, slots, time),
                 None => {
                     for instr in &self.pprologue {
                         regs[instr.dest as usize] = exec_lanes(&instr.op, regs, slots, time);
@@ -1165,7 +1166,7 @@ impl SystemProgram {
         } else if !(scratch.has_time && scratch.last_time == time.to_bits()) {
             // Static, time-dependent values: one pass serves all lanes.
             match native {
-                Some(k) => k.run_tp_lanes::<L>(regs, slots, time),
+                Some(k) => k.run_lanes::<L>(Segment::TimePrologue, regs, slots, time),
                 None => {
                     for instr in &self.tprologue {
                         regs[instr.dest as usize] = exec_lanes(&instr.op, regs, slots, time);
@@ -1178,7 +1179,7 @@ impl SystemProgram {
         assert!(out.len() >= self.outputs.len(), "output buffer too short");
         let regs = &mut scratch.regs[..];
         match native {
-            Some(k) => k.run_body_lanes::<L>(regs, slots, time),
+            Some(k) => k.run_lanes::<L>(Segment::Body, regs, slots, time),
             None => {
                 for instr in &self.body {
                     regs[instr.dest as usize] = exec_lanes(&instr.op, regs, slots, time);

@@ -4,10 +4,12 @@
 //! mul-add family, select, and the three builtin waveforms), evaluated at
 //! awkward points, must agree **bit for bit** between the interpreter and
 //! the native backend — scalar and at every generated lane width, plus
-//! the interpreter fallback at a width codegen does not generate.
+//! the interpreter fallback at a width codegen does not generate. A second,
+//! long program pins the same parity across the emitter's chunk boundaries.
 
 use ark_expr::{
-    parse_expr, Backend, LaneScratch, ProgScratch, ProgramBuilder, SlotResolver, SystemProgram,
+    parse_expr, Backend, LaneScratch, ProgScratch, ProgramBuilder, ProgramResolver, SlotResolver,
+    SystemProgram, ValueId, VarRef,
 };
 
 /// Every expression form that lowers to a distinct opcode. Operand slots
@@ -172,4 +174,156 @@ fn backend_switch_roundtrip() {
     prog.set_backend(Backend::Interp);
     assert!(!prog.native_active());
     assert_eq!(prog.backend(), Backend::Interp);
+}
+
+/// Resolves `x`/`y`/`z` to state slots, `p.g<k>` to parameter slot `k`,
+/// and `var(v<i>)` to the `i`-th value built so far — so long chains can be
+/// grown one small expression at a time.
+struct ChainResolver<'a>(&'a [ValueId]);
+
+impl ProgramResolver for ChainResolver<'_> {
+    fn var(&self, name: &str) -> Option<VarRef> {
+        match SLOTS.iter().position(|s| *s == name) {
+            Some(slot) => Some(VarRef::Slot(slot)),
+            None => Some(VarRef::Value(
+                self.0[name.strip_prefix('v')?.parse::<usize>().ok()?],
+            )),
+        }
+    }
+
+    fn attr(&self, entity: &str, attr: &str) -> Option<usize> {
+        (entity == "p").then(|| attr.strip_prefix('g')?.parse().ok())?
+    }
+}
+
+const CHAIN_PARAMS: usize = 4;
+
+/// A program whose parameter prologue and body each span more than three
+/// 128-instruction chunks. Every step reads its predecessor and a value
+/// defined about half the chain earlier, so registers defined in one chunk
+/// are read in later ones; the body's last values are outputs, written in
+/// its last chunk.
+fn build_chunked() -> SystemProgram {
+    let mut pb = ProgramBuilder::new();
+    let mut values: Vec<ValueId> = Vec::new();
+    let add = |pb: &mut ProgramBuilder, values: &mut Vec<ValueId>, src: String| {
+        let v = pb
+            .add_expr(&parse_expr(&src).unwrap(), &ChainResolver(values))
+            .unwrap_or_else(|e| panic!("{src}: {e:?}"));
+        values.push(v);
+    };
+    // Parameter prologue: w_k = sin(w_{k-1} * g + w_{k/2}), time- and
+    // state-free, two instructions per step.
+    add(&mut pb, &mut values, "p.g0".into());
+    add(&mut pb, &mut values, "p.g1".into());
+    for k in 2..300 {
+        let src = format!(
+            "sin(var(v{}) * p.g{} + var(v{}))",
+            k - 1,
+            k % CHAIN_PARAMS,
+            k / 2
+        );
+        add(&mut pb, &mut values, src);
+    }
+    add(&mut pb, &mut values, "sin(time * p.g2)".into());
+    let s = values.len() - 1;
+    // Body: u_k = tanh(u_{k-1} * w_j + u_{k/2}), with a time-prologue term
+    // folded in every fifth step.
+    let u0 = values.len();
+    add(&mut pb, &mut values, "var(x)".into());
+    add(&mut pb, &mut values, "var(y)".into());
+    for k in 2..250 {
+        let (prev, half, w) = (u0 + k - 1, u0 + k / 2, (k * 7) % 300);
+        let mut src = format!("tanh(var(v{prev}) * var(v{w}) + var(v{half}))");
+        if k % 5 == 0 {
+            src = format!("{src} - var(z) * var(v{s})");
+        }
+        add(&mut pb, &mut values, src);
+    }
+    let outs: Vec<ValueId> = (u0..values.len())
+        .filter(|i| (i - u0) % 50 == 0 || i + 3 >= values.len())
+        .chain([299])
+        .map(|i| values[i])
+        .collect();
+    let prog = pb.finish(&outs, CHAIN_PARAMS);
+    // Three full chunks and then some, in both long segments.
+    assert!(
+        prog.param_prologue_len() > 3 * 128,
+        "{}",
+        prog.param_prologue_len()
+    );
+    assert!(prog.body_len() > 3 * 128, "{}", prog.body_len());
+    prog
+}
+
+fn chunk_params(k: usize) -> [f64; CHAIN_PARAMS] {
+    std::array::from_fn(|i| 0.7 + 0.11 * i as f64 - 0.03 * k as f64)
+}
+
+#[test]
+fn multi_chunk_scalar_bit_identical_to_interpreter() {
+    let interp = build_chunked();
+    let mut native = build_chunked();
+    native.set_backend(Backend::Native);
+    assert!(
+        native.native_active(),
+        "kernel must compile in this environment"
+    );
+    let n_out = interp.output_count();
+    let (mut si, mut sn) = (ProgScratch::default(), ProgScratch::default());
+    let (mut oi, mut on) = (vec![0.0; n_out], vec![0.0; n_out]);
+    for (k, (slots, t)) in POINTS.into_iter().enumerate() {
+        let params = chunk_params(k);
+        interp.eval_into(&mut si, &slots, t, &params, &mut oi);
+        native.eval_into(&mut sn, &slots, t, &params, &mut on);
+        for (j, (a, b)) in oi.iter().zip(&on).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "output {j} point {k}: {a} vs {b}");
+        }
+    }
+}
+
+fn multi_chunk_laned_parity<const L: usize>() {
+    let interp = build_chunked();
+    let mut native = build_chunked();
+    native.set_backend(Backend::Native);
+    assert!(
+        native.native_active(),
+        "kernel must compile in this environment"
+    );
+    let n_out = interp.output_count();
+    let (mut si, mut sn) = (LaneScratch::<L>::default(), LaneScratch::<L>::default());
+    let (mut oi, mut on) = (vec![[0.0; L]; n_out], vec![[0.0; L]; n_out]);
+    for (k, (base, t)) in POINTS.into_iter().enumerate() {
+        let lane_params: Vec<[f64; CHAIN_PARAMS]> = (0..L).map(|l| chunk_params(k + l)).collect();
+        let params: Vec<&[f64]> = lane_params.iter().map(|p| &p[..]).collect();
+        let slots: Vec<[f64; L]> = base
+            .iter()
+            .map(|&v| std::array::from_fn(|l| v - 0.125 * l as f64))
+            .collect();
+        interp.set_params_lanes(&mut si, &params);
+        native.set_params_lanes(&mut sn, &params);
+        interp.eval_lanes_bound(&mut si, &slots, t, &mut oi);
+        native.eval_lanes_bound(&mut sn, &slots, t, &mut on);
+        for (j, (a, b)) in oi.iter().zip(&on).enumerate() {
+            for l in 0..L {
+                assert_eq!(
+                    a[l].to_bits(),
+                    b[l].to_bits(),
+                    "output {j} lane {l}/{L} point {k}: {} vs {}",
+                    a[l],
+                    b[l]
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn multi_chunk_lanes4_bit_identical_to_interpreter() {
+    multi_chunk_laned_parity::<4>();
+}
+
+#[test]
+fn multi_chunk_lanes8_bit_identical_to_interpreter() {
+    multi_chunk_laned_parity::<8>();
 }
