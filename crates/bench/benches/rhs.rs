@@ -1,7 +1,8 @@
-//! Right-hand-side microbenchmark: the fused `SystemProgram` path vs the
-//! legacy per-node tape path, on the three paper workloads (Figure 11 CNN,
-//! Figure 4 GmC-TLN, Table 1 OBC max-cut), plus the compile-once parametric
-//! ensembles vs the historical recompile-per-instance loops.
+//! Right-hand-side microbenchmark: the fused `SystemProgram` path, on the
+//! interpreter and as a native kernel, on the three paper workloads
+//! (Figure 11 CNN, Figure 4 GmC-TLN, Table 1 OBC max-cut), plus the
+//! compile-once parametric ensembles vs the historical
+//! recompile-per-instance loops.
 //!
 //! Besides the criterion timings, the bench writes `BENCH_rhs.json` —
 //! interpreted-instruction counts, register-file sizes, ns/RHS, and
@@ -44,7 +45,7 @@ fn env_usize(key: &str, default: usize) -> usize {
 
 /// Mean ns per RHS evaluation. The time grid cycles, so the fused path's
 /// prologue cache almost never hits — this is its *conservative* cost.
-fn time_rhs(sys: &CompiledSystem, legacy: bool, evals: usize) -> f64 {
+fn time_rhs(sys: &CompiledSystem, evals: usize) -> f64 {
     let n = sys.num_states();
     let mut y = sys.initial_state();
     let mut dydt = vec![0.0; n];
@@ -56,11 +57,7 @@ fn time_rhs(sys: &CompiledSystem, legacy: bool, evals: usize) -> f64 {
     let start = Instant::now();
     for k in 0..evals {
         let t = (k % 1024) as f64 * 1e-3;
-        if legacy {
-            sys.rhs_legacy_with(t, &y, &mut dydt, &mut scratch);
-        } else {
-            sys.rhs_with(t, &y, &mut dydt, &mut scratch);
-        }
+        sys.rhs_with(t, &y, &mut dydt, &mut scratch);
         // Keep the state moving so values are not trivially constant.
         y[k % n] += dydt[k % n] * 1e-6;
     }
@@ -77,12 +74,10 @@ struct WorkloadReport {
     name: &'static str,
     states: usize,
     algebraics: usize,
-    legacy_instrs: usize,
     fused_instrs: usize,
     fused_prologue: usize,
     fused_regs: usize,
     fused_consts: usize,
-    legacy_ns: f64,
     fused_ns: f64,
     /// Instruction count of the natively-compiled program — must equal
     /// `fused_instrs` (codegen lowers the same stream); `bench_check`
@@ -743,25 +738,21 @@ fn write_json(
         let _ = writeln!(
             j,
             "    \"{}\": {{\n      \"states\": {},\n      \"algebraics\": {},\n      \
-             \"legacy_instructions_per_rhs\": {},\n      \"fused_instructions_per_rhs\": {},\n      \
-             \"fused_prologue_instructions\": {},\n      \"instruction_reduction\": {:.2},\n      \
+             \"fused_instructions_per_rhs\": {},\n      \
+             \"fused_prologue_instructions\": {},\n      \
              \"fused_registers\": {},\n      \"fused_pooled_consts\": {},\n      \
-             \"legacy_ns_per_rhs\": {:.1},\n      \"fused_ns_per_rhs\": {:.1},\n      \
-             \"rhs_speedup\": {:.2},\n      \"native_instructions_per_rhs\": {},\n      \
+             \"fused_ns_per_rhs\": {:.1},\n      \
+             \"native_instructions_per_rhs\": {},\n      \
              \"native_ns_per_rhs\": {:.1},\n      \"native_speedup\": {:.2},\n      \
              \"native_speedup_x1000\": {},\n      \"native_active\": {}\n    }}{}",
             r.name,
             r.states,
             r.algebraics,
-            r.legacy_instrs,
             r.fused_instrs,
             r.fused_prologue,
-            r.legacy_instrs as f64 / r.fused_instrs.max(1) as f64,
             r.fused_regs,
             r.fused_consts,
-            r.legacy_ns,
             r.fused_ns,
-            r.legacy_ns / r.fused_ns.max(1e-9),
             r.native_instrs,
             r.native_ns,
             r.fused_ns / r.native_ns.max(1e-9),
@@ -964,21 +955,14 @@ fn bench_rhs(c: &mut Criterion) {
 
     let mut reports = Vec::new();
     for (w, native) in workloads().into_iter().zip(&native_systems) {
-        let legacy_instrs = w
-            .sys
-            .legacy_rhs_instruction_count()
-            .expect("non-parametric workload");
-        let legacy_ns = time_rhs(&w.sys, true, evals);
-        let fused_ns = time_rhs(&w.sys, false, evals);
-        let native_ns = time_rhs(native, false, evals);
+        let fused_ns = time_rhs(&w.sys, evals);
+        let native_ns = time_rhs(native, evals);
         println!(
-            "{}: {} legacy instrs -> {} fused ({} prologue), \
-             {:.0} ns -> {:.0} ns -> {:.0} ns native per rhs ({})",
+            "{}: {} fused instrs ({} prologue), \
+             {:.0} ns -> {:.0} ns native per rhs ({})",
             w.name,
-            legacy_instrs,
             w.sys.rhs_instruction_count(),
             w.sys.rhs_prologue_len(),
-            legacy_ns,
             fused_ns,
             native_ns,
             if native.native_active() {
@@ -991,12 +975,10 @@ fn bench_rhs(c: &mut Criterion) {
             name: w.name,
             states: w.sys.num_states(),
             algebraics: w.sys.num_algebraics(),
-            legacy_instrs,
             fused_instrs: w.sys.rhs_instruction_count(),
             fused_prologue: w.sys.rhs_prologue_len(),
             fused_regs: w.sys.rhs_register_count(),
             fused_consts: w.sys.rhs_const_count(),
-            legacy_ns,
             fused_ns,
             native_instrs: native.rhs_instruction_count(),
             native_ns,
@@ -1004,16 +986,6 @@ fn bench_rhs(c: &mut Criterion) {
         });
         let mut group = c.benchmark_group(format!("rhs/{}", w.name));
         let sys = &w.sys;
-        group.bench_function("legacy", |b| {
-            let n = sys.num_states();
-            let y = sys.initial_state();
-            let mut dydt = vec![0.0; n];
-            let mut scratch = sys.scratch();
-            b.iter(|| {
-                sys.rhs_legacy_with(black_box(0.5), &y, &mut dydt, &mut scratch);
-                black_box(dydt[0])
-            })
-        });
         group.bench_function("fused", |b| {
             let n = sys.num_states();
             let y = sys.initial_state();

@@ -1,8 +1,6 @@
-//! Simulation benchmark: RK4 throughput on the 53-node t-line, plus the
-//! tape-vs-tree-walk expression evaluation ablation from DESIGN.md.
+//! Simulation benchmark: RK4 throughput on the 53-node t-line.
 
 use ark_core::CompiledSystem;
-use ark_expr::{eval, parse_expr, MapContext, Tape};
 use ark_ode::{DormandPrince, OdeSystem, Rk4};
 use ark_paradigms::tln::{linear_tline, tln_language, TlineConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -38,23 +36,6 @@ fn bench_simulate(c: &mut Criterion) {
         let mut dydt = vec![0.0; bound.dim()];
         b.iter(|| bound.rhs(1e-9, &y0, &mut dydt))
     });
-    group.finish();
-
-    // Ablation: compiled tape vs tree-walking evaluation of a production-
-    // rule-sized expression.
-    let e = parse_expr("-1.6e9*2.0*sin(var(s)-var(t)) - 1e9*sin(2*var(s))").unwrap();
-    let ctx = MapContext::new().with_var("s", 0.3).with_var("t", 0.9);
-    let tape = Tape::compile(&e, &|n| match n {
-        "s" => Some(0),
-        "t" => Some(1),
-        _ => None,
-    })
-    .unwrap();
-    let mut regs = tape.new_registers();
-    let slots = [0.3, 0.9];
-    let mut group = c.benchmark_group("expr_eval");
-    group.bench_function("tape", |b| b.iter(|| tape.eval(&slots, 0.0, &mut regs)));
-    group.bench_function("tree_walk", |b| b.iter(|| eval(&e, &ctx).unwrap()));
     group.finish();
 }
 

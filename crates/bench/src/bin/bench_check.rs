@@ -6,7 +6,7 @@
 //! depend on the host), so this check is flake-free and can run on every
 //! push:
 //!
-//! * `workloads/*/{fused,legacy}_instructions_per_rhs` — interpreted
+//! * `workloads/*/fused_instructions_per_rhs` — interpreted
 //!   instruction counts; catches optimizer regressions (lost CSE, broken
 //!   fusion, prologue hoisting failures) the moment they land;
 //! * `streaming_ensemble/*/accumulator_bytes` — the streaming reduction
@@ -44,9 +44,8 @@ use std::process::ExitCode;
 
 /// Gated `(section, field)` pairs (all deterministic machine-independent
 /// counts).
-const CHECKED_KEYS: [(&str, &str); 14] = [
+const CHECKED_KEYS: [(&str, &str); 13] = [
     ("workloads", "fused_instructions_per_rhs"),
-    ("workloads", "legacy_instructions_per_rhs"),
     // Native codegen lowers the same fused stream: the count may never
     // drift from the interpreter's (also pinned by PARITY_KEYS below).
     ("workloads", "native_instructions_per_rhs"),

@@ -13,10 +13,12 @@
 //!    derivatives each right-hand-side call (scheduled topologically;
 //!    algebraic cycles are rejected).
 //!
-//! The result, [`CompiledSystem`], has all expressions lowered to
-//! [`ark_expr::Tape`]s and retains human-readable equations for inspection
-//! (the paper's generated differential equations). It is immutable and
-//! `Send + Sync`: evaluation state lives in a separate per-worker
+//! The result, [`CompiledSystem`], has all expressions lowered into fused
+//! [`SystemProgram`]s. It keeps the per-node expressions, evaluated by the
+//! tree-walking [`ark_expr::eval()`] as the reference semantics
+//! ([`CompiledSystem::eval_reference`]), and human-readable equations for
+//! inspection (the paper's generated differential equations). It is
+//! immutable and `Send + Sync`: evaluation state lives in a separate per-worker
 //! [`EvalScratch`], and [`CompiledSystem::bind`] pairs the two into a
 //! [`BoundSystem`] implementing [`ark_ode::OdeSystem`] for the integrators.
 
@@ -28,7 +30,7 @@ use crate::types::Value;
 use ark_expr::program::{
     LaneScratch, ProgScratch, ProgramBuilder, ProgramResolver, SystemProgram, VarRef,
 };
-use ark_expr::{Backend, Differentiator, Expr, NativeStatus, Tape, TapeError};
+use ark_expr::{Backend, Differentiator, Expr, MapContext, NativeStatus, TapeError};
 use ark_ode::OdeSystem;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -74,8 +76,8 @@ pub enum CompileError {
     },
     /// Order-0 (pure function) nodes form a dependency cycle.
     AlgebraicLoop(Vec<String>),
-    /// Tape lowering failed (internal invariant; should not escape).
-    Tape(String),
+    /// Program lowering failed (internal invariant; should not escape).
+    Lowering(String),
 }
 
 impl fmt::Display for CompileError {
@@ -108,7 +110,7 @@ impl fmt::Display for CompileError {
                     ns.join(" -> ")
                 )
             }
-            CompileError::Tape(m) => write!(f, "tape lowering failed: {m}"),
+            CompileError::Lowering(m) => write!(f, "program lowering failed: {m}"),
         }
     }
 }
@@ -123,7 +125,7 @@ impl From<LangError> for CompileError {
 
 impl From<TapeError> for CompileError {
     fn from(e: TapeError) -> Self {
-        CompileError::Tape(e.to_string())
+        CompileError::Lowering(e.to_string())
     }
 }
 
@@ -143,14 +145,6 @@ impl fmt::Display for StateVar {
     }
 }
 
-#[derive(Debug, Clone)]
-enum DerivKind {
-    /// `d state_i/dt = state_j` (the LowOrdEqs chain).
-    Chain(usize),
-    /// `d state_i/dt = tape_k`.
-    Tape(usize),
-}
-
 /// Per-worker evaluation buffers for a [`CompiledSystem`].
 ///
 /// The compiled system itself is immutable (`Send + Sync`), so one compiled
@@ -161,11 +155,8 @@ enum DerivKind {
 /// [`CompiledSystem::scratch`].
 #[derive(Debug, Clone, Default)]
 pub struct EvalScratch {
-    /// Combined variable buffer: `[states..., algebraics...]` for the legacy
-    /// tape path, and the observation output buffer for the fused path.
+    /// Observation output buffer (the algebraic segment).
     buf: Vec<f64>,
-    /// Register file reused across legacy tape evaluations.
-    regs: Vec<f64>,
     /// Register files for fused [`SystemProgram`]s, keyed by program id
     /// (one per program so constant pools stay primed).
     progs: Vec<ProgScratch>,
@@ -175,16 +166,6 @@ pub struct EvalScratch {
 }
 
 impl EvalScratch {
-    /// Grow (never shrink) the legacy buffers.
-    fn ensure(&mut self, slots: usize, regs: usize) {
-        if self.buf.len() < slots {
-            self.buf.resize(slots, 0.0);
-        }
-        if self.regs.len() < regs {
-            self.regs.resize(regs, 0.0);
-        }
-    }
-
     /// The program scratch primed for `id` (or a fresh one that the next
     /// evaluation will prime).
     fn prog_state(&mut self, id: u64) -> &mut ProgScratch {
@@ -331,25 +312,13 @@ impl<const L: usize> ark_ode::LanedOdeSystem<L> for LanedBoundSystem<'_, L> {
     }
 }
 
-/// The legacy per-node tape evaluator, kept as the reference semantics the
-/// fused [`SystemProgram`] path is property-tested against.
-#[derive(Debug)]
-struct LegacyTapes {
-    /// Algebraic tapes in evaluation (topological) order: `(slot, tape)`.
-    alg_tapes: Vec<(usize, Tape)>,
-    deriv_kinds: Vec<DerivKind>,
-    deriv_tapes: Vec<Tape>,
-    /// Largest register file any tape needs.
-    max_regs: usize,
-}
-
 /// A dynamical graph lowered to an executable first-order ODE system.
 ///
 /// The hot path is a pair of fused [`SystemProgram`]s (one for the
 /// right-hand side, one for observing algebraic nodes) produced by the
-/// optimizer pipeline in [`ark_expr::program`]; the legacy per-node tape
-/// evaluator is retained as reference semantics
-/// ([`CompiledSystem::rhs_legacy_with`]).
+/// optimizer pipeline in [`ark_expr::program`]; the per-node expressions
+/// are retained as reference semantics, evaluated by the tree-walking
+/// [`ark_expr::eval()`] ([`CompiledSystem::eval_reference`]).
 ///
 /// The compiled form is immutable and `Send + Sync`: compile once, then
 /// share it by reference across worker threads, giving each worker its own
@@ -372,8 +341,14 @@ pub struct CompiledSystem {
     param_sites: Vec<ParamSite>,
     /// State-index → parameter-slot overrides for the initial state.
     init_params: Vec<(usize, usize)>,
-    /// Reference per-tape evaluator (non-parametric compiles only).
-    legacy: Option<LegacyTapes>,
+    /// Per-node aggregated expressions (attributes folded, parameter slots
+    /// left symbolic): the input of [`CompiledSystem::eval_reference`].
+    node_exprs: BTreeMap<String, Expr>,
+    /// Algebraic nodes in evaluation (topological) order.
+    alg_order: Vec<String>,
+    /// Per state: `Some(j)` for a LowOrdEqs chain `d state_i/dt = state_j`,
+    /// `None` when the derivative is the node's expression.
+    chain_of_state: Vec<Option<usize>>,
     init: Vec<f64>,
     equations: Vec<String>,
     /// The value DAG the fused programs were lowered from, retained so the
@@ -498,10 +473,10 @@ impl CompiledSystem {
 
     /// A fresh evaluation scratch sized for this system (one per worker).
     pub fn scratch(&self) -> EvalScratch {
-        let mut s = EvalScratch::default();
-        let legacy_regs = self.legacy.as_ref().map_or(1, |l| l.max_regs);
-        s.ensure(self.num_states() + self.alg_of_node.len(), legacy_regs);
-        s
+        EvalScratch {
+            buf: vec![0.0; self.num_algebraics()],
+            ..EvalScratch::default()
+        }
     }
 
     /// The ODE sparsity pattern: for each state `i`, the sorted state
@@ -886,39 +861,6 @@ impl CompiledSystem {
         }
     }
 
-    /// Evaluate the right-hand side through the *legacy per-node tape*
-    /// evaluator — the reference semantics the fused program is tested
-    /// against (and the baseline the `rhs` microbenchmark measures).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y` has the wrong length, or on a parametric system (the
-    /// legacy evaluator cannot represent parameter slots).
-    pub fn rhs_legacy_with(&self, t: f64, y: &[f64], dydt: &mut [f64], scratch: &mut EvalScratch) {
-        let legacy = self
-            .legacy
-            .as_ref()
-            .expect("legacy tapes exist only for non-parametric compiles");
-        let n = self.num_states();
-        let n_algs = self.alg_of_node.len();
-        assert_eq!(y.len(), n, "state vector length mismatch");
-        scratch.ensure(n + n_algs, legacy.max_regs);
-        let EvalScratch { buf, regs, .. } = scratch;
-        buf[..n].copy_from_slice(y);
-        // Algebraic pass (order-0 nodes) in topological order.
-        for (slot, tape) in &legacy.alg_tapes {
-            let v = tape.eval(buf, t, regs);
-            buf[n + *slot] = v;
-        }
-        // Derivative pass.
-        for (i, kind) in legacy.deriv_kinds.iter().enumerate() {
-            dydt[i] = match kind {
-                DerivKind::Chain(j) => y[*j],
-                DerivKind::Tape(k) => legacy.deriv_tapes[*k].eval(buf, t, regs),
-            };
-        }
-    }
-
     /// Evaluate *all* algebraic (order-0) nodes at time `t` for state `y`
     /// through the given scratch, returning the algebraic segment indexed by
     /// [`CompiledSystem::algebraic_index`]. Runs the fused observation
@@ -1014,34 +956,6 @@ impl CompiledSystem {
         self.obs_prog.eval_lanes_bound(scratch, y, t, out);
     }
 
-    /// Evaluate all algebraic nodes through the *legacy per-node tape*
-    /// evaluator — reference semantics for the fused observation program.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y` has the wrong length or on a parametric system.
-    pub fn eval_algebraics_legacy_with<'s>(
-        &self,
-        t: f64,
-        y: &[f64],
-        scratch: &'s mut EvalScratch,
-    ) -> &'s [f64] {
-        let legacy = self
-            .legacy
-            .as_ref()
-            .expect("legacy tapes exist only for non-parametric compiles");
-        let n = self.num_states();
-        let n_algs = self.alg_of_node.len();
-        assert_eq!(y.len(), n, "state vector length mismatch");
-        scratch.ensure(n + n_algs, legacy.max_regs);
-        let EvalScratch { buf, regs, .. } = scratch;
-        buf[..n].copy_from_slice(y);
-        for (s, tape) in &legacy.alg_tapes {
-            buf[n + *s] = tape.eval(buf, t, regs);
-        }
-        &scratch.buf[n..n + n_algs]
-    }
-
     /// Interpreted instructions executed by one (cold) right-hand-side call
     /// on the fused path. Constants cost nothing; warm calls at a repeated
     /// `time` also skip the prologue ([`CompiledSystem::rhs_prologue_len`]).
@@ -1066,14 +980,56 @@ impl CompiledSystem {
         self.rhs_prog.const_count()
     }
 
-    /// Interpreted instructions executed by one right-hand-side call on the
-    /// legacy per-node tape path (`None` for parametric compiles, which
-    /// have no legacy form).
-    pub fn legacy_rhs_instruction_count(&self) -> Option<usize> {
-        self.legacy.as_ref().map(|l| {
-            l.alg_tapes.iter().map(|(_, t)| t.len()).sum::<usize>()
-                + l.deriv_tapes.iter().map(Tape::len).sum::<usize>()
-        })
+    /// Evaluate the right-hand side and every algebraic node with the
+    /// tree-walking [`ark_expr::eval()`] over the per-node expressions: the
+    /// one reference semantics the fused programs (scalar, laned and
+    /// native) are tested against bit for bit. Returns `(dydt,
+    /// algebraics)`, the latter indexed by
+    /// [`CompiledSystem::algebraic_index`]. Pass an empty `params` for a
+    /// non-parametric system. Allocates on every call; not for hot loops.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y` or `params` has the wrong length.
+    pub fn eval_reference(&self, t: f64, y: &[f64], params: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        assert_eq!(y.len(), self.num_states(), "state vector length mismatch");
+        assert_eq!(
+            params.len(),
+            self.num_params(),
+            "parameter vector length mismatch"
+        );
+        // `var` reads a state or an algebraic already computed; `attr` reads
+        // the parameter slot a parametric compile left symbolic (the last
+        // site for a target wins, as in `compile_impl`).
+        let mut ctx = MapContext::new().at_time(t);
+        for (name, &base) in &self.state_of_node {
+            ctx.vars.insert(name.clone(), y[base]);
+        }
+        for (site, &p) in self.param_sites.iter().zip(params) {
+            if let ParamTarget::Attr(a) = &site.target {
+                ctx.attrs.insert((site.entity.clone(), a.clone()), p);
+            }
+        }
+        let eval = |name: &str, ctx: &MapContext| {
+            ark_expr::eval(&self.node_exprs[name], ctx)
+                .expect("compiled node expressions resolve every leaf")
+        };
+        let mut algs = vec![0.0; self.num_algebraics()];
+        for name in &self.alg_order {
+            let v = eval(name, &ctx);
+            algs[self.alg_of_node[name]] = v;
+            ctx.vars.insert(name.clone(), v);
+        }
+        let dydt = self
+            .state_vars
+            .iter()
+            .zip(&self.chain_of_state)
+            .map(|(sv, chain)| match chain {
+                Some(j) => y[*j],
+                None => eval(&sv.node, &ctx),
+            })
+            .collect();
+        (dydt, algs)
     }
 
     /// Total [`CompiledSystem`] compilations performed by this process so
@@ -1229,16 +1185,7 @@ impl CompiledSystem {
         // --- Topologically order algebraic nodes (Kahn's algorithm). ---
         let alg_order = topo_algebraics(&alg_of_node, &node_exprs)?;
 
-        // --- Legacy reference lowering (per-node tapes). Parameter slots
-        // cannot be represented on a tape, so parametric compiles carry the
-        // fused programs only. ---
-        let resolve = |name: &str| -> Option<usize> {
-            if let Some(&base) = state_of_node.get(name) {
-                Some(base)
-            } else {
-                alg_of_node.get(name).map(|&slot| n_states + slot)
-            }
-        };
+        // --- Human-readable equations and the LowOrdEqs chain map. ---
         let mut equations = Vec::new();
         for name in &alg_order {
             equations.push(format!("{name} = {}", node_exprs[name]));
@@ -1256,41 +1203,6 @@ impl CompiledSystem {
                 equations.push(format!("d{sv}/dt = {}", node_exprs[&sv.node]));
             }
         }
-        let legacy = if sites.is_empty() {
-            let mut alg_tapes = Vec::with_capacity(n_algs);
-            for name in &alg_order {
-                alg_tapes.push((
-                    alg_of_node[name],
-                    Tape::compile(&node_exprs[name], &resolve)?,
-                ));
-            }
-            let mut deriv_kinds = Vec::with_capacity(n_states);
-            let mut deriv_tapes = Vec::new();
-            for (i, sv) in state_vars.iter().enumerate() {
-                match chain_of_state[i] {
-                    Some(j) => deriv_kinds.push(DerivKind::Chain(j)),
-                    None => {
-                        deriv_tapes.push(Tape::compile(&node_exprs[&sv.node], &resolve)?);
-                        deriv_kinds.push(DerivKind::Tape(deriv_tapes.len() - 1));
-                    }
-                }
-            }
-            let max_regs = alg_tapes
-                .iter()
-                .map(|(_, t)| t.len())
-                .chain(deriv_tapes.iter().map(Tape::len))
-                .max()
-                .unwrap_or(1);
-            Some(LegacyTapes {
-                alg_tapes,
-                deriv_kinds,
-                deriv_tapes,
-                max_regs,
-            })
-        } else {
-            None
-        };
-
         // --- Fused lowering: one hash-consed value DAG for the whole
         // system. Algebraic `var(.)` references inline as DAG values, so
         // neighbor terms shared across nodes are computed once (CSE), and
@@ -1379,7 +1291,9 @@ impl CompiledSystem {
             obs_prog,
             param_sites: sites.to_vec(),
             init_params,
-            legacy,
+            node_exprs,
+            alg_order,
+            chain_of_state,
             init,
             equations,
             builder: pb,
@@ -1494,8 +1408,8 @@ fn store_err(slot: &RefCell<Option<CompileError>>, e: CompileError) {
 
 /// Combine per-edge terms with the node's reduction operator (FormEq),
 /// pairing terms into a balanced tree so expression depth — and with it
-/// `Tape::emit`/`Display` recursion — is O(log terms) for high-degree nodes
-/// instead of O(terms) from a left-nested fold.
+/// lowering, `eval` and `Display` recursion — is O(log terms) for
+/// high-degree nodes instead of O(terms) from a left-nested fold.
 fn aggregate(reduction: Reduction, terms: Vec<Expr>) -> Expr {
     if terms.is_empty() {
         return Expr::Const(reduction.identity());

@@ -3,20 +3,22 @@
 //! graphs — mixed node orders (0/1/2), sum and product reductions,
 //! algebraic dependency chains, switched-off edges with `off` rules — the
 //! fused right-hand side and observation program agree *bit for bit* with
-//! the legacy per-node tape evaluator at arbitrary states and times.
+//! the tree-walking reference evaluator
+//! ([`CompiledSystem::eval_reference`](ark_core::CompiledSystem::eval_reference))
+//! at arbitrary states, times and parameter vectors.
 //!
 //! The graph generators live in [`common`] and are shared with the
 //! Jacobian differential tests (`jacobian_differential.rs`).
 
 mod common;
 
-use common::{arb_spec, compile_spec, ptest_language};
+use common::{arb_spec, compile_spec, compile_spec_parametric, ptest_language};
 use proptest::prelude::*;
 
 proptest! {
-    /// Fused rhs == legacy per-tape rhs, bit for bit.
+    /// Fused rhs == tree-walking reference rhs, bit for bit.
     #[test]
-    fn fused_rhs_bit_identical_to_legacy(
+    fn fused_rhs_bit_identical_to_reference(
         spec in arb_spec(),
         t in 0.0..10.0f64,
         scale in -2.0..2.0f64,
@@ -28,19 +30,18 @@ proptest! {
         let mut scratch = sys.scratch();
         let mut fused = vec![0.0; n];
         sys.rhs_with(t, &y, &mut fused, &mut scratch);
-        let mut legacy = vec![0.0; n];
-        sys.rhs_legacy_with(t, &y, &mut legacy, &mut scratch);
-        for (i, (a, b)) in fused.iter().zip(&legacy).enumerate() {
+        let (reference, _) = sys.eval_reference(t, &y, &[]);
+        for (i, (a, b)) in fused.iter().zip(&reference).enumerate() {
             prop_assert_eq!(a.to_bits(), b.to_bits(),
-                "dydt[{}] fused {} vs legacy {}", i, a, b);
+                "dydt[{}] fused {} vs reference {}", i, a, b);
         }
     }
 
-    /// Fused observation program == legacy algebraic tapes, bit for bit,
+    /// Fused observation program == reference algebraics, bit for bit,
     /// and repeated evaluation through one scratch (prologue cache warm)
     /// stays stable.
     #[test]
-    fn fused_algebraics_bit_identical_to_legacy(
+    fn fused_algebraics_bit_identical_to_reference(
         spec in arb_spec(),
         t in 0.0..10.0f64,
         scale in -2.0..2.0f64,
@@ -50,26 +51,53 @@ proptest! {
         let n = sys.num_states();
         let y: Vec<f64> = (0..n).map(|k| scale * (0.7 + 0.11 * k as f64).cos()).collect();
         let mut scratch = sys.scratch();
-        let legacy: Vec<f64> = sys.eval_algebraics_legacy_with(t, &y, &mut scratch).to_vec();
+        let (_, reference) = sys.eval_reference(t, &y, &[]);
         let fused: Vec<f64> = sys.eval_algebraics_with(t, &y, &mut scratch).to_vec();
-        prop_assert_eq!(legacy.len(), fused.len());
-        for (i, (a, b)) in fused.iter().zip(&legacy).enumerate() {
+        prop_assert_eq!(reference.len(), fused.len());
+        for (i, (a, b)) in fused.iter().zip(&reference).enumerate() {
             prop_assert_eq!(a.to_bits(), b.to_bits(),
-                "alg[{}] fused {} vs legacy {}", i, a, b);
+                "alg[{}] fused {} vs reference {}", i, a, b);
         }
         // Second call through the same scratch (warm prologue/time cache).
         let again: Vec<f64> = sys.eval_algebraics_with(t, &y, &mut scratch).to_vec();
         prop_assert_eq!(fused, again);
     }
 
-    /// The fused path strictly reduces the interpreted instruction count.
+    /// Parametric compiles at perturbed parameters: the fused rhs and
+    /// observation program read the same parameter slots the reference
+    /// resolves `attr` leaves to, bit for bit.
     #[test]
-    fn fused_path_never_exceeds_legacy_instruction_count(spec in arb_spec()) {
+    fn parametric_fused_bit_identical_to_reference(
+        spec in arb_spec(),
+        t in 0.0..10.0f64,
+        scale in -2.0..2.0f64,
+        wobble in -0.5..0.5f64,
+    ) {
         let lang = ptest_language();
-        let sys = compile_spec(&lang, &spec);
-        if let Some(legacy) = sys.legacy_rhs_instruction_count() {
-            prop_assert!(sys.rhs_instruction_count() <= legacy,
-                "fused {} vs legacy {}", sys.rhs_instruction_count(), legacy);
+        let sys = compile_spec_parametric(&lang, &spec);
+        let n = sys.num_states();
+        let y: Vec<f64> = (0..n).map(|k| scale * (0.5 + 0.23 * k as f64).sin()).collect();
+        let params: Vec<f64> = sys
+            .nominal_params()
+            .iter()
+            .enumerate()
+            .map(|(k, w)| w + wobble * (1.0 + k as f64).cos())
+            .collect();
+        let mut scratch = sys.scratch();
+        let mut fused = vec![0.0; n];
+        sys.rhs_with_params(t, &y, &mut fused, &params, &mut scratch);
+        let (reference, reference_algs) = sys.eval_reference(t, &y, &params);
+        for (i, (a, b)) in fused.iter().zip(&reference).enumerate() {
+            prop_assert_eq!(a.to_bits(), b.to_bits(),
+                "dydt[{}] fused {} vs reference {}", i, a, b);
+        }
+        let algs: Vec<f64> = sys
+            .eval_algebraics_with_params(t, &y, &params, &mut scratch)
+            .to_vec();
+        prop_assert_eq!(reference_algs.len(), algs.len());
+        for (i, (a, b)) in algs.iter().zip(&reference_algs).enumerate() {
+            prop_assert_eq!(a.to_bits(), b.to_bits(),
+                "alg[{}] fused {} vs reference {}", i, a, b);
         }
     }
 }

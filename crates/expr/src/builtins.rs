@@ -3,8 +3,9 @@
 //! The paper's case studies use `pulse` (TLN input waveform, §4.4), `sat`
 //! (ideal CNN saturation) and `sat_ni` (non-ideal MOS saturation, §7.1).
 //! `sat`/`sat_ni` are single-argument and handled as [`UnaryOp`]s in the AST;
-//! this module hosts the remaining multi-argument builtins and the lookup
-//! used by both the tree-walking evaluator and the tape compiler.
+//! this module hosts the remaining multi-argument builtins, the lookup used
+//! by the tree-walking evaluator, and the [`Builtin3`] opcode operand the
+//! program compiler lowers the three-argument builtins to.
 //!
 //! [`UnaryOp`]: crate::UnaryOp
 
@@ -53,6 +54,28 @@ pub fn square_pulse(t: f64, t0: f64, width: f64) -> f64 {
 /// Smooth logistic step centered at `t0` with transition scale `tau`.
 pub fn smoothstep(t: f64, t0: f64, tau: f64) -> f64 {
     1.0 / (1.0 + (-(t - t0) / tau).exp())
+}
+
+/// Multi-argument builtins representable in a compiled program.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Builtin3 {
+    /// `pulse(t, t0, width)` trapezoidal pulse.
+    Pulse,
+    /// `square_pulse(t, t0, width)` rectangular pulse.
+    SquarePulse,
+    /// `smoothstep(t, t0, tau)` logistic step.
+    Smoothstep,
+}
+
+impl Builtin3 {
+    /// Apply the builtin to its three arguments.
+    pub fn apply(self, a: f64, b: f64, c: f64) -> f64 {
+        match self {
+            Builtin3::Pulse => pulse(a, b, c),
+            Builtin3::SquarePulse => square_pulse(a, b, c),
+            Builtin3::Smoothstep => smoothstep(a, b, c),
+        }
+    }
 }
 
 /// Number of arguments the named builtin expects, or `None` if unknown.

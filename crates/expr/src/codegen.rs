@@ -55,8 +55,8 @@
 
 use crate::analysis::Segment;
 use crate::ast::{BinaryOp, CmpOp, UnaryOp};
+use crate::builtins::Builtin3;
 use crate::program::{PInstr, POp, SystemProgram};
-use crate::tape::Builtin3;
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;

@@ -50,8 +50,8 @@
 //! ```
 
 use crate::ast::{BinaryOp, CmpOp, UnaryOp};
+use crate::builtins::Builtin3;
 use crate::program::{ProgramBuilder, VNode, ValueId};
-use crate::tape::Builtin3;
 use std::collections::HashMap;
 
 impl ProgramBuilder {

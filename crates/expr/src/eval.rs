@@ -1,8 +1,9 @@
 //! Tree-walking evaluation of expressions against an [`EvalContext`].
 //!
-//! This is the reference evaluator: simple, allocation-free for scalars, and
-//! used to cross-check the tape compiler (see `tape` module). Hot simulation
-//! loops use the tape instead.
+//! This is the one reference semantics: simple, allocation-free for
+//! scalars, and the oracle the fused [`SystemProgram`](crate::SystemProgram)
+//! path is property-tested against, here and in `ark-core`. Hot simulation
+//! loops run the fused program instead.
 
 use crate::ast::{BoolExpr, Expr, Lambda};
 use crate::builtins::eval_builtin;
@@ -353,5 +354,86 @@ mod tests {
             .mul(Expr::constant(2.0))
             .unary(UnaryOp::Sin);
         assert!((eval(&e, &ctx).unwrap() - 1.0).abs() < 1e-12);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::ast::UnaryOp;
+    use crate::program::{ProgScratch, ProgramBuilder, SlotResolver};
+    use proptest::prelude::*;
+
+    /// Strategy for random expressions over vars x (slot 0) and y (slot 1).
+    fn arb_expr() -> impl Strategy<Value = Expr> {
+        let leaf = prop_oneof![
+            (-10.0..10.0f64).prop_map(Expr::Const),
+            Just(Expr::Time),
+            Just(Expr::var("x")),
+            Just(Expr::var("y")),
+        ];
+        leaf.prop_recursive(4, 64, 3, |inner| {
+            prop_oneof![
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a.add(b)),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a.sub(b)),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a.mul(b)),
+                inner.clone().prop_map(|a| a.neg()),
+                inner.clone().prop_map(|a| a.sin()),
+                inner.clone().prop_map(|a| a.unary(UnaryOp::Tanh)),
+                inner.prop_map(|a| a.unary(UnaryOp::Sat)),
+            ]
+        })
+    }
+
+    proptest! {
+        /// A one-output fused program agrees with the tree-walking
+        /// evaluator bit for bit.
+        #[test]
+        fn fused_program_bit_identical_to_eval(e in arb_expr(), x in -5.0..5.0f64, y in -5.0..5.0f64, t in 0.0..10.0f64) {
+            let ctx = MapContext::new().at_time(t).with_var("x", x).with_var("y", y);
+            let reference = eval(&e, &ctx).unwrap();
+            let mut pb = ProgramBuilder::new();
+            let resolve = SlotResolver(|n: &str| match n { "x" => Some(0), "y" => Some(1), _ => None });
+            let v = pb.add_expr(&e, &resolve).unwrap();
+            let prog = pb.finish(&[v], 0);
+            let mut out = [0.0];
+            prog.eval_into(&mut ProgScratch::default(), &[x, y], t, &[], &mut out);
+            if reference.is_nan() {
+                prop_assert!(out[0].is_nan());
+            } else {
+                prop_assert_eq!(reference.to_bits(), out[0].to_bits(),
+                    "expr {} gave {} vs {}", e, reference, out[0]);
+            }
+        }
+
+        /// Simplification preserves semantics.
+        #[test]
+        fn simplify_preserves_semantics(e in arb_expr(), x in -5.0..5.0f64, y in -5.0..5.0f64, t in 0.0..10.0f64) {
+            let ctx = MapContext::new().at_time(t).with_var("x", x).with_var("y", y);
+            let reference = eval(&e, &ctx).unwrap();
+            let simplified = eval(&e.simplify(), &ctx).unwrap();
+            if reference.is_nan() {
+                prop_assert!(simplified.is_nan());
+            } else {
+                let scale = reference.abs().max(1.0);
+                prop_assert!((reference - simplified).abs() <= 1e-12 * scale);
+            }
+        }
+
+        /// Display → parse round-trips semantics for generated expressions.
+        #[test]
+        fn display_parse_roundtrip(e in arb_expr(), x in -5.0..5.0f64, y in -5.0..5.0f64) {
+            let printed = e.to_string();
+            let reparsed = crate::parse::parse_expr(&printed).unwrap();
+            let ctx = MapContext::new().with_var("x", x).with_var("y", y);
+            let a = eval(&e, &ctx).unwrap();
+            let b = eval(&reparsed, &ctx).unwrap();
+            if a.is_nan() {
+                prop_assert!(b.is_nan());
+            } else {
+                let scale = a.abs().max(1.0);
+                prop_assert!((a - b).abs() <= 1e-12 * scale, "printed: {}", printed);
+            }
+        }
     }
 }

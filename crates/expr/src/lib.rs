@@ -10,10 +10,13 @@
 //!   `v.a` attribute references, `time`, lambdas, and `if-then-else`;
 //! * [`parse_expr`]/[`parse_bool_expr`]/[`parse_lambda`] — the textual
 //!   frontend used by the full Ark parser in `ark-core`;
-//! * [`eval()`](eval())/[`eval_bool`] — the reference tree-walking evaluator over an
-//!   [`EvalContext`];
-//! * [`Tape`] — a flat register program for fast repeated evaluation inside
-//!   ODE right-hand sides (the form the dynamical-system compiler emits).
+//! * [`eval()`](eval())/[`eval_bool`] — the tree-walking evaluator over an
+//!   [`EvalContext`], the one reference semantics every compiled form is
+//!   tested against;
+//! * [`ProgramBuilder`]/[`SystemProgram`] — a whole system's expressions
+//!   lowered into one fused register program for fast repeated evaluation
+//!   inside ODE right-hand sides (the form the dynamical-system compiler
+//!   emits), interpreted or compiled natively ([`codegen`]).
 //!
 //! # Examples
 //!
@@ -44,7 +47,6 @@ pub mod eval;
 pub mod lexer;
 pub mod parse;
 pub mod program;
-pub mod tape;
 
 pub use analysis::{
     analyze, determinism_lint, domain_analysis, DomainWarning, DomainWarningKind, Interval,
@@ -58,6 +60,5 @@ pub use eval::{eval, eval_bool, EvalContext, MapContext};
 pub use parse::{parse_bool_expr, parse_expr, parse_lambda};
 pub use program::{
     LaneScratch, ProgScratch, ProgramBuilder, ProgramResolver, SlotResolver, SystemProgram,
-    ValueId, VarRef,
+    TapeError, ValueId, VarRef,
 };
-pub use tape::{Tape, TapeError};

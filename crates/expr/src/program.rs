@@ -1,10 +1,10 @@
 //! Fused whole-system programs: many expressions, one instruction stream.
 //!
-//! [`Tape`](crate::Tape) compiles *one* expression into a linear register
-//! program; an Ark dynamical system has hundreds of them (one per node),
-//! which wastes work three ways: shared subexpressions are recomputed per
-//! node, every constant costs an interpreted instruction on every call, and
-//! each tape pays its own dispatch setup. [`ProgramBuilder`] instead lowers
+//! An Ark dynamical system has hundreds of expressions (one per node).
+//! Compiling each on its own would waste work three ways: shared
+//! subexpressions would be recomputed per node, every constant would cost
+//! an interpreted instruction on every call, and each expression would pay
+//! its own dispatch setup. [`ProgramBuilder`] instead lowers
 //! *all* of a system's expressions into one hash-consed value DAG and
 //! [`SystemProgram`] executes the whole right-hand side as a single fused
 //! instruction stream, optimized by a five-stage pipeline:
@@ -31,20 +31,52 @@
 //!    are reused as soon as their value dies, so the register file stays
 //!    cache-sized instead of growing one register per instruction.
 //!
-//! Evaluation semantics are *bit-identical* to evaluating each expression on
-//! its own [`Tape`](crate::Tape): every transformation either shares or
-//! fuses identical arithmetic, never reassociates or changes it. Property
-//! tests in `ark-core` pin this down against the legacy per-tape path.
+//! Evaluation semantics are *bit-identical* to evaluating each expression
+//! with the tree-walking [`eval()`](crate::eval()): every transformation
+//! either shares or fuses identical arithmetic, never reassociates or
+//! changes it. Property tests here and in `ark-core` pin this down against
+//! `eval`.
 
 use crate::analysis::Segment;
 use crate::ast::{BinaryOp, BoolExpr, CmpOp, Expr, UnaryOp};
+use crate::builtins::Builtin3;
 use crate::codegen::{
     Backend, CodegenCache, CodegenError, NativeKernel, NativeStatus, NATIVE_LANE_WIDTHS,
 };
-use crate::tape::{Builtin3, TapeError};
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+
+/// An error produced while lowering an expression into a program.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TapeError {
+    /// `var(.)` reference that the resolver could not map to a slot.
+    UnresolvedVar(String),
+    /// Attribute reference that survived constant folding.
+    UnresolvedAttr(String, String),
+    /// Argument reference that survived substitution.
+    UnresolvedArg(String),
+    /// A call that is not a program-representable builtin.
+    UnsupportedCall(String),
+}
+
+impl fmt::Display for TapeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TapeError::UnresolvedVar(n) => write!(f, "unresolved variable var({n})"),
+            TapeError::UnresolvedAttr(n, a) => {
+                write!(f, "attribute {n}.{a} not folded before tape compilation")
+            }
+            TapeError::UnresolvedArg(n) => {
+                write!(f, "argument {n} not substituted before tape compilation")
+            }
+            TapeError::UnsupportedCall(n) => write!(f, "call to `{n}` not supported on tape"),
+        }
+    }
+}
+
+impl std::error::Error for TapeError {}
 
 /// A value in the program builder's hash-consed DAG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -80,7 +112,7 @@ pub trait ProgramResolver {
 
     /// Resolve an attribute reference `entity.attr` to a parameter slot.
     /// The default (no parameters) rejects all attribute references, which
-    /// makes unfolded attributes a compile error exactly like on a tape.
+    /// makes unfolded attributes a compile error.
     fn attr(&self, _entity: &str, _attr: &str) -> Option<usize> {
         None
     }
@@ -221,9 +253,9 @@ impl ProgramBuilder {
     ///
     /// # Errors
     ///
-    /// The same leaf errors as [`Tape::compile`](crate::Tape::compile):
-    /// unresolved variables, attributes without a parameter slot, arguments,
-    /// and unsupported calls.
+    /// A [`TapeError`] for any leaf that cannot be lowered: unresolved
+    /// variables, attributes without a parameter slot, arguments, and
+    /// unsupported calls.
     pub fn add_expr(
         &mut self,
         expr: &Expr,
@@ -1318,7 +1350,6 @@ mod tests {
     use super::*;
     use crate::eval::{eval, MapContext};
     use crate::parse::parse_expr;
-    use crate::tape::Tape;
 
     fn eval_program(srcs: &[&str], vars: &[(&str, f64)], time: f64) -> Vec<f64> {
         let mut pb = ProgramBuilder::new();
@@ -1337,7 +1368,7 @@ mod tests {
     }
 
     #[test]
-    fn program_matches_tape_and_eval() {
+    fn program_matches_eval() {
         let srcs = [
             "1 + 2*var(x) - var(y)/4",
             "sin(var(x)) + cos(var(x)) * tanh(var(y))",
@@ -1356,10 +1387,6 @@ mod tests {
             }
             let reference = eval(&e, &ctx).unwrap();
             assert_eq!(reference.to_bits(), g.to_bits(), "{src}");
-            let tape = Tape::compile(&e, &|n| vars.iter().position(|(m, _)| *m == n)).unwrap();
-            let slots: Vec<f64> = vars.iter().map(|(_, v)| *v).collect();
-            let mut regs = tape.new_registers();
-            assert_eq!(tape.eval(&slots, t, &mut regs).to_bits(), g.to_bits());
         }
     }
 
@@ -1499,7 +1526,7 @@ mod tests {
     }
 
     #[test]
-    fn unresolved_leaves_error_like_tapes() {
+    fn unresolved_leaves_error() {
         let mut pb = ProgramBuilder::new();
         let none = SlotResolver(|_: &str| None);
         assert_eq!(
@@ -1627,11 +1654,10 @@ mod tests {
             "-var(x)",
         ] {
             let got = eval_program(&[src], &vars, 0.0)[0];
-            let e = parse_expr(src).unwrap();
-            let tape = Tape::compile(&e, &|n| vars.iter().position(|(m, _)| *m == n)).unwrap();
-            let slots: Vec<f64> = vars.iter().map(|(_, v)| *v).collect();
-            let mut regs = tape.new_registers();
-            let want = tape.eval(&slots, 0.0, &mut regs);
+            let ctx = vars
+                .iter()
+                .fold(MapContext::new(), |ctx, &(n, v)| ctx.with_var(n, v));
+            let want = eval(&parse_expr(src).unwrap(), &ctx).unwrap();
             assert_eq!(want.to_bits(), got.to_bits(), "{src}");
         }
     }

@@ -132,7 +132,7 @@ pub use resilience::{
 pub use run::{EnsembleObserver, EnsembleRun, FinalSnapshot, Observed, RecoveringRun};
 
 use ark_core::{CompiledSystem, EvalScratch, LaneScratch};
-use ark_ode::{OdeWorkspace, SolveError, Solver, Strided, Trajectory, Workspace};
+use ark_ode::{OdeWorkspace, Solver, Strided, Trajectory, Workspace};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default lane width of the laned ensemble fast path (see
@@ -238,7 +238,7 @@ pub trait LaneReadout<T, E>: Sync {
 }
 
 /// A [`LaneReadout`] from a plain per-instance closure (scalar readout on
-/// every path) — the adapter behind [`Ensemble::map_integrated`].
+/// every path) — the adapter behind [`EnsembleRun::map`].
 struct ClosureReadout<G>(G);
 
 impl<T, E, G> LaneReadout<T, E> for ClosureReadout<G>
@@ -265,7 +265,7 @@ where
 ///
 /// # Lane width
 ///
-/// The compile-once integration entry points ([`Ensemble::integrate_params`]
+/// The integration terminals of [`Ensemble::run`] ([`EnsembleRun::map`]
 /// and friends) batch instances into *lane groups* of `lanes` (one of
 /// [`SUPPORTED_LANES`]) and step each group through the lane-parallel
 /// interpreter ([`CompiledSystem::bind_lanes`]): one interpreted
@@ -474,151 +474,6 @@ impl Ensemble {
         Ok(out)
     }
 
-    /// Deprecated wrapper over [`Ensemble::run`] with a per-index
-    /// initial-state prep — integrate one shared non-parametric
-    /// [`CompiledSystem`] from each initial state in `inits`.
-    ///
-    /// Routes through the exact same dispatch core as the [`EnsembleRun`]
-    /// it delegates to, so its output is pinned bit-identical to the new
-    /// path.
-    ///
-    /// # Errors
-    ///
-    /// The first (by `inits` order) solver error.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a parametric system — supply parameters via
-    /// [`EnsembleRun::params`].
-    #[deprecated(
-        note = "use Ensemble::run(..).prep(|i| (vec![], inits\\[i\\].clone())).trajectories(); \
-                see README § Streaming ensembles"
-    )]
-    pub fn integrate_states<S: Solver + Sync>(
-        &self,
-        sys: &CompiledSystem,
-        solver: &S,
-        inits: &[Vec<f64>],
-        t0: f64,
-        t1: f64,
-        stride: usize,
-    ) -> Result<Vec<Trajectory>, SolveError> {
-        assert_eq!(
-            sys.num_params(),
-            0,
-            "parametric system: supply parameter vectors (EnsembleRun::params)"
-        );
-        let idx: Vec<u64> = (0..inits.len() as u64).collect();
-        self.run(sys, solver, &idx, t0, t1)
-            .stride(stride)
-            .prep(|i| (Vec::new(), inits[i as usize].clone()))
-            .trajectories()
-    }
-
-    /// Deprecated wrapper over [`Ensemble::run`] +
-    /// [`EnsembleRun::params`] + [`EnsembleRun::trajectories`].
-    ///
-    /// Routes through the exact same dispatch core as the [`EnsembleRun`]
-    /// it delegates to, so its output is pinned bit-identical to the new
-    /// path.
-    ///
-    /// # Errors
-    ///
-    /// The first (by seed order) solver error.
-    #[deprecated(note = "use Ensemble::run(..).params(..).trajectories(); \
-                see README § Streaming ensembles")]
-    #[allow(clippy::too_many_arguments)]
-    pub fn integrate_params<S: Solver + Sync, F>(
-        &self,
-        sys: &CompiledSystem,
-        solver: &S,
-        seeds: &[u64],
-        params_for: F,
-        t0: f64,
-        t1: f64,
-        stride: usize,
-    ) -> Result<Vec<Trajectory>, SolveError>
-    where
-        F: Fn(u64) -> Vec<f64> + Sync,
-    {
-        self.run(sys, solver, seeds, t0, t1)
-            .stride(stride)
-            .params(params_for)
-            .trajectories()
-    }
-
-    /// Deprecated wrapper over [`Ensemble::run`] +
-    /// [`EnsembleRun::params`] + [`EnsembleRun::map`].
-    ///
-    /// Routes through the exact same dispatch core as the [`EnsembleRun`]
-    /// it delegates to, so its output is pinned bit-identical to the new
-    /// path.
-    ///
-    /// # Errors
-    ///
-    /// The first (by seed order) integration or `finish` error.
-    #[deprecated(note = "use Ensemble::run(..).params(..).map(finish); \
-                see README § Streaming ensembles")]
-    #[allow(clippy::too_many_arguments)]
-    pub fn map_integrated<S: Solver + Sync, T, E, F, G>(
-        &self,
-        sys: &CompiledSystem,
-        solver: &S,
-        seeds: &[u64],
-        params_for: F,
-        t0: f64,
-        t1: f64,
-        stride: usize,
-        finish: G,
-    ) -> Result<Vec<T>, E>
-    where
-        T: Send,
-        E: Send + From<EnsembleError>,
-        F: Fn(u64) -> Vec<f64> + Sync,
-        G: Fn(u64, &[f64], Trajectory, &mut EvalScratch) -> Result<T, E> + Sync,
-    {
-        self.run(sys, solver, seeds, t0, t1)
-            .stride(stride)
-            .params(params_for)
-            .map(finish)
-    }
-
-    /// Deprecated wrapper over [`Ensemble::run`] +
-    /// [`EnsembleRun::params`] + [`EnsembleRun::map_grouped`].
-    ///
-    /// Routes through the exact same dispatch core as the [`EnsembleRun`]
-    /// it delegates to, so its output is pinned bit-identical to the new
-    /// path.
-    ///
-    /// # Errors
-    ///
-    /// The first (by seed order) integration or readout error.
-    #[deprecated(note = "use Ensemble::run(..).params(..).map_grouped(&readout); \
-                see README § Streaming ensembles")]
-    #[allow(clippy::too_many_arguments)]
-    pub fn map_readout<S: Solver + Sync, T, E, F, R>(
-        &self,
-        sys: &CompiledSystem,
-        solver: &S,
-        seeds: &[u64],
-        params_for: F,
-        t0: f64,
-        t1: f64,
-        stride: usize,
-        readout: &R,
-    ) -> Result<Vec<T>, E>
-    where
-        T: Send,
-        E: Send + From<EnsembleError>,
-        F: Fn(u64) -> Vec<f64> + Sync,
-        R: LaneReadout<T, E>,
-    {
-        self.run(sys, solver, seeds, t0, t1)
-            .stride(stride)
-            .params(params_for)
-            .map_grouped(readout)
-    }
-
     /// Pick the lane width (lane-incapable solvers force the scalar path)
     /// and monomorphize the group runner.
     #[allow(clippy::too_many_arguments)]
@@ -761,36 +616,6 @@ impl Ensemble {
         let nested: Vec<Vec<T>> = self.try_map_init(&idx, LaneBufs::<L>::default, job)?;
         Ok(nested.into_iter().flatten().collect())
     }
-
-    /// Deprecated wrapper over [`Ensemble::run`] +
-    /// [`EnsembleRun::trajectories`] (the canonical
-    /// [`CompiledSystem::sample_params`](ark_core::CompiledSystem::sample_params)
-    /// mismatch sampler is [`EnsembleRun`]'s default prep).
-    ///
-    /// Routes through the exact same dispatch core as the [`EnsembleRun`]
-    /// it delegates to, so its output is pinned bit-identical to the new
-    /// path.
-    ///
-    /// # Errors
-    ///
-    /// The first (by seed order) solver error.
-    #[deprecated(
-        note = "use Ensemble::run(..).trajectories() — sampled params are the default prep; \
-                see README § Streaming ensembles"
-    )]
-    pub fn integrate_sampled<S: Solver + Sync>(
-        &self,
-        sys: &CompiledSystem,
-        solver: &S,
-        seeds: &[u64],
-        t0: f64,
-        t1: f64,
-        stride: usize,
-    ) -> Result<Vec<Trajectory>, SolveError> {
-        self.run(sys, solver, seeds, t0, t1)
-            .stride(stride)
-            .trajectories()
-    }
 }
 
 /// Per-worker buffers of the laned group runner: scalar scratches for the
@@ -856,7 +681,7 @@ pub fn seed_range(base: u64, n: usize) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ark_ode::{DormandPrince, Rk4};
+    use ark_ode::{DormandPrince, Rk4, SolveError};
     use std::sync::atomic::AtomicUsize;
 
     #[test]
@@ -1190,44 +1015,6 @@ mod tests {
             .map(|_, _, tr, _| Ok::<_, SolveError>(tr.last().unwrap().1[0]))
             .unwrap();
         assert_eq!(grouped, scalar);
-    }
-
-    /// The deprecated entry points are thin wrappers over the same
-    /// dispatch core — pinned bit-identical to the builder API.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_are_bit_identical_to_run() {
-        let (_lang, sys) = decay_parametric();
-        let solver = Rk4 { dt: 1e-2 };
-        let seeds = seed_range(0, 7);
-        let ens = Ensemble::new(2).with_lanes(4);
-        let old = ens
-            .integrate_params(
-                &sys,
-                &solver,
-                &seeds,
-                |s| lane_test_params(&sys, s),
-                0.0,
-                1.0,
-                5,
-            )
-            .unwrap();
-        let new = ens
-            .run(&sys, &solver, &seeds, 0.0, 1.0)
-            .stride(5)
-            .params(|s| lane_test_params(&sys, s))
-            .trajectories()
-            .unwrap();
-        assert_eq!(old, new);
-        let old_sampled = ens
-            .integrate_sampled(&sys, &solver, &seeds, 0.0, 1.0, 5)
-            .unwrap();
-        let new_sampled = ens
-            .run(&sys, &solver, &seeds, 0.0, 1.0)
-            .stride(5)
-            .trajectories()
-            .unwrap();
-        assert_eq!(old_sampled, new_sampled);
     }
 
     /// Streaming reduction matches the materialize-then-reduce path

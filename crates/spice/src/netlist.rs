@@ -11,7 +11,7 @@
 //! linear circuits.
 
 use crate::linalg::{Lu, Matrix, SingularMatrix};
-use ark_expr::Tape;
+use ark_expr::{eval, Expr, MapContext, ProgramBuilder, SlotResolver, TapeError};
 use ark_ode::Trajectory;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -20,35 +20,35 @@ use std::fmt;
 /// `(node, waveform)` current sources.
 type AssembledSystem = (Vec<f64>, Matrix, Vec<(usize, Waveform)>);
 
-/// A time-dependent source waveform, compiled to a closed tape over `time`.
+/// A time-dependent source waveform: a closed expression over `time`.
 #[derive(Debug, Clone)]
 pub struct Waveform {
-    tape: Tape,
+    expr: Expr,
 }
 
 impl Waveform {
     /// A constant current.
     pub fn constant(amp: f64) -> Self {
         Waveform {
-            tape: Tape::constant(amp),
+            expr: Expr::Const(amp),
         }
     }
 
-    /// Compile an expression over `time` (no other free variables).
+    /// Check an expression over `time` (no other free variables) and keep
+    /// it for evaluation.
     ///
     /// # Errors
     ///
-    /// Returns the tape error for expressions with unresolved references.
-    pub fn from_expr(expr: &ark_expr::Expr) -> Result<Self, ark_expr::TapeError> {
-        Ok(Waveform {
-            tape: Tape::compile(expr, &|_| None)?,
-        })
+    /// Returns the lowering error for expressions with unresolved
+    /// references or calls a compiled program cannot represent.
+    pub fn from_expr(expr: &Expr) -> Result<Self, TapeError> {
+        ProgramBuilder::new().add_expr(expr, &SlotResolver(|_: &str| None::<usize>))?;
+        Ok(Waveform { expr: expr.clone() })
     }
 
     /// Evaluate at time `t`.
     pub fn at(&self, t: f64) -> f64 {
-        let mut regs = self.tape.new_registers();
-        self.tape.eval(&[], t, &mut regs)
+        eval(&self.expr, &MapContext::new().at_time(t)).expect("checked closed over `time`")
     }
 }
 
@@ -370,6 +370,20 @@ mod tests {
         let w = Waveform::from_expr(&expr).unwrap();
         assert_eq!(w.at(1e-8), 1.0);
         assert_eq!(w.at(5e-8), 0.0);
+    }
+
+    #[test]
+    fn waveform_from_expr_rejects_non_closed_expressions() {
+        let err = |src: &str| Waveform::from_expr(&parse_expr(src).unwrap()).unwrap_err();
+        assert_eq!(err("var(x)"), TapeError::UnresolvedVar("x".into()));
+        assert_eq!(
+            err("n.a"),
+            TapeError::UnresolvedAttr("n".into(), "a".into())
+        );
+        assert_eq!(
+            err("atan2(time, 1)"),
+            TapeError::UnsupportedCall("atan2".into())
+        );
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! plus, when the node carries a loss self edge, a grounded `Gint`
 //! conductance); every coupling edge becomes the pair of transconductors
 //! `Gm1`/`Gm2` (with the `Em` edge type's sampled `ws`/`wt` gains); input
-//! nodes become current sources with their waveform lambdas compiled to
-//! closed-form tapes.
+//! nodes become current sources with their waveform lambdas reduced to
+//! closed-form expressions over `time`.
 
 use crate::netlist::{Element, Netlist, Waveform};
 use ark_core::{Graph, Language, Value};
