@@ -52,12 +52,12 @@ fn time_rhs(sys: &CompiledSystem, evals: usize) -> f64 {
     let mut scratch = sys.scratch();
     for k in 0..32 {
         // Warm caches and buffers.
-        sys.rhs_with(k as f64 * 1e-3, &y, &mut dydt, &mut scratch);
+        sys.rhs_with_params(k as f64 * 1e-3, &y, &mut dydt, &[], &mut scratch);
     }
     let start = Instant::now();
     for k in 0..evals {
         let t = (k % 1024) as f64 * 1e-3;
-        sys.rhs_with(t, &y, &mut dydt, &mut scratch);
+        sys.rhs_with_params(t, &y, &mut dydt, &[], &mut scratch);
         // Keep the state moving so values are not trivially constant.
         y[k % n] += dydt[k % n] * 1e-6;
     }
@@ -992,7 +992,7 @@ fn bench_rhs(c: &mut Criterion) {
             let mut dydt = vec![0.0; n];
             let mut scratch = sys.scratch();
             b.iter(|| {
-                sys.rhs_with(black_box(0.5), &y, &mut dydt, &mut scratch);
+                sys.rhs_with_params(black_box(0.5), &y, &mut dydt, &[], &mut scratch);
                 black_box(dydt[0])
             })
         });
@@ -1002,7 +1002,7 @@ fn bench_rhs(c: &mut Criterion) {
             let mut dydt = vec![0.0; n];
             let mut scratch = native.scratch();
             b.iter(|| {
-                native.rhs_with(black_box(0.5), &y, &mut dydt, &mut scratch);
+                native.rhs_with_params(black_box(0.5), &y, &mut dydt, &[], &mut scratch);
                 black_box(dydt[0])
             })
         });

@@ -29,7 +29,7 @@ fn bench_simulate(c: &mut Criterion) {
     group.bench_function("rhs_only", |b| {
         let mut dydt = vec![0.0; sys.num_states()];
         let mut scratch = sys.scratch();
-        b.iter(|| sys.rhs_with(1e-9, &y0, &mut dydt, &mut scratch))
+        b.iter(|| sys.rhs_with_params(1e-9, &y0, &mut dydt, &[], &mut scratch))
     });
     group.bench_function("rhs_only_bound", |b| {
         let bound = sys.bind();

@@ -32,7 +32,7 @@ use ark_expr::program::{
 };
 use ark_expr::{Backend, Differentiator, Expr, MapContext, NativeStatus, TapeError};
 use ark_ode::OdeSystem;
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -149,7 +149,11 @@ impl fmt::Display for StateVar {
 ///
 /// The compiled system itself is immutable (`Send + Sync`), so one compiled
 /// design can be shared by reference across a thread pool; each worker owns
-/// an `EvalScratch` and passes it to the `*_with` evaluation methods.
+/// an `EvalScratch` and passes it to the evaluation methods
+/// ([`CompiledSystem::rhs_with_params`],
+/// [`CompiledSystem::eval_algebraics_with_params`],
+/// [`CompiledSystem::eval_jacobian_with`]) or binds it with
+/// [`CompiledSystem::bind_ref`].
 /// All buffers are grow-only, so one scratch genuinely serves systems of
 /// different sizes without reallocation churn. Obtain one with
 /// [`CompiledSystem::scratch`].
@@ -188,16 +192,32 @@ impl EvalScratch {
     }
 }
 
-/// A [`CompiledSystem`] bound to one [`EvalScratch`] (and, for parametric
-/// systems, one parameter vector), implementing [`ark_ode::OdeSystem`].
-/// Create one per thread with [`CompiledSystem::bind`] /
-/// [`CompiledSystem::bind_with_params`]; the binding is deliberately `!Sync`
-/// (interior mutability), while the compiled system it borrows stays
-/// shareable.
+/// A [`CompiledSystem`] bound to one parameter vector (empty for
+/// non-parametric systems) and one [`EvalScratch`], implementing
+/// [`ark_ode::OdeSystem`]. [`CompiledSystem::bind`] gives a binding its
+/// own scratch; [`CompiledSystem::bind_ref`] borrows the caller's, so hot
+/// ensemble loops reuse one scratch across instances. The binding is
+/// deliberately `!Sync` (interior mutability), while the compiled system
+/// it borrows stays shareable.
 pub struct BoundSystem<'a> {
     sys: &'a CompiledSystem,
-    params: Vec<f64>,
-    scratch: RefCell<EvalScratch>,
+    params: &'a [f64],
+    scratch: RefCell<BoundScratch<'a>>,
+}
+
+/// The scratch behind a [`BoundSystem`]: its own, or the caller's.
+enum BoundScratch<'a> {
+    Owned(EvalScratch),
+    Borrowed(&'a mut EvalScratch),
+}
+
+impl BoundScratch<'_> {
+    fn get(&mut self) -> &mut EvalScratch {
+        match self {
+            BoundScratch::Owned(s) => s,
+            BoundScratch::Borrowed(s) => s,
+        }
+    }
 }
 
 impl<'a> BoundSystem<'a> {
@@ -207,8 +227,14 @@ impl<'a> BoundSystem<'a> {
     }
 
     /// The bound parameter vector (empty for non-parametric systems).
-    pub fn params(&self) -> &[f64] {
-        &self.params
+    pub fn params(&self) -> &'a [f64] {
+        self.params
+    }
+
+    /// The fused right-hand side's register file in this binding's scratch.
+    fn rhs_scratch(&self) -> RefMut<'_, ProgScratch> {
+        let id = self.sys.rhs_prog.id();
+        RefMut::map(self.scratch.borrow_mut(), |s| s.get().prog_state(id))
     }
 }
 
@@ -218,58 +244,31 @@ impl OdeSystem for BoundSystem<'_> {
     }
 
     fn rhs(&self, t: f64, y: &[f64], dydt: &mut [f64]) {
-        // Parameters were bound at construction; the scratch is private to
-        // this binding, so they cannot have changed since.
+        let n = self.sys.num_states();
+        assert_eq!(y.len(), n, "state vector length mismatch");
+        assert_eq!(dydt.len(), n, "derivative vector length mismatch");
+        // Parameters were bound at construction, and the binding holds its
+        // scratch exclusively, so they cannot have changed since: no
+        // per-call re-validation.
         self.sys
-            .rhs_bound(t, y, dydt, &mut self.scratch.borrow_mut());
+            .rhs_prog
+            .eval_bound(&mut self.rhs_scratch(), y, t, dydt);
     }
 
+    /// Forward the hint to the fused right-hand side: a promised same-`t`
+    /// stage lets the next evaluation skip the time-prologue revalidation
+    /// (see [`ark_expr::program::ProgScratch::hint_same_time`]).
     fn stage_hint(&self, hint: ark_ode::StageHint) {
-        self.sys
-            .rhs_stage_hint(hint, &mut self.scratch.borrow_mut());
+        match hint {
+            ark_ode::StageHint::SameTimeNext => self.rhs_scratch().hint_same_time(),
+        }
     }
 
     /// Analytic Jacobian through the derivative program — always available
     /// for compiled systems (see [`CompiledSystem::jacobian`]).
     fn jacobian(&self, t: f64, y: &[f64], jac: &mut [f64]) -> bool {
         self.sys
-            .eval_jacobian_with(t, y, &self.params, jac, &mut self.scratch.borrow_mut());
-        true
-    }
-}
-
-/// A borrowing sibling of [`BoundSystem`] for hot ensemble loops: the
-/// parameter vector and the [`EvalScratch`] are owned by the caller (and
-/// reused across instances), the binding is a cheap view. Create with
-/// [`CompiledSystem::bind_ref`].
-pub struct BoundSystemRef<'a> {
-    sys: &'a CompiledSystem,
-    params: &'a [f64],
-    scratch: RefCell<&'a mut EvalScratch>,
-}
-
-impl OdeSystem for BoundSystemRef<'_> {
-    fn dim(&self) -> usize {
-        self.sys.num_states()
-    }
-
-    fn rhs(&self, t: f64, y: &[f64], dydt: &mut [f64]) {
-        // Parameters were bound at construction; the exclusive &mut borrow
-        // of the scratch guarantees no interleaved rebinding.
-        self.sys
-            .rhs_bound(t, y, dydt, &mut self.scratch.borrow_mut());
-    }
-
-    fn stage_hint(&self, hint: ark_ode::StageHint) {
-        self.sys
-            .rhs_stage_hint(hint, &mut self.scratch.borrow_mut());
-    }
-
-    /// Analytic Jacobian through the derivative program — always available
-    /// for compiled systems (see [`CompiledSystem::jacobian`]).
-    fn jacobian(&self, t: f64, y: &[f64], jac: &mut [f64]) -> bool {
-        self.sys
-            .eval_jacobian_with(t, y, self.params, jac, &mut self.scratch.borrow_mut());
+            .eval_jacobian_with(t, y, self.params, jac, self.scratch.borrow_mut().get());
         true
     }
 }
@@ -282,7 +281,7 @@ impl OdeSystem for BoundSystemRef<'_> {
 ///
 /// Create with [`CompiledSystem::bind_lanes`]; the caller owns (and reuses
 /// across groups) the lane scratch. Per-lane results are bit-identical to
-/// `L` scalar [`BoundSystemRef`] evaluations — the laned interpreter runs
+/// `L` scalar [`BoundSystem`] evaluations — the laned interpreter runs
 /// the same operations in the same order per lane.
 pub struct LanedBoundSystem<'a, const L: usize> {
     sys: &'a CompiledSystem,
@@ -368,8 +367,8 @@ pub struct CompiledSystem {
 ///
 /// Obtained from [`CompiledSystem::jacobian`]; evaluated through
 /// [`CompiledSystem::eval_jacobian_with`] (or implicitly by the
-/// [`ark_ode::OdeSystem::jacobian`] impls of [`BoundSystem`] /
-/// [`BoundSystemRef`], which is how [`ark_ode::TrBdf2`] consumes it).
+/// [`ark_ode::OdeSystem::jacobian`] impl of [`BoundSystem`], which is how
+/// [`ark_ode::TrBdf2`] consumes it).
 /// Parameter slots line up with the primal program: the same parameter
 /// vector drives both.
 #[derive(Debug)]
@@ -465,8 +464,8 @@ impl CompiledSystem {
         self.alg_of_node.len()
     }
 
-    /// Slot index of an algebraic (order-0) node, usable with
-    /// [`CompiledSystem::eval_algebraics`].
+    /// Slot index of an algebraic (order-0) node, indexing the output of
+    /// [`CompiledSystem::eval_algebraics_with_params`].
     pub fn algebraic_index(&self, node: &str) -> Option<usize> {
         self.alg_of_node.get(node).copied()
     }
@@ -702,43 +701,23 @@ impl CompiledSystem {
         init
     }
 
-    /// Bind this system to a fresh scratch, yielding an
+    /// Bind this system to a fresh scratch of its own, yielding an
     /// [`ark_ode::OdeSystem`] implementation for the integrators. Cheap;
     /// create one per thread (or per integration call).
     ///
     /// # Panics
     ///
-    /// Panics on a parametric system — use
-    /// [`CompiledSystem::bind_with_params`] or [`CompiledSystem::bind_ref`].
+    /// Panics on a parametric system — use [`CompiledSystem::bind_ref`].
     pub fn bind(&self) -> BoundSystem<'_> {
         assert_eq!(
             self.num_params(),
             0,
-            "parametric system: bind_with_params/bind_ref must supply a parameter vector"
+            "parametric system: bind_ref must supply a parameter vector"
         );
         BoundSystem {
             sys: self,
-            params: Vec::new(),
-            scratch: RefCell::new(self.scratch()),
-        }
-    }
-
-    /// Bind one fabricated instance of a parametric system (owning its
-    /// parameter vector and a fresh scratch). Parameters are bound into the
-    /// scratch up front, so the integration hot loop never re-validates
-    /// them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` has the wrong length.
-    pub fn bind_with_params(&self, params: Vec<f64>) -> BoundSystem<'_> {
-        assert_eq!(params.len(), self.num_params(), "parameter length");
-        let mut scratch = self.scratch();
-        self.prebind(&params, &mut scratch);
-        BoundSystem {
-            sys: self,
-            params,
-            scratch: RefCell::new(scratch),
+            params: &[],
+            scratch: RefCell::new(BoundScratch::Owned(self.scratch())),
         }
     }
 
@@ -746,7 +725,8 @@ impl CompiledSystem {
     /// the parameter vector and scratch across instances. Parameters are
     /// bound once here (a bitwise compare against the previous instance),
     /// and the exclusive borrow guarantees they stay bound for the
-    /// binding's lifetime — each RHS call is re-validation-free.
+    /// binding's lifetime — each RHS call is re-validation-free. Pass an
+    /// empty `params` for a non-parametric system.
     ///
     /// # Panics
     ///
@@ -755,13 +735,16 @@ impl CompiledSystem {
         &'a self,
         params: &'a [f64],
         scratch: &'a mut EvalScratch,
-    ) -> BoundSystemRef<'a> {
+    ) -> BoundSystem<'a> {
         assert_eq!(params.len(), self.num_params(), "parameter length");
-        self.prebind(params, scratch);
-        BoundSystemRef {
+        if self.num_params() > 0 {
+            self.rhs_prog
+                .set_params(scratch.prog_state(self.rhs_prog.id()), params);
+        }
+        BoundSystem {
             sys: self,
             params,
-            scratch: RefCell::new(scratch),
+            scratch: RefCell::new(BoundScratch::Borrowed(scratch)),
         }
     }
 
@@ -790,33 +773,9 @@ impl CompiledSystem {
         }
     }
 
-    /// Bind `params` into the scratch's register file for the rhs program.
-    fn prebind(&self, params: &[f64], scratch: &mut EvalScratch) {
-        if self.num_params() > 0 {
-            let ps = scratch.prog_state(self.rhs_prog.id());
-            self.rhs_prog.set_params(ps, params);
-        }
-    }
-
-    /// Evaluate the right-hand side `f(t, y)` into `dydt` using the given
-    /// scratch — the re-entrant core behind [`BoundSystem`], running the
-    /// fused [`SystemProgram`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y` or `dydt` has the wrong length, or on a parametric
-    /// system (which needs [`CompiledSystem::rhs_with_params`]).
-    pub fn rhs_with(&self, t: f64, y: &[f64], dydt: &mut [f64], scratch: &mut EvalScratch) {
-        assert_eq!(
-            self.num_params(),
-            0,
-            "parametric system: use rhs_with_params"
-        );
-        self.rhs_impl(t, y, dydt, &[], scratch);
-    }
-
-    /// [`CompiledSystem::rhs_with`] for one fabricated instance of a
-    /// parametric system.
+    /// Evaluate the right-hand side `f(t, y)` into `dydt` for one instance
+    /// (`params` empty for a non-parametric system) using the given
+    /// scratch, running the fused [`SystemProgram`].
     ///
     /// # Panics
     ///
@@ -829,78 +788,23 @@ impl CompiledSystem {
         params: &[f64],
         scratch: &mut EvalScratch,
     ) {
-        self.rhs_impl(t, y, dydt, params, scratch);
-    }
-
-    fn rhs_impl(&self, t: f64, y: &[f64], dydt: &mut [f64], params: &[f64], s: &mut EvalScratch) {
         let n = self.num_states();
         assert_eq!(y.len(), n, "state vector length mismatch");
         assert_eq!(dydt.len(), n, "derivative vector length mismatch");
-        let ps = s.prog_state(self.rhs_prog.id());
+        let ps = scratch.prog_state(self.rhs_prog.id());
         self.rhs_prog.eval_into(ps, y, t, params, dydt);
     }
 
-    /// RHS evaluation behind a [`BoundSystem`]/[`BoundSystemRef`]: the
-    /// parameters were bound at bind time and cannot have changed (the
-    /// binding holds the scratch exclusively), so no per-call re-validation.
-    fn rhs_bound(&self, t: f64, y: &[f64], dydt: &mut [f64], s: &mut EvalScratch) {
-        let n = self.num_states();
-        assert_eq!(y.len(), n, "state vector length mismatch");
-        assert_eq!(dydt.len(), n, "derivative vector length mismatch");
-        let ps = s.prog_state(self.rhs_prog.id());
-        self.rhs_prog.eval_bound(ps, y, t, dydt);
-    }
-
-    /// Forward a solver stage hint to the fused right-hand-side program's
-    /// scratch: a promised same-`t` stage lets the next evaluation skip the
-    /// time-prologue revalidation (see
-    /// [`ark_expr::program::ProgScratch::hint_same_time`]).
-    fn rhs_stage_hint(&self, hint: ark_ode::StageHint, s: &mut EvalScratch) {
-        match hint {
-            ark_ode::StageHint::SameTimeNext => s.prog_state(self.rhs_prog.id()).hint_same_time(),
-        }
-    }
-
     /// Evaluate *all* algebraic (order-0) nodes at time `t` for state `y`
-    /// through the given scratch, returning the algebraic segment indexed by
-    /// [`CompiledSystem::algebraic_index`]. Runs the fused observation
+    /// of one instance (`params` empty for a non-parametric system)
+    /// through the given scratch, returning the algebraic segment indexed
+    /// by [`CompiledSystem::algebraic_index`]. Runs the fused observation
     /// program.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y` has the wrong length, or on a parametric system (use
-    /// [`CompiledSystem::eval_algebraics_with_params`]).
-    pub fn eval_algebraics_with<'s>(
-        &self,
-        t: f64,
-        y: &[f64],
-        scratch: &'s mut EvalScratch,
-    ) -> &'s [f64] {
-        assert_eq!(
-            self.num_params(),
-            0,
-            "parametric system: use eval_algebraics_with_params"
-        );
-        self.eval_algebraics_impl(t, y, &[], scratch)
-    }
-
-    /// [`CompiledSystem::eval_algebraics_with`] for one fabricated instance
-    /// of a parametric system.
     ///
     /// # Panics
     ///
     /// Panics if `y` or `params` has the wrong length.
     pub fn eval_algebraics_with_params<'s>(
-        &self,
-        t: f64,
-        y: &[f64],
-        params: &[f64],
-        scratch: &'s mut EvalScratch,
-    ) -> &'s [f64] {
-        self.eval_algebraics_impl(t, y, params, scratch)
-    }
-
-    fn eval_algebraics_impl<'s>(
         &self,
         t: f64,
         y: &[f64],
@@ -1037,31 +941,6 @@ impl CompiledSystem {
     /// design, not one per instance; tests assert it.
     pub fn compile_count() -> u64 {
         COMPILE_COUNT.load(Ordering::Relaxed)
-    }
-
-    /// Evaluate *all* algebraic (order-0) nodes at time `t` for state `y`,
-    /// returned indexed by [`CompiledSystem::algebraic_index`]. Allocating
-    /// convenience wrapper over [`CompiledSystem::eval_algebraics_with`] —
-    /// much cheaper than repeated [`CompiledSystem::eval_algebraic`] calls
-    /// when observing many nodes (e.g. every CNN output cell).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y` has the wrong length.
-    pub fn eval_algebraics(&self, t: f64, y: &[f64]) -> Vec<f64> {
-        self.eval_algebraics_with(t, y, &mut self.scratch())
-            .to_vec()
-    }
-
-    /// Evaluate the algebraic (order-0) node `node` at time `t` for state
-    /// `y`. Useful for observing e.g. CNN output nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is not algebraic or `y` has the wrong length.
-    pub fn eval_algebraic(&self, node: &str, t: f64, y: &[f64]) -> f64 {
-        let slot = self.alg_of_node[node];
-        self.eval_algebraics_with(t, y, &mut self.scratch())[slot]
     }
 
     /// Compile a graph against its language (Algorithm 1).
@@ -1660,14 +1539,14 @@ mod tests {
         let g = b.finish().unwrap();
         let sys = CompiledSystem::compile(&lang, &g).unwrap();
         let mut serial = vec![0.0];
-        sys.rhs_with(0.0, &[1.0], &mut serial, &mut sys.scratch());
+        sys.rhs_with_params(0.0, &[1.0], &mut serial, &[], &mut sys.scratch());
         let results: Vec<f64> = std::thread::scope(|scope| {
             (0..4)
                 .map(|_| {
                     scope.spawn(|| {
                         let mut scratch = sys.scratch();
                         let mut dydt = vec![0.0];
-                        sys.rhs_with(0.0, &[1.0], &mut dydt, &mut scratch);
+                        sys.rhs_with_params(0.0, &[1.0], &mut dydt, &[], &mut scratch);
                         dydt[0]
                     })
                 })
@@ -1857,7 +1736,10 @@ mod tests {
         let s_end = tr.last().unwrap().1[sys.state_index("s").unwrap()];
         assert!((s_end - 2.0).abs() < 1e-9);
         // Observing the algebraic node directly.
-        assert_eq!(sys.eval_algebraic("o", 0.0, &sys.initial_state()), 2.0);
+        let algs = sys
+            .eval_algebraics_with_params(0.0, &sys.initial_state(), &[], &mut sys.scratch())
+            .to_vec();
+        assert_eq!(algs[sys.algebraic_index("o").unwrap()], 2.0);
     }
 
     #[test]
@@ -1893,7 +1775,10 @@ mod tests {
         b.edge("e1", "E", "fa", "fb").unwrap();
         let g = b.finish().unwrap();
         let sys = CompiledSystem::compile(&lang, &g).unwrap();
-        assert_eq!(sys.eval_algebraic("fb", 0.0, &sys.initial_state()), 6.0);
+        let algs = sys
+            .eval_algebraics_with_params(0.0, &sys.initial_state(), &[], &mut sys.scratch())
+            .to_vec();
+        assert_eq!(algs[sys.algebraic_index("fb").unwrap()], 6.0);
     }
 
     #[test]

@@ -75,8 +75,8 @@ pub mod types;
 pub mod validate;
 
 pub use compile::{
-    BoundSystem, BoundSystemRef, CompileError, CompiledSystem, EvalScratch, JacobianProgram,
-    LanedBoundSystem, StateVar,
+    BoundSystem, CompileError, CompiledSystem, EvalScratch, JacobianProgram, LanedBoundSystem,
+    StateVar,
 };
 // Re-exported so `CompiledSystem::bind_lanes` callers (notably `ark-sim`)
 // can name the lane scratch without depending on `ark-expr` directly.

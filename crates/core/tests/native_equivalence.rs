@@ -65,14 +65,14 @@ proptest! {
         let (mut si, mut sn) = (interp.scratch(), native.scratch());
         let (mut fi, mut fn_) = (vec![0.0; n], vec![0.0; n]);
         for round in 0..2 {
-            interp.rhs_with(t, &y, &mut fi, &mut si);
-            native.rhs_with(t, &y, &mut fn_, &mut sn);
+            interp.rhs_with_params(t, &y, &mut fi, &[], &mut si);
+            native.rhs_with_params(t, &y, &mut fn_, &[], &mut sn);
             for (i, (a, b)) in fi.iter().zip(&fn_).enumerate() {
                 prop_assert_eq!(a.to_bits(), b.to_bits(),
                     "round {} dydt[{}] interp {} vs native {}", round, i, a, b);
             }
-            let ai: Vec<f64> = interp.eval_algebraics_with(t, &y, &mut si).to_vec();
-            let an: Vec<f64> = native.eval_algebraics_with(t, &y, &mut sn).to_vec();
+            let ai: Vec<f64> = interp.eval_algebraics_with_params(t, &y, &[], &mut si).to_vec();
+            let an: Vec<f64> = native.eval_algebraics_with_params(t, &y, &[], &mut sn).to_vec();
             prop_assert_eq!(ai.len(), an.len());
             for (i, (a, b)) in ai.iter().zip(&an).enumerate() {
                 prop_assert_eq!(a.to_bits(), b.to_bits(),

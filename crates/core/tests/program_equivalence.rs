@@ -29,7 +29,7 @@ proptest! {
         let y: Vec<f64> = (0..n).map(|k| scale * (0.3 + 0.37 * k as f64).sin()).collect();
         let mut scratch = sys.scratch();
         let mut fused = vec![0.0; n];
-        sys.rhs_with(t, &y, &mut fused, &mut scratch);
+        sys.rhs_with_params(t, &y, &mut fused, &[], &mut scratch);
         let (reference, _) = sys.eval_reference(t, &y, &[]);
         for (i, (a, b)) in fused.iter().zip(&reference).enumerate() {
             prop_assert_eq!(a.to_bits(), b.to_bits(),
@@ -52,14 +52,14 @@ proptest! {
         let y: Vec<f64> = (0..n).map(|k| scale * (0.7 + 0.11 * k as f64).cos()).collect();
         let mut scratch = sys.scratch();
         let (_, reference) = sys.eval_reference(t, &y, &[]);
-        let fused: Vec<f64> = sys.eval_algebraics_with(t, &y, &mut scratch).to_vec();
+        let fused: Vec<f64> = sys.eval_algebraics_with_params(t, &y, &[], &mut scratch).to_vec();
         prop_assert_eq!(reference.len(), fused.len());
         for (i, (a, b)) in fused.iter().zip(&reference).enumerate() {
             prop_assert_eq!(a.to_bits(), b.to_bits(),
                 "alg[{}] fused {} vs reference {}", i, a, b);
         }
         // Second call through the same scratch (warm prologue/time cache).
-        let again: Vec<f64> = sys.eval_algebraics_with(t, &y, &mut scratch).to_vec();
+        let again: Vec<f64> = sys.eval_algebraics_with_params(t, &y, &[], &mut scratch).to_vec();
         prop_assert_eq!(fused, again);
     }
 

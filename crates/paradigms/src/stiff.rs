@@ -219,7 +219,7 @@ mod tests {
         y[ix] = 1.5;
         y[iy] = -0.25;
         let mut d = vec![0.0; 2];
-        sys.rhs_with(0.0, &y, &mut d, &mut sys.scratch());
+        sys.rhs_with_params(0.0, &y, &mut d, &[], &mut sys.scratch());
         assert_eq!(d[ix], -0.25);
         let want = 1000.0 * (1.0 - 1.5 * 1.5) * (-0.25) - 1.5;
         assert!((d[iy] - want).abs() < 1e-9 * want.abs());
@@ -269,7 +269,7 @@ mod tests {
         y[ib] = b;
         y[ic] = c;
         let mut d = vec![0.0; 3];
-        sys.rhs_with(0.0, &y, &mut d, &mut sys.scratch());
+        sys.rhs_with_params(0.0, &y, &mut d, &[], &mut sys.scratch());
         let da = -0.04 * a + 1e4 * b * c;
         let db = 0.04 * a - 3e7 * b * b - 1e4 * b * c;
         let dc = 3e7 * b * b;

@@ -10,16 +10,18 @@
 //!   and returns results **in seed order**, so the output is deterministic
 //!   and *independent of the worker count*;
 //! * [`Ensemble::run`] / [`EnsembleRun`] — the one ensemble entry point:
-//!   compile once, share the [`CompiledSystem`] (which is `Send + Sync`) by
-//!   reference across the pool, each worker reusing its own
-//!   [`EvalScratch`] and [`OdeWorkspace`] so the hot loop allocates
+//!   compile once, share the [`CompiledSystem`](ark_core::CompiledSystem)
+//!   (which is `Send + Sync`) by reference across the pool, each worker
+//!   reusing its own [`EvalScratch`] and
+//!   [`OdeWorkspace`](ark_ode::OdeWorkspace) so the hot loop allocates
 //!   nothing per step. Terminal methods either *materialize*
 //!   ([`EnsembleRun::trajectories`], [`EnsembleRun::map`],
-//!   [`EnsembleRun::map_grouped`]) or *stream*
-//!   ([`EnsembleRun::reduce`], [`EnsembleRun::reduce_observed`]) — the
+//!   [`EnsembleRun::map_grouped`]) or *stream* ([`EnsembleRun::reduce`],
+//!   and its fault-tolerant form [`RecoveringRun::reduce`]) — the
 //!   streaming path folds one item per instance into a [`reduce::Reducer`]
 //!   as instances finish, so a 10⁵–10⁶-instance Monte Carlo costs
-//!   O(accumulator) memory instead of O(N · trajectory);
+//!   O(accumulator) memory instead of O(N · trajectory). All of them run
+//!   through one group runner, generic over the lane width;
 //! * [`reduce`] — the online accumulators: [`reduce::Moments`],
 //!   [`reduce::MinMax`], the deterministic [`reduce::Quantiles`] sketch,
 //!   and [`reduce::YieldCounter`], all merging block partials in fixed
@@ -129,10 +131,10 @@ pub use faultpoint::{FaultMode, FaultPlan, FaultSystem, RhsFault};
 pub use resilience::{
     EnsembleError, FailureLog, FallbackSolver, InstanceOutcome, RecoveryPolicy, RecoveryReport,
 };
-pub use run::{EnsembleObserver, EnsembleRun, FinalSnapshot, Observed, RecoveringRun};
+pub use run::{EnsembleRun, FinalSnapshot, RecoveringRun};
 
-use ark_core::{CompiledSystem, EvalScratch, LaneScratch};
-use ark_ode::{OdeWorkspace, Solver, Strided, Trajectory, Workspace};
+use ark_core::{EvalScratch, LaneScratch};
+use ark_ode::Trajectory;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default lane width of the laned ensemble fast path (see
@@ -268,17 +270,19 @@ where
 /// The integration terminals of [`Ensemble::run`] ([`EnsembleRun::map`]
 /// and friends) batch instances into *lane groups* of `lanes` (one of
 /// [`SUPPORTED_LANES`]) and step each group through the lane-parallel
-/// interpreter ([`CompiledSystem::bind_lanes`]): one interpreted
-/// instruction advances the whole group, which is a single-core ensemble
-/// speedup on top of the worker-pool parallelism. On the default solvers,
-/// per-instance results are **bit-identical for every lane width** (each
-/// lane performs exactly the scalar operation sequence), so the width is
-/// purely a throughput knob; CI's lane-matrix job pins this. The default is
-/// [`DEFAULT_LANES`], overridable with the `ARK_LANES` environment variable
-/// or explicitly with [`Ensemble::with_lanes`]. Solvers without a laned
-/// form (the PI-adaptive `DormandPrince`) always run the scalar path; the
-/// lane-voting `VotingDormandPrince` runs laned but keys its step grid on
-/// the lane width (see [`ark_ode::VotingAdaptive`]).
+/// interpreter
+/// ([`CompiledSystem::bind_lanes`](ark_core::CompiledSystem::bind_lanes)):
+/// one interpreted instruction advances the whole group, which is a
+/// single-core ensemble speedup on top of the worker-pool parallelism. On
+/// the default solvers, per-instance results are **bit-identical for every
+/// lane width** (each lane performs exactly the scalar operation sequence),
+/// so the width is purely a throughput knob; CI's lane-matrix job pins
+/// this. The default is [`DEFAULT_LANES`], overridable with the `ARK_LANES`
+/// environment variable or explicitly with [`Ensemble::with_lanes`].
+/// Solvers without a laned form (the PI-adaptive `DormandPrince`) always
+/// run the scalar path; the lane-voting `VotingDormandPrince` runs laned
+/// but keys its step grid on the lane width (see
+/// [`ark_ode::VotingAdaptive`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ensemble {
     workers: usize,
@@ -389,7 +393,7 @@ impl Ensemble {
     /// Like [`Ensemble::try_map`], but each worker first builds a private
     /// state with `init` and threads it through its jobs — the hook for
     /// reusing expensive per-worker resources (an
-    /// [`EvalScratch`], an [`OdeWorkspace`], a
+    /// [`EvalScratch`], an [`OdeWorkspace`](ark_ode::OdeWorkspace), a
     /// bound system) across many instances.
     ///
     /// Worker state must not influence results (buffers, caches): the
@@ -473,177 +477,6 @@ impl Ensemble {
         }
         Ok(out)
     }
-
-    /// Pick the lane width (lane-incapable solvers force the scalar path)
-    /// and monomorphize the group runner.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_lanes<S, T, E, P, R>(
-        &self,
-        sys: &CompiledSystem,
-        solver: &S,
-        seeds: &[u64],
-        prep: &P,
-        t0: f64,
-        t1: f64,
-        stride: usize,
-        readout: &R,
-    ) -> Result<Vec<T>, E>
-    where
-        S: Solver + Sync,
-        T: Send,
-        E: Send + From<EnsembleError>,
-        P: Fn(u64) -> (Vec<f64>, Vec<f64>) + Sync,
-        R: LaneReadout<T, E>,
-    {
-        let lanes = if solver.supports_lanes() {
-            self.lanes
-        } else {
-            1
-        };
-        match lanes {
-            4 => self.run_lane_groups::<4, _, _, _, _, _>(
-                sys, solver, seeds, prep, t0, t1, stride, readout,
-            ),
-            8 => self.run_lane_groups::<8, _, _, _, _, _>(
-                sys, solver, seeds, prep, t0, t1, stride, readout,
-            ),
-            _ => self.try_map_init(
-                seeds,
-                || (sys.scratch(), OdeWorkspace::new(sys.num_states())),
-                |(scratch, ws), seed| {
-                    let (params, y0) = prep(seed);
-                    let tr = {
-                        let bound = sys.bind_ref(&params, scratch);
-                        let mut rec = Strided::every(stride);
-                        solver
-                            .solve(&bound, t0, &y0, t1, &mut rec, ws)
-                            .map(|_| rec.into_trajectory())
-                    }
-                    .map_err(|e| E::from(EnsembleError { seed, source: e }))?;
-                    readout.finish(seed, &params, tr, scratch)
-                },
-            ),
-        }
-    }
-
-    /// The laned group runner: partition seeds into lane groups of `L`
-    /// *before* distributing to workers (groups are the unit of work, so
-    /// grouping is independent of the worker count), integrate full groups
-    /// through the laned interpreter, and run the `N % L` tail — and any
-    /// group whose initial states are malformed — through the scalar path.
-    #[allow(clippy::too_many_arguments)]
-    fn run_lane_groups<const L: usize, S, T, E, P, R>(
-        &self,
-        sys: &CompiledSystem,
-        solver: &S,
-        seeds: &[u64],
-        prep: &P,
-        t0: f64,
-        t1: f64,
-        stride: usize,
-        readout: &R,
-    ) -> Result<Vec<T>, E>
-    where
-        S: Solver + Sync,
-        T: Send,
-        E: Send + From<EnsembleError>,
-        P: Fn(u64) -> (Vec<f64>, Vec<f64>) + Sync,
-        R: LaneReadout<T, E>,
-    {
-        let n = sys.num_states();
-        let groups: Vec<&[u64]> = seeds.chunks(L).collect();
-        let idx: Vec<u64> = (0..groups.len() as u64).collect();
-        let job = |bufs: &mut LaneBufs<L>, gi: u64| -> Result<Vec<T>, E> {
-            let group = groups[gi as usize];
-            let prepped: Vec<(Vec<f64>, Vec<f64>)> = group.iter().map(|&s| prep(s)).collect();
-            let mut out = Vec::with_capacity(group.len());
-            if group.len() == L && prepped.iter().all(|(_, y0)| y0.len() == n) {
-                // Full group: struct-of-arrays initial state, laned bind.
-                bufs.y0.clear();
-                bufs.y0.resize(n, [0.0; L]);
-                for (l, (_, y0)) in prepped.iter().enumerate() {
-                    for (i, &v) in y0.iter().enumerate() {
-                        bufs.y0[i][l] = v;
-                    }
-                }
-                let params: Vec<&[f64]> = prepped.iter().map(|(p, _)| p.as_slice()).collect();
-                let trs = {
-                    let bound = sys.bind_lanes::<L>(&params, &mut bufs.lscratch);
-                    let mut rec = Strided::every(stride);
-                    solver
-                        .solve(&bound, t0, &bufs.y0[..n], t1, &mut rec, &mut bufs.lws)
-                        .map(|_| rec.into_trajectories())
-                }
-                .map_err(|e| {
-                    // Attribute to the lowest failed lane (the instance
-                    // whose error the drive loop reported); pre-flight
-                    // errors carry no time and leave the lane masks
-                    // stale, so they attribute to the group's first seed.
-                    let lane = if e.time().is_some() {
-                        bufs.lws.first_failed_lane().unwrap_or(0)
-                    } else {
-                        0
-                    };
-                    E::from(EnsembleError {
-                        seed: group[lane.min(group.len() - 1)],
-                        source: e,
-                    })
-                })?;
-                readout.finish_group::<L>(
-                    group,
-                    &params,
-                    trs,
-                    &mut bufs.obs_lscratch,
-                    &mut bufs.scratch,
-                    &mut out,
-                )?;
-            } else {
-                // Scalar tail (N % L != 0, including N < L).
-                for (&seed, (params, y0)) in group.iter().zip(&prepped) {
-                    let tr = {
-                        let bound = sys.bind_ref(params, &mut bufs.scratch);
-                        let mut rec = Strided::every(stride);
-                        solver
-                            .solve(&bound, t0, y0, t1, &mut rec, &mut bufs.ws)
-                            .map(|_| rec.into_trajectory())
-                    }
-                    .map_err(|e| E::from(EnsembleError { seed, source: e }))?;
-                    out.push(readout.finish(seed, params, tr, &mut bufs.scratch)?);
-                }
-            }
-            Ok(out)
-        };
-        let nested: Vec<Vec<T>> = self.try_map_init(&idx, LaneBufs::<L>::default, job)?;
-        Ok(nested.into_iter().flatten().collect())
-    }
-}
-
-/// Per-worker buffers of the laned group runner: scalar scratches for the
-/// tail/readout paths plus the lane scratch and workspace for full groups.
-/// The observation programs get a lane scratch of their own
-/// (`obs_lscratch`) so the RHS and observation constant pools both stay
-/// primed across a worker's groups. All grow on demand.
-struct LaneBufs<const L: usize> {
-    scratch: EvalScratch,
-    ws: OdeWorkspace,
-    lscratch: LaneScratch<L>,
-    obs_lscratch: LaneScratch<L>,
-    lws: Workspace<[f64; L]>,
-    /// Struct-of-arrays staging for the group's initial states.
-    y0: Vec<[f64; L]>,
-}
-
-impl<const L: usize> Default for LaneBufs<L> {
-    fn default() -> Self {
-        LaneBufs {
-            scratch: EvalScratch::default(),
-            ws: OdeWorkspace::default(),
-            lscratch: LaneScratch::default(),
-            obs_lscratch: LaneScratch::default(),
-            lws: Workspace::default(),
-            y0: Vec::new(),
-        }
-    }
 }
 
 /// A local stand-in for the unstable `!` type, so [`Ensemble::map`] can
@@ -681,6 +514,7 @@ pub fn seed_range(base: u64, n: usize) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ark_core::CompiledSystem;
     use ark_ode::{DormandPrince, Rk4, SolveError};
     use std::sync::atomic::AtomicUsize;
 

@@ -3,36 +3,16 @@
 //! seed order or stream them through an online [`Reducer`].
 
 use crate::reduce::{Reducer, STREAM_BLOCK};
-use crate::resilience::{EnsembleError, InstanceOutcome, RecoveryPolicy, RecoveryReport};
-use crate::{ClosureReadout, Ensemble, LaneBufs, LaneReadout};
-use ark_core::{CompiledSystem, EvalScratch};
-use ark_ode::{FinalState, Observer, OdeWorkspace, SolveError, SolveStats, Solver, Trajectory};
-
-/// An observer usable on every ensemble dispatch width: scalar plus each
-/// laned interpreter width in [`crate::SUPPORTED_LANES`]. Blanket-implemented,
-/// so any observer generic over `ark_ode`'s element type (like
-/// [`FinalState`]) qualifies automatically; closure-based
-/// [`Probe`](ark_ode::Probe)s do **not** (a closure has one concrete
-/// argument type) — wrap bespoke per-step readout in a small struct
-/// implementing [`Observer`] over `E: Elem` instead.
-pub trait EnsembleObserver: Observer<f64> + Observer<[f64; 4]> + Observer<[f64; 8]> {}
-
-impl<O: Observer<f64> + Observer<[f64; 4]> + Observer<[f64; 8]>> EnsembleObserver for O {}
-
-/// One finished instance as seen by an [`EnsembleRun::reduce_observed`]
-/// extractor: which lane of which observer holds it, plus the instance's
-/// identity.
-#[derive(Debug)]
-pub struct Observed<'r, O> {
-    /// Lane index of this instance within `obs` (0 on the scalar path).
-    pub lane: usize,
-    /// The instance's seed.
-    pub seed: u64,
-    /// The instance's parameter vector.
-    pub params: &'r [f64],
-    /// The observer that watched the run (shared by the whole lane group).
-    pub obs: &'r O,
-}
+use crate::resilience::{
+    EnsembleError, FailureLog, InstanceOutcome, RecoveryPolicy, RecoveryReport,
+};
+use crate::{ClosureReadout, Ensemble, LaneReadout};
+use ark_core::{BoundSystem, CompiledSystem, EvalScratch, LaneScratch};
+use ark_ode::{
+    FinalState, Observer, OdeWorkspace, SolveError, SolveStats, Solver, Strided, Trajectory,
+    Workspace,
+};
+use std::marker::PhantomData;
 
 /// One finished instance as seen by an [`EnsembleRun::reduce`] extractor:
 /// the final state captured by the built-in [`FinalState`] observer,
@@ -66,11 +46,18 @@ pub struct FinalSnapshot<'r> {
 ///   observation programs that evaluate through the laned interpreter.
 ///
 /// **Streaming** terminals never materialize per-instance results: each
-/// instance runs under an allocation-free observer and folds one item into
-/// an online [`Reducer`] — memory stays O(accumulator) at any N:
+/// instance runs under the allocation-free [`FinalState`] observer and
+/// folds one item into an online [`Reducer`] — memory stays
+/// O(accumulator) at any N. They differ only in what a failure does:
 ///
-/// * [`EnsembleRun::reduce`] — observe final states ([`FinalState`]);
-/// * [`EnsembleRun::reduce_observed`] — bring your own observer factory.
+/// * [`EnsembleRun::reduce`] — abort with an [`EnsembleError`];
+/// * [`RecoveringRun::reduce`] (via [`EnsembleRun::with_recovery`]) —
+///   retry the instance under a [`RecoveryPolicy`] and account for it.
+///
+/// All terminals run through one group runner: seeds are cut into lane
+/// groups, full groups integrate through the laned interpreter, and
+/// everything else (the `N % L` tail, malformed initial states, demoted
+/// groups, `lanes = 1`, lane-incapable solvers) runs scalar.
 ///
 /// Every terminal inherits the engine's determinism guarantee: results
 /// depend only on the seeds, never on the worker count (see
@@ -186,14 +173,15 @@ where
     ///
     /// # Errors
     ///
-    /// The first (by seed order) solver error.
-    pub fn trajectories(self) -> Result<Vec<Trajectory>, SolveError> {
+    /// The first (by seed order) solver error, attributed to the failing
+    /// instance's seed.
+    pub fn trajectories(self) -> Result<Vec<Trajectory>, EnsembleError> {
         fn keep(
             _seed: u64,
             _params: &[f64],
             tr: Trajectory,
             _scratch: &mut EvalScratch,
-        ) -> Result<Trajectory, SolveError> {
+        ) -> Result<Trajectory, EnsembleError> {
             Ok(tr)
         }
         self.map(keep)
@@ -235,16 +223,15 @@ where
         E: Send + From<EnsembleError>,
         R: LaneReadout<T, E>,
     {
-        self.ens.dispatch_lanes(
-            self.sys,
-            self.solver,
-            self.seeds,
-            &self.prep,
-            self.t0,
-            self.t1,
-            self.stride,
-            readout,
-        )
+        let nested = self.dispatch(
+            &Materialize {
+                readout,
+                stride: self.stride,
+                out: PhantomData,
+            },
+            OnFailure::Abort(E::from),
+        )?;
+        Ok(nested.into_iter().flat_map(|(out, _)| out).collect())
     }
 
     /// Stream final states through an online [`Reducer`]: each instance
@@ -269,94 +256,69 @@ where
         X: Fn(&FinalSnapshot<'_>, &mut EvalScratch) -> Result<I, E> + Sync,
         R: Reducer<I>,
     {
-        self.reduce_observed(
-            FinalState::new,
-            move |inst: &Observed<'_, FinalState>, scratch| {
-                extract(
-                    &FinalSnapshot {
-                        seed: inst.seed,
-                        params: inst.params,
-                        t: inst.obs.time(),
-                        state: inst.obs.lane_state(inst.lane),
-                        stats: inst.obs.stats(),
-                    },
-                    scratch,
-                )
-            },
+        let stream = Stream {
+            extract: &extract,
             reducer,
-        )
+        };
+        let partials = self.dispatch(&stream, OnFailure::Abort(E::from))?;
+        let mut total = reducer.new_acc();
+        for (partial, _) in partials {
+            reducer.merge(&mut total, partial);
+        }
+        Ok(reducer.finish(total))
     }
 
-    /// Stream through an online [`Reducer`] with a caller-supplied
-    /// observer: `make_obs()` builds one fresh observer per lane group
-    /// (per instance on the scalar path), the solver streams every
-    /// accepted step into it, and `extract` turns each lane of the
-    /// finished observer into one item for `reducer` — in seed order
-    /// within the group.
-    ///
-    /// The observer must implement [`EnsembleObserver`] (i.e. be generic
-    /// over the element width); [`FinalState`] qualifies, as does any
-    /// custom struct implementing [`Observer`] over `E: Elem`.
-    ///
-    /// # Errors
-    ///
-    /// The first (by seed order) integration or `extract` error.
-    pub fn reduce_observed<O, OF, I, E, X, R>(
-        self,
-        make_obs: OF,
-        extract: X,
-        reducer: &R,
-    ) -> Result<R::Output, E>
-    where
-        O: EnsembleObserver,
-        OF: Fn() -> O + Sync,
-        E: Send + From<EnsembleError>,
-        X: Fn(&Observed<'_, O>, &mut EvalScratch) -> Result<I, E> + Sync,
-        R: Reducer<I>,
-    {
-        // Lane width selection mirrors the materializing dispatch: the
-        // match arms must cover crate::SUPPORTED_LANES.
+    /// Run `terminal` at the engine's lane width — the one place a width
+    /// is picked. Solvers without a laned form run at `L = 1`. The arms
+    /// must cover [`crate::SUPPORTED_LANES`].
+    fn dispatch<T: Terminal>(
+        &self,
+        terminal: &T,
+        on_failure: OnFailure<'_, T::Err>,
+    ) -> Result<Vec<(T::Acc, RecoveryReport)>, T::Err> {
         let lanes = if self.solver.supports_lanes() {
             self.ens.lanes()
         } else {
             1
         };
         match lanes {
-            4 => self.reduce_lane_blocks::<4, _, _, _, _, _, _>(&make_obs, &extract, reducer),
-            8 => self.reduce_lane_blocks::<8, _, _, _, _, _, _>(&make_obs, &extract, reducer),
-            _ => self.reduce_scalar_blocks(&make_obs, &extract, reducer),
+            4 => self.run_groups::<4, T>(terminal, on_failure),
+            8 => self.run_groups::<8, T>(terminal, on_failure),
+            _ => self.run_groups::<1, T>(terminal, on_failure),
         }
     }
 
-    /// Streaming runner, laned: fixed blocks of [`STREAM_BLOCK`] seeds are
-    /// the unit of work *and* of merging — one accumulator per block,
-    /// partials merged serially in block order, so the merge tree is
-    /// independent of the worker count. Within a block, lane groups of `L`
-    /// integrate through the laned interpreter (scalar fallback for the
-    /// tail) and items push in seed order.
-    fn reduce_lane_blocks<const L: usize, O, OF, I, E, X, R>(
+    /// The group runner behind every terminal: one accumulator and one
+    /// outcome report per job, in seed order.
+    ///
+    /// Seeds are cut into jobs of [`Terminal::job_len`] *before* they are
+    /// distributed to workers, so the partition never depends on the
+    /// worker count. Within a job, each full lane group of `L` with
+    /// well-formed initial states integrates through the laned
+    /// interpreter; a failure is blamed on the lowest failed lane and
+    /// either aborts the run or demotes the group. Every other instance
+    /// runs scalar: the `N % L` tail, a group with a malformed initial
+    /// state, a demoted group, and every instance when `L = 1`.
+    fn run_groups<const L: usize, T>(
         &self,
-        make_obs: &OF,
-        extract: &X,
-        reducer: &R,
-    ) -> Result<R::Output, E>
+        terminal: &T,
+        on_failure: OnFailure<'_, T::Err>,
+    ) -> Result<Vec<(T::Acc, RecoveryReport)>, T::Err>
     where
-        O: Observer<f64> + Observer<[f64; L]>,
-        OF: Fn() -> O + Sync,
-        E: Send + From<EnsembleError>,
-        X: Fn(&Observed<'_, O>, &mut EvalScratch) -> Result<I, E> + Sync,
-        R: Reducer<I>,
+        T: Terminal,
+        T::Obs: Observer<[f64; L]>,
     {
         let n = self.sys.num_states();
-        let blocks: Vec<&[u64]> = self.seeds.chunks(STREAM_BLOCK).collect();
-        let idx: Vec<u64> = (0..blocks.len() as u64).collect();
-        let job = |bufs: &mut LaneBufs<L>, bi: u64| -> Result<R::Acc, E> {
-            let mut acc = reducer.new_acc();
-            for group in blocks[bi as usize].chunks(L) {
+        let jobs: Vec<&[u64]> = self.seeds.chunks(terminal.job_len(L)).collect();
+        let idx: Vec<u64> = (0..jobs.len() as u64).collect();
+        let job = |bufs: &mut LaneBufs<L>, ji: u64| {
+            let mut acc = terminal.new_acc();
+            let mut report = FailureLog.new_acc();
+            for group in jobs[ji as usize].chunks(L) {
                 let prepped: Vec<(Vec<f64>, Vec<f64>)> =
                     group.iter().map(|&s| (self.prep)(s)).collect();
-                if group.len() == L && prepped.iter().all(|(_, y0)| y0.len() == n) {
-                    // Full group: struct-of-arrays initial state, laned bind.
+                if L > 1 && group.len() == L && prepped.iter().all(|(_, y0)| y0.len() == n) {
+                    // Struct-of-arrays initial state, laned bind.
                     bufs.y0.clear();
                     bufs.y0.resize(n, [0.0; L]);
                     for (l, (_, y0)) in prepped.iter().enumerate() {
@@ -365,133 +327,138 @@ where
                         }
                     }
                     let params: Vec<&[f64]> = prepped.iter().map(|(p, _)| p.as_slice()).collect();
-                    let mut obs = make_obs();
-                    {
+                    let mut obs = terminal.observer();
+                    let solved = {
                         let bound = self.sys.bind_lanes::<L>(&params, &mut bufs.lscratch);
-                        self.solver
-                            .solve(
-                                &bound,
-                                self.t0,
-                                &bufs.y0[..n],
-                                self.t1,
-                                &mut obs,
-                                &mut bufs.lws,
-                            )
-                            .map_err(|e| {
-                                // Attribute to the lowest failed lane — the
-                                // instance whose error the drive loop
-                                // reported. Pre-flight errors (no time)
-                                // leave the lane masks stale: attribute to
-                                // the group's first seed.
-                                let lane = if e.time().is_some() {
-                                    bufs.lws.first_failed_lane().unwrap_or(0)
-                                } else {
-                                    0
-                                };
-                                E::from(EnsembleError {
-                                    seed: group[lane.min(group.len() - 1)],
-                                    source: e,
-                                })
-                            })?;
-                    }
-                    for (l, &seed) in group.iter().enumerate() {
-                        let item = extract(
-                            &Observed {
-                                lane: l,
-                                seed,
-                                params: params[l],
-                                obs: &obs,
-                            },
-                            &mut bufs.scratch,
-                        )?;
-                        reducer.push(&mut acc, item);
-                    }
-                } else {
-                    // Scalar tail (block length % L != 0).
-                    for (&seed, (params, y0)) in group.iter().zip(&prepped) {
-                        let mut obs = make_obs();
-                        {
-                            let bound = self.sys.bind_ref(params, &mut bufs.scratch);
-                            self.solver
-                                .solve(&bound, self.t0, y0, self.t1, &mut obs, &mut bufs.ws)
-                                .map_err(|e| E::from(EnsembleError { seed, source: e }))?;
+                        self.solver.solve(
+                            &bound,
+                            self.t0,
+                            &bufs.y0[..n],
+                            self.t1,
+                            &mut obs,
+                            &mut bufs.lws,
+                        )
+                    };
+                    match (solved, &on_failure) {
+                        (Ok(_), _) => {
+                            terminal.group(
+                                &mut acc,
+                                group,
+                                &params,
+                                obs,
+                                &mut bufs.obs_lscratch,
+                                &mut bufs.scratch,
+                            )?;
+                            for _ in group {
+                                FailureLog.push(&mut report, InstanceOutcome::Completed);
+                            }
+                            continue;
                         }
-                        let item = extract(
-                            &Observed {
-                                lane: 0,
-                                seed,
-                                params,
-                                obs: &obs,
-                            },
-                            &mut bufs.scratch,
-                        )?;
-                        reducer.push(&mut acc, item);
+                        (Err(e), OnFailure::Abort(abort)) => {
+                            // The lowest failed lane is the instance whose
+                            // error the drive loop reported. Pre-flight
+                            // errors carry no time and leave the lane
+                            // masks stale: blame the group's first seed.
+                            let lane = if e.time().is_some() {
+                                bufs.lws.first_failed_lane().unwrap_or(0)
+                            } else {
+                                0
+                            };
+                            return Err(abort(EnsembleError {
+                                seed: group[lane.min(L - 1)],
+                                source: e,
+                            }));
+                        }
+                        // Demote: every lane re-runs scalar below, so the
+                        // healthy lanes produce exactly what a `lanes = 1`
+                        // engine would have.
+                        (Err(_), OnFailure::Recover(_)) => {}
                     }
                 }
+                for (&seed, (params, y0)) in group.iter().zip(&prepped) {
+                    let mut obs = terminal.observer();
+                    let outcome = {
+                        let bound = self.sys.bind_ref(params, &mut bufs.scratch);
+                        match self.solver.solve(
+                            &bound,
+                            self.t0,
+                            y0,
+                            self.t1,
+                            &mut obs,
+                            &mut bufs.ws,
+                        ) {
+                            Ok(_) => InstanceOutcome::Completed,
+                            Err(e) => match &on_failure {
+                                OnFailure::Abort(abort) => {
+                                    return Err(abort(EnsembleError { seed, source: e }))
+                                }
+                                OnFailure::Recover(policy) => self.retry(
+                                    policy,
+                                    seed,
+                                    e,
+                                    &bound,
+                                    y0,
+                                    || terminal.observer(),
+                                    &mut obs,
+                                    &mut bufs.ws,
+                                ),
+                            },
+                        }
+                    };
+                    if !matches!(outcome, InstanceOutcome::Failed { .. }) {
+                        terminal.instance(&mut acc, seed, params, obs, &mut bufs.scratch)?;
+                    }
+                    FailureLog.push(&mut report, outcome);
+                }
             }
-            Ok(acc)
+            Ok((acc, report))
         };
-        let partials: Vec<R::Acc> = self.ens.try_map_init(&idx, LaneBufs::<L>::default, job)?;
-        let mut total = reducer.new_acc();
-        for partial in partials {
-            reducer.merge(&mut total, partial);
-        }
-        Ok(reducer.finish(total))
+        self.ens.try_map_init(&idx, LaneBufs::<L>::default, job)
     }
 
-    /// Streaming runner, scalar path (lane width 1 or a lane-incapable
-    /// solver): same block structure and merge order as the laned runner,
-    /// every instance integrated individually.
-    fn reduce_scalar_blocks<O, OF, I, E, X, R>(
+    /// Walk `policy`'s retry ladder for one instance whose primary solve
+    /// (attempt 0) failed with `err`. On success `obs` holds the observer
+    /// of the successful attempt.
+    #[allow(clippy::too_many_arguments)]
+    fn retry<O: Observer<f64>>(
         &self,
-        make_obs: &OF,
-        extract: &X,
-        reducer: &R,
-    ) -> Result<R::Output, E>
-    where
-        O: Observer<f64>,
-        OF: Fn() -> O + Sync,
-        E: Send + From<EnsembleError>,
-        X: Fn(&Observed<'_, O>, &mut EvalScratch) -> Result<I, E> + Sync,
-        R: Reducer<I>,
-    {
-        let blocks: Vec<&[u64]> = self.seeds.chunks(STREAM_BLOCK).collect();
-        let idx: Vec<u64> = (0..blocks.len() as u64).collect();
-        let job = |(scratch, ws): &mut (EvalScratch, OdeWorkspace), bi: u64| -> Result<R::Acc, E> {
-            let mut acc = reducer.new_acc();
-            for &seed in blocks[bi as usize] {
-                let (params, y0) = (self.prep)(seed);
-                let mut obs = make_obs();
-                {
-                    let bound = self.sys.bind_ref(&params, scratch);
-                    self.solver
-                        .solve(&bound, self.t0, &y0, self.t1, &mut obs, ws)
-                        .map_err(|e| E::from(EnsembleError { seed, source: e }))?;
+        policy: &RecoveryPolicy,
+        seed: u64,
+        err: SolveError,
+        bound: &BoundSystem<'_>,
+        y0: &[f64],
+        fresh: impl Fn() -> O,
+        obs: &mut O,
+        ws: &mut OdeWorkspace,
+    ) -> InstanceOutcome {
+        let mut last = err;
+        for attempt in 1..=policy.max_retries {
+            *obs = fresh();
+            match policy.run_attempt(attempt, bound, self.t0, y0, self.t1, obs, ws) {
+                Ok((_, final_solver)) => {
+                    return InstanceOutcome::Recovered {
+                        attempts: attempt,
+                        final_solver,
+                    }
                 }
-                let item = extract(
-                    &Observed {
-                        lane: 0,
-                        seed,
-                        params: &params,
-                        obs: &obs,
-                    },
-                    scratch,
-                )?;
-                reducer.push(&mut acc, item);
+                Err(e) => last = e,
             }
-            Ok(acc)
-        };
-        let partials: Vec<R::Acc> = self.ens.try_map_init(
-            &idx,
-            || (self.sys.scratch(), OdeWorkspace::new(self.sys.num_states())),
-            job,
-        )?;
-        let mut total = reducer.new_acc();
-        for partial in partials {
-            reducer.merge(&mut total, partial);
         }
-        Ok(reducer.finish(total))
+        InstanceOutcome::Failed {
+            t: last.time().unwrap_or(-1.0),
+            error: last,
+            seed,
+        }
     }
+}
+
+/// What a failed run does to the ensemble.
+enum OnFailure<'p, E> {
+    /// Abort the run with the error, attributed to its instance.
+    Abort(fn(EnsembleError) -> E),
+    /// Demote a failed lane group to scalar and walk the policy's retry
+    /// ladder for a failed instance, accounting for every outcome.
+    Recover(&'p RecoveryPolicy),
 }
 
 /// A fault-tolerant ensemble run, created by
@@ -554,225 +521,235 @@ where
         X: Fn(&FinalSnapshot<'_>, &mut EvalScratch) -> Result<I, E> + Sync,
         R: Reducer<I>,
     {
-        let lanes = if self.run.solver.supports_lanes() {
-            self.run.ens.lanes()
-        } else {
-            1
+        let stream = Stream {
+            extract: &extract,
+            reducer,
         };
-        match lanes {
-            4 => self.recover_lane_blocks::<4, _, _, _, _>(&extract, reducer),
-            8 => self.recover_lane_blocks::<8, _, _, _, _>(&extract, reducer),
-            _ => self.recover_scalar_blocks(&extract, reducer),
-        }
-    }
-
-    /// Recovering streaming runner, laned: the block/merge structure of
-    /// [`EnsembleRun::reduce_observed`]'s laned runner, with lane-group
-    /// demotion on failure.
-    fn recover_lane_blocks<const L: usize, I, E, X, R>(
-        &self,
-        extract: &X,
-        reducer: &R,
-    ) -> Result<(R::Output, RecoveryReport), E>
-    where
-        FinalState: Observer<[f64; L]>,
-        E: Send,
-        X: Fn(&FinalSnapshot<'_>, &mut EvalScratch) -> Result<I, E> + Sync,
-        R: Reducer<I>,
-    {
-        let run = &self.run;
-        let n = run.sys.num_states();
-        let blocks: Vec<&[u64]> = run.seeds.chunks(STREAM_BLOCK).collect();
-        let idx: Vec<u64> = (0..blocks.len() as u64).collect();
-        let job = |bufs: &mut LaneBufs<L>, bi: u64| -> Result<(R::Acc, RecoveryReport), E> {
-            let mut acc = reducer.new_acc();
-            let mut report = RecoveryReport::default();
-            for group in blocks[bi as usize].chunks(L) {
-                let prepped: Vec<(Vec<f64>, Vec<f64>)> =
-                    group.iter().map(|&s| (run.prep)(s)).collect();
-                let mut laned_ok = false;
-                if group.len() == L && prepped.iter().all(|(_, y0)| y0.len() == n) {
-                    bufs.y0.clear();
-                    bufs.y0.resize(n, [0.0; L]);
-                    for (l, (_, y0)) in prepped.iter().enumerate() {
-                        for (i, &v) in y0.iter().enumerate() {
-                            bufs.y0[i][l] = v;
-                        }
-                    }
-                    let params: Vec<&[f64]> = prepped.iter().map(|(p, _)| p.as_slice()).collect();
-                    let mut obs = FinalState::new();
-                    let solved = {
-                        let bound = run.sys.bind_lanes::<L>(&params, &mut bufs.lscratch);
-                        run.solver.solve(
-                            &bound,
-                            run.t0,
-                            &bufs.y0[..n],
-                            run.t1,
-                            &mut obs,
-                            &mut bufs.lws,
-                        )
-                    };
-                    if solved.is_ok() {
-                        laned_ok = true;
-                        for (l, &seed) in group.iter().enumerate() {
-                            let item = extract(
-                                &FinalSnapshot {
-                                    seed,
-                                    params: params[l],
-                                    t: obs.time(),
-                                    state: obs.lane_state(l),
-                                    stats: obs.stats(),
-                                },
-                                &mut bufs.scratch,
-                            )?;
-                            reducer.push(&mut acc, item);
-                            report.push(&InstanceOutcome::Completed);
-                        }
-                    }
-                    // On Err the whole group demotes below: every lane
-                    // re-runs scalar, so the healthy lanes produce exactly
-                    // the items a lanes = 1 engine would have.
-                }
-                if !laned_ok {
-                    for (&seed, (params, y0)) in group.iter().zip(&prepped) {
-                        let (outcome, obs) =
-                            self.recover_one(seed, params, y0, &mut bufs.scratch, &mut bufs.ws);
-                        if let Some(obs) = obs {
-                            let item = extract(
-                                &FinalSnapshot {
-                                    seed,
-                                    params,
-                                    t: obs.time(),
-                                    state: obs.lane_state(0),
-                                    stats: obs.stats(),
-                                },
-                                &mut bufs.scratch,
-                            )?;
-                            reducer.push(&mut acc, item);
-                        }
-                        report.push(&outcome);
-                    }
-                }
-            }
-            Ok((acc, report))
-        };
-        let partials: Vec<(R::Acc, RecoveryReport)> =
-            run.ens.try_map_init(&idx, LaneBufs::<L>::default, job)?;
+        let partials = self
+            .run
+            .dispatch(&stream, OnFailure::Recover(self.policy))?;
         let mut total = reducer.new_acc();
-        let mut report = RecoveryReport::default();
+        let mut report = FailureLog.new_acc();
         for (partial, rep) in partials {
             reducer.merge(&mut total, partial);
-            report.merge(rep);
+            FailureLog.merge(&mut report, rep);
         }
         // Static provenance rides along with the dynamic counts: if the
         // interval analysis proves an operation undefined for every input,
         // the report says so next to the failures it likely caused.
         report.domain_warnings = self.run.sys.domain_warnings();
-        Ok((reducer.finish(total), report))
+        Ok((reducer.finish(total), FailureLog.finish(report)))
     }
+}
 
-    /// Recovering streaming runner, scalar path (lane width 1 or a
-    /// lane-incapable solver).
-    fn recover_scalar_blocks<I, E, X, R>(
-        &self,
-        extract: &X,
-        reducer: &R,
-    ) -> Result<(R::Output, RecoveryReport), E>
-    where
-        E: Send,
-        X: Fn(&FinalSnapshot<'_>, &mut EvalScratch) -> Result<I, E> + Sync,
-        R: Reducer<I>,
-    {
-        let run = &self.run;
-        let blocks: Vec<&[u64]> = run.seeds.chunks(STREAM_BLOCK).collect();
-        let idx: Vec<u64> = (0..blocks.len() as u64).collect();
-        let job = |(scratch, ws): &mut (EvalScratch, OdeWorkspace),
-                   bi: u64|
-         -> Result<(R::Acc, RecoveryReport), E> {
-            let mut acc = reducer.new_acc();
-            let mut report = RecoveryReport::default();
-            for &seed in blocks[bi as usize] {
-                let (params, y0) = (run.prep)(seed);
-                let (outcome, obs) = self.recover_one(seed, &params, &y0, scratch, ws);
-                if let Some(obs) = obs {
-                    let item = extract(
-                        &FinalSnapshot {
-                            seed,
-                            params: &params,
-                            t: obs.time(),
-                            state: obs.lane_state(0),
-                            stats: obs.stats(),
-                        },
-                        scratch,
-                    )?;
-                    reducer.push(&mut acc, item);
-                }
-                report.push(&outcome);
-            }
-            Ok((acc, report))
-        };
-        let partials: Vec<(R::Acc, RecoveryReport)> = run.ens.try_map_init(
-            &idx,
-            || (run.sys.scratch(), OdeWorkspace::new(run.sys.num_states())),
-            job,
-        )?;
-        let mut total = reducer.new_acc();
-        let mut report = RecoveryReport::default();
-        for (partial, rep) in partials {
-            reducer.merge(&mut total, partial);
-            report.merge(rep);
-        }
-        // Static provenance rides along with the dynamic counts: if the
-        // interval analysis proves an operation undefined for every input,
-        // the report says so next to the failures it likely caused.
-        report.domain_warnings = self.run.sys.domain_warnings();
-        Ok((reducer.finish(total), report))
-    }
+/// What one terminal makes of the runs the group runner integrates: the
+/// observer every run reports to and the per-job accumulator the finished
+/// runs fold into.
+trait Terminal: Sync {
+    /// The observer of one run, at every dispatch width.
+    type Obs: Observer<f64> + Observer<[f64; 1]> + Observer<[f64; 4]> + Observer<[f64; 8]>;
+    /// The results of one job, in seed order.
+    type Acc: Send;
+    /// The error a readout or extractor aborts the run with.
+    type Err: Send;
 
-    /// Run one instance scalar under the recovery ladder: primary solver
-    /// first (attempt 0), then the policy's fallback chain. Returns the
-    /// verdict plus the observer of the successful attempt (if any).
-    fn recover_one(
+    /// Seeds per job at lane width `lanes`: the unit of work distribution.
+    fn job_len(&self, lanes: usize) -> usize;
+
+    /// A fresh observer for one run.
+    fn observer(&self) -> Self::Obs;
+
+    /// A fresh, empty job accumulator.
+    fn new_acc(&self) -> Self::Acc;
+
+    /// A full lane group finished: `seeds[l]` and `params[l]` belong to
+    /// lane `l` of `obs`.
+    fn group<const L: usize>(
         &self,
+        acc: &mut Self::Acc,
+        seeds: &[u64],
+        params: &[&[f64]],
+        obs: Self::Obs,
+        lscratch: &mut LaneScratch<L>,
+        scratch: &mut EvalScratch,
+    ) -> Result<(), Self::Err>;
+
+    /// One scalar run finished.
+    fn instance(
+        &self,
+        acc: &mut Self::Acc,
         seed: u64,
         params: &[f64],
-        y0: &[f64],
+        obs: Self::Obs,
         scratch: &mut EvalScratch,
-        ws: &mut OdeWorkspace,
-    ) -> (InstanceOutcome, Option<FinalState>) {
-        let run = &self.run;
-        let bound = run.sys.bind_ref(params, scratch);
-        let mut obs = FinalState::new();
-        let mut last = match run.solver.solve(&bound, run.t0, y0, run.t1, &mut obs, ws) {
-            Ok(_) => return (InstanceOutcome::Completed, Some(obs)),
-            Err(e) => e,
+    ) -> Result<(), Self::Err>;
+}
+
+/// The materializing terminals: one lane group per job, trajectories
+/// recorded at `stride` and handed to a [`LaneReadout`].
+struct Materialize<'r, R, T, E> {
+    readout: &'r R,
+    stride: usize,
+    out: PhantomData<fn() -> (T, E)>,
+}
+
+impl<R, T, E> Terminal for Materialize<'_, R, T, E>
+where
+    T: Send,
+    E: Send,
+    R: LaneReadout<T, E>,
+{
+    type Obs = Strided;
+    type Acc = Vec<T>;
+    type Err = E;
+
+    fn job_len(&self, lanes: usize) -> usize {
+        lanes
+    }
+
+    fn observer(&self) -> Strided {
+        Strided::every(self.stride)
+    }
+
+    fn new_acc(&self) -> Vec<T> {
+        Vec::new()
+    }
+
+    fn group<const L: usize>(
+        &self,
+        acc: &mut Vec<T>,
+        seeds: &[u64],
+        params: &[&[f64]],
+        obs: Strided,
+        lscratch: &mut LaneScratch<L>,
+        scratch: &mut EvalScratch,
+    ) -> Result<(), E> {
+        let trs = obs.into_trajectories();
+        self.readout
+            .finish_group::<L>(seeds, params, trs, lscratch, scratch, acc)
+    }
+
+    fn instance(
+        &self,
+        acc: &mut Vec<T>,
+        seed: u64,
+        params: &[f64],
+        obs: Strided,
+        scratch: &mut EvalScratch,
+    ) -> Result<(), E> {
+        let tr = obs.into_trajectory();
+        acc.push(self.readout.finish(seed, params, tr, scratch)?);
+        Ok(())
+    }
+}
+
+/// The streaming terminals: one [`STREAM_BLOCK`] per job, each final state
+/// extracted into one item and folded into a [`Reducer`].
+struct Stream<'r, X, R> {
+    extract: &'r X,
+    reducer: &'r R,
+}
+
+impl<I, E, X, R> Stream<'_, X, R>
+where
+    X: Fn(&FinalSnapshot<'_>, &mut EvalScratch) -> Result<I, E>,
+    R: Reducer<I>,
+{
+    /// Extract lane `lane` of a finished run and fold it into `acc`.
+    fn push(
+        &self,
+        acc: &mut R::Acc,
+        seed: u64,
+        params: &[f64],
+        obs: &FinalState,
+        lane: usize,
+        scratch: &mut EvalScratch,
+    ) -> Result<(), E> {
+        let snap = FinalSnapshot {
+            seed,
+            params,
+            t: obs.time(),
+            state: obs.lane_state(lane),
+            stats: obs.stats(),
         };
-        for attempt in 1..=self.policy.max_retries {
-            let mut obs = FinalState::new();
-            match self
-                .policy
-                .run_attempt(attempt, &bound, run.t0, y0, run.t1, &mut obs, ws)
-            {
-                Ok((_, final_solver)) => {
-                    return (
-                        InstanceOutcome::Recovered {
-                            attempts: attempt,
-                            final_solver,
-                        },
-                        Some(obs),
-                    )
-                }
-                Err(e) => last = e,
-            }
+        self.reducer.push(acc, (self.extract)(&snap, scratch)?);
+        Ok(())
+    }
+}
+
+impl<I, E, X, R> Terminal for Stream<'_, X, R>
+where
+    E: Send,
+    X: Fn(&FinalSnapshot<'_>, &mut EvalScratch) -> Result<I, E> + Sync,
+    R: Reducer<I>,
+{
+    type Obs = FinalState;
+    type Acc = R::Acc;
+    type Err = E;
+
+    fn job_len(&self, _lanes: usize) -> usize {
+        STREAM_BLOCK
+    }
+
+    fn observer(&self) -> FinalState {
+        FinalState::new()
+    }
+
+    fn new_acc(&self) -> R::Acc {
+        self.reducer.new_acc()
+    }
+
+    fn group<const L: usize>(
+        &self,
+        acc: &mut R::Acc,
+        seeds: &[u64],
+        params: &[&[f64]],
+        obs: FinalState,
+        _lscratch: &mut LaneScratch<L>,
+        scratch: &mut EvalScratch,
+    ) -> Result<(), E> {
+        for (l, &seed) in seeds.iter().enumerate() {
+            self.push(acc, seed, params[l], &obs, l, scratch)?;
         }
-        let t = last.time().unwrap_or(-1.0);
-        (
-            InstanceOutcome::Failed {
-                error: last,
-                t,
-                seed,
-            },
-            None,
-        )
+        Ok(())
+    }
+
+    fn instance(
+        &self,
+        acc: &mut R::Acc,
+        seed: u64,
+        params: &[f64],
+        obs: FinalState,
+        scratch: &mut EvalScratch,
+    ) -> Result<(), E> {
+        self.push(acc, seed, params, &obs, 0, scratch)
+    }
+}
+
+/// Per-worker buffers of the group runner: scalar scratches for the
+/// scalar path and readout, plus the lane scratch and workspace for full
+/// groups. The observation programs get a lane scratch of their own
+/// (`obs_lscratch`) so the RHS and observation constant pools both stay
+/// primed across a worker's groups. All grow on demand.
+struct LaneBufs<const L: usize> {
+    scratch: EvalScratch,
+    ws: OdeWorkspace,
+    lscratch: LaneScratch<L>,
+    obs_lscratch: LaneScratch<L>,
+    lws: Workspace<[f64; L]>,
+    /// Struct-of-arrays staging for the group's initial states.
+    y0: Vec<[f64; L]>,
+}
+
+impl<const L: usize> Default for LaneBufs<L> {
+    fn default() -> Self {
+        LaneBufs {
+            scratch: EvalScratch::default(),
+            ws: OdeWorkspace::default(),
+            lscratch: LaneScratch::default(),
+            obs_lscratch: LaneScratch::default(),
+            lws: Workspace::default(),
+            y0: Vec::new(),
+        }
     }
 }

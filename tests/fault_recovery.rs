@@ -109,36 +109,126 @@ fn assert_moments_bits(a: &MomentStats, b: &MomentStats, cx: &str) {
     assert_eq!(a.m2.to_bits(), b.m2.to_bits(), "{cx}: m2");
 }
 
-/// A blowup-faulted instance aborts the *non*-recovering streaming
-/// terminal with the faulty instance's seed attached — including when the
-/// instance sits mid-group on the laned path.
+/// A blowup-faulted instance aborts every *non*-recovering terminal
+/// (`reduce`, `map`, `trajectories`) with the faulty instance's seed
+/// attached — on the scalar path and when the instance sits mid-group on
+/// the laned path.
 #[test]
 fn non_recovering_terminal_attributes_the_failing_seed() {
     let (_lang, sys) = decay_system();
+    let sys = &sys;
     let seeds = seed_range(0, 64);
     // Hit exactly one seed, away from a group boundary.
     let faulty = 13u64;
-    let err: EnsembleError = Ensemble::new(2)
-        .run(&sys, &Rk4 { dt: 1e-2 }, &seeds, 0.0, 1.0)
-        .prep(|seed| {
-            let mut params = decay_params(&sys, seed);
-            if seed == faulty {
-                params[0] = f64::NAN;
-            }
-            let y0 = sys.initial_state_for(&params);
-            (params, y0)
-        })
-        .reduce(|snap, _| Ok::<_, EnsembleError>(snap.state[0]), &Moments)
-        .unwrap_err();
-    assert_eq!(err.seed, faulty);
-    assert!(
-        err.source.time().is_some(),
-        "a NaN-parameter instance fails inside the drive loop: {:?}",
-        err.source
-    );
-    // The typed error chains to its SolveError source.
-    let dyn_err: &dyn std::error::Error = &err;
-    assert!(dyn_err.source().is_some());
+    let prep = move |seed| {
+        let mut params = decay_params(sys, seed);
+        if seed == faulty {
+            params[0] = f64::NAN;
+        }
+        let y0 = sys.initial_state_for(&params);
+        (params, y0)
+    };
+    for lanes in [1usize, 4, 8] {
+        let run = || {
+            Ensemble::new(2)
+                .with_lanes(lanes)
+                .run(sys, &Rk4 { dt: 1e-2 }, &seeds, 0.0, 1.0)
+                .prep(prep)
+        };
+        let errs = [
+            (
+                "reduce",
+                run()
+                    .reduce(|snap, _| Ok::<_, EnsembleError>(snap.state[0]), &Moments)
+                    .unwrap_err(),
+            ),
+            (
+                "map",
+                run()
+                    .map(|_, _, tr, _| Ok::<_, EnsembleError>(tr.len()))
+                    .unwrap_err(),
+            ),
+            ("trajectories", run().trajectories().unwrap_err()),
+        ];
+        for (terminal, err) in errs {
+            assert_eq!(err.seed, faulty, "{terminal} at lanes={lanes}");
+            assert!(
+                err.source.time().is_some(),
+                "a NaN-parameter instance fails inside the drive loop: {:?}",
+                err.source
+            );
+            // The typed error chains to its SolveError source.
+            let dyn_err: &dyn std::error::Error = &err;
+            assert!(dyn_err.source().is_some());
+        }
+    }
+}
+
+/// A full lane group whose initial states are malformed (one seed's `y0`
+/// has the wrong length) runs on the scalar path: the malformed instance
+/// fails alone with a pre-flight `BadConfig` attributed to its own seed,
+/// and its group-mates still produce exactly the `lanes = 1` results.
+#[test]
+fn malformed_initial_state_runs_scalar_and_is_attributed() {
+    let (_lang, sys) = decay_system();
+    let sys = &sys;
+    let seeds = seed_range(0, 64);
+    // Mid-group at lanes 4 and 8.
+    let malformed = 13u64;
+    let prep = move |seed| {
+        let params = decay_params(sys, seed);
+        let mut y0 = sys.initial_state_for(&params);
+        if seed == malformed {
+            y0.push(0.0);
+        }
+        (params, y0)
+    };
+    let policy = RecoveryPolicy::default();
+    let mut reference: Option<MomentStats> = None;
+    for lanes in [1usize, 4, 8] {
+        let run = || {
+            Ensemble::new(2)
+                .with_lanes(lanes)
+                .run(sys, &Rk4 { dt: 1e-2 }, &seeds, 0.0, 1.0)
+                .prep(prep)
+        };
+        let errs = [
+            (
+                "reduce",
+                run()
+                    .reduce(|snap, _| Ok::<_, EnsembleError>(snap.state[0]), &Moments)
+                    .unwrap_err(),
+            ),
+            (
+                "map",
+                run()
+                    .map(|_, _, tr, _| Ok::<_, EnsembleError>(tr.len()))
+                    .unwrap_err(),
+            ),
+        ];
+        for (terminal, err) in errs {
+            assert_eq!(err.seed, malformed, "{terminal} at lanes={lanes}");
+            assert!(
+                matches!(err.source, SolveError::BadConfig(_)),
+                "{terminal} at lanes={lanes}: {:?}",
+                err.source
+            );
+        }
+        let (stats, report) = run()
+            .with_recovery(&policy)
+            .reduce(|snap, _| Ok::<_, SolveError>(snap.state[0]), &Moments)
+            .unwrap();
+        assert_eq!(
+            (report.completed, report.recovered, report.failed),
+            (63, 0, 1),
+            "lanes={lanes}"
+        );
+        assert_eq!(report.by_kind["bad_config"].first_seed, malformed);
+        match &reference {
+            None => reference = Some(stats),
+            Some(r) => assert_moments_bits(&stats, r, &format!("lanes={lanes}")),
+        }
+    }
 }
 
 /// Stiffened instances blow up the fixed-step primary, recover under the
