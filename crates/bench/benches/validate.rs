@@ -1,5 +1,6 @@
 //! Validation benchmark: ILP-based described-check vs brute-force
-//! enumeration (the DESIGN.md ablation), and whole-graph validation time.
+//! enumeration (an ablation of the §6 local-topology check), and
+//! whole-graph validation time.
 
 use ark_core::validate::{is_described, is_described_brute, validate, ExternRegistry};
 use ark_paradigms::tln::{linear_tline, tln_language, TlineConfig};

@@ -27,7 +27,7 @@
 //! CSV is bit-identical for any worker count — pass an explicit worker
 //! count to check that on your machine.
 
-use ark_bench::trials_arg;
+use ark_bench::{count_arg, trials_arg};
 use ark_paradigms::cnn::{
     cnn_language, hw_cnn_language_sigma, run_cnn_yield, NonIdeality, EDGE_TEMPLATE,
 };
@@ -42,10 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     let base = cnn_language();
     let input = Image::test_blob(size, size);
     let seeds = seed_range(11, trials);
-    let workers = std::env::args()
-        .nth(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
+    let workers = count_arg(2, "workers", 0);
     let ens = Ensemble::new(workers);
 
     println!("== Figure 11 yield sweep: {size}x{size} CNN edge detection ==");

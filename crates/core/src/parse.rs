@@ -5,7 +5,7 @@
 //! rules, `cstr` validity rules, and `extern-func` registrations; plus
 //! `func` definitions that procedurally build dynamical graphs.
 //!
-//! Dialect notes (documented deviations, see DESIGN.md):
+//! Dialect notes (deviations from the Figure 6 grammar):
 //!
 //! * user-defined names use `_` instead of `-` (`br_func`, `gmc_tln`) since
 //!   `-` is subtraction; the grammar's hyphenated *keywords* are supported;

@@ -15,7 +15,7 @@ use std::fmt;
 /// writes `N(x, x·s0+s1)`, but its own examples — `mm(0,0.1)` described as
 /// "10% relative standard deviation" and `mm(0.02,0)` used on a nominal-zero
 /// offset — are only consistent with the absolute-then-relative reading
-/// implemented here (see DESIGN.md §2).
+/// implemented here.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mismatch {
     /// Absolute standard-deviation contribution (`s0`).

@@ -17,7 +17,7 @@
 //!
 //! One documented deviation from Figure 10a: the paper never says how an
 //! `Inp` node acquires its pixel value, so `Inp` carries a `u` attribute and
-//! the B-template rule reads `s.u` instead of `var(s)` (see DESIGN.md).
+//! the B-template rule reads `s.u` instead of `var(s)`.
 
 use crate::image::Image;
 use ark_core::func::{GraphBuilder, ParametricGraph};
@@ -878,35 +878,6 @@ pub fn run_cnn_ensemble(
         .map_grouped(&readout)
 }
 
-/// [`run_cnn_ensemble`] with the readout forced to run scalar, once per
-/// instance — the pre-laned-readout pipeline. Results are bit-identical to
-/// [`run_cnn_ensemble`]; this entry point exists so the laned readout has
-/// an in-tree A/B baseline (the `rhs` bench records both).
-///
-/// # Errors
-///
-/// As [`run_cnn_ensemble`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_cnn_ensemble_scalar_readout(
-    lang: &Language,
-    input: &Image,
-    template: &Template,
-    nonideality: NonIdeality,
-    t_end: f64,
-    snap_times: &[f64],
-    seeds: &[u64],
-    ens: &ark_sim::Ensemble,
-) -> Result<Vec<CnnRun>, crate::DynError> {
-    let pcnn = build_cnn_parametric(lang, input, template, nonideality)?;
-    let sys = CompiledSystem::compile_parametric(lang, &pcnn.pgraph)?;
-    let (width, height) = (pcnn.width, pcnn.height);
-    ens.run(&sys, &ark_ode::Rk4 { dt: CNN_SOLVER_DT }, seeds, 0.0, t_end)
-        .stride(CNN_SOLVER_STRIDE)
-        .map(|_seed, params, tr, scratch| {
-            read_cnn_run(&sys, width, height, params, t_end, snap_times, &tr, scratch)
-        })
-}
-
 /// Population statistics of CNN edge detection under fabrication mismatch,
 /// produced by the streaming ensemble path of [`run_cnn_yield`]. The
 /// quality measure per fabricated instance is its wrong-pixel count against
@@ -1297,6 +1268,30 @@ mod tests {
         let wide = spread_for(0.2);
         assert!(narrow > 0.0, "sigma 0.01 must perturb parameters");
         assert!(wide > narrow * 5.0, "narrow {narrow} wide {wide}");
+    }
+
+    /// [`run_cnn_ensemble`] with the readout forced to run scalar, once per
+    /// instance through [`read_cnn_run`] — the reference the laned group
+    /// readout is checked against.
+    #[allow(clippy::too_many_arguments)]
+    fn run_cnn_ensemble_scalar_readout(
+        lang: &Language,
+        input: &Image,
+        template: &Template,
+        nonideality: NonIdeality,
+        t_end: f64,
+        snap_times: &[f64],
+        seeds: &[u64],
+        ens: &ark_sim::Ensemble,
+    ) -> Result<Vec<CnnRun>, crate::DynError> {
+        let pcnn = build_cnn_parametric(lang, input, template, nonideality)?;
+        let sys = CompiledSystem::compile_parametric(lang, &pcnn.pgraph)?;
+        let (width, height) = (pcnn.width, pcnn.height);
+        ens.run(&sys, &ark_ode::Rk4 { dt: CNN_SOLVER_DT }, seeds, 0.0, t_end)
+            .stride(CNN_SOLVER_STRIDE)
+            .map(|_seed, params, tr, scratch| {
+                read_cnn_run(&sys, width, height, params, t_end, snap_times, &tr, scratch)
+            })
     }
 
     /// The laned group readout is bit-identical to the scalar per-instance

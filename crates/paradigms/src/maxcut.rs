@@ -131,8 +131,8 @@ pub fn build_maxcut_network(
 ///
 /// The Monte Carlo entry points no longer use this: absent edges still cost
 /// instructions at `k = 0`, which made the dense template *slower* per step
-/// than a rebuilt sparse instance (the `obc_table1` 0.74× gap in
-/// `BENCH_rhs.json`). [`build_maxcut_sparse_template`] + per-topology-class
+/// than a rebuilt sparse instance (0.74× the rebuild path's speed on
+/// sparse Table 1 cells). [`build_maxcut_sparse_template`] + per-topology-class
 /// memoization replaced it; the dense form remains for workloads that
 /// genuinely sweep over *all* topologies with one compile.
 ///

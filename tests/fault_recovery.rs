@@ -348,6 +348,16 @@ fn cnn_yield_with_injected_faults_completes_and_accounts_exactly() {
         assert_eq!(y.recovery.total(), seeds.len() as u64, "workers={workers}");
         assert_eq!(y.recovery.failed, faulty, "workers={workers}");
         assert_eq!(
+            (
+                y.recovery.completed,
+                y.recovery.recovered,
+                y.recovery.failed,
+                y.recovery.retry_attempts
+            ),
+            (244, 0, 12, 0),
+            "workers={workers}: (completed, recovered, failed, retry_attempts)"
+        );
+        assert_eq!(
             y.counts.total,
             seeds.len() as u64 - faulty,
             "workers={workers}: failed instances contribute no sample"
@@ -371,6 +381,70 @@ fn cnn_yield_with_injected_faults_completes_and_accounts_exactly() {
                     r.wrong_histogram.counts(),
                     "workers={workers}"
                 );
+            }
+        }
+    }
+}
+
+/// A GmC t-line ensemble with stiffened (finite) faulty instances: the
+/// fixed-step primary blows up on every hit and the adaptive fallback
+/// chain rescues each one. The outcome counts are pinned exactly, and they
+/// and the accumulator bits are identical at lanes 1/4/8 × workers 1/2.
+/// `min_dt` is scaled to the line's ~30 ns span (see the `RecoveryPolicy`
+/// docs).
+#[test]
+fn tline_stiffen_faults_recover_identically_across_lanes_and_workers() {
+    use ark::paradigms::tln::{
+        gmc_tln_language, linear_tline_parametric, tln_language, MismatchKind, TlineConfig,
+    };
+    let gmc = gmc_tln_language(&tln_language());
+    let cfg = TlineConfig {
+        mismatch: MismatchKind::Cint,
+        ..TlineConfig::default()
+    };
+    let pg = linear_tline_parametric(&gmc, 6, &cfg).unwrap();
+    let sys = CompiledSystem::compile_parametric(&gmc, &pg).unwrap();
+    let seeds = seed_range(0, 256);
+    let plans = [FaultPlan::one_in(16, FaultMode::Stiffen { factor: 1e-2 })];
+    let policy = RecoveryPolicy {
+        min_dt: 1e-16,
+        ..RecoveryPolicy::default()
+    };
+    let mut reference: Option<(MomentStats, RecoveryReport)> = None;
+    for lanes in [1usize, 4, 8] {
+        for workers in [1usize, 2] {
+            let (stats, report) = Ensemble::new(workers)
+                .with_lanes(lanes)
+                .run(&sys, &Rk4 { dt: 5e-11 }, &seeds, 0.0, 3e-8)
+                .prep(|seed| {
+                    let mut params = sys.sample_params(seed);
+                    ark::sim::faultpoint::corrupt_all(&plans, seed, &mut params, &mut []);
+                    let y0 = sys.initial_state_for(&params);
+                    (params, y0)
+                })
+                .with_recovery(&policy)
+                .reduce(
+                    |snap, _scratch| Ok::<_, SolveError>(snap.state[0]),
+                    &Moments,
+                )
+                .unwrap();
+            let cx = format!("lanes={lanes} workers={workers}");
+            assert_eq!(
+                (
+                    report.completed,
+                    report.recovered,
+                    report.failed,
+                    report.retry_attempts
+                ),
+                (243, 13, 0, 13),
+                "{cx}: (completed, recovered, failed, retry_attempts)"
+            );
+            match &reference {
+                None => reference = Some((stats, report)),
+                Some((r_stats, r_report)) => {
+                    assert_moments_bits(&stats, r_stats, &cx);
+                    assert_eq!(&report, r_report, "{cx}");
+                }
             }
         }
     }

@@ -73,6 +73,21 @@ fn vdp_mu1000_golden_end_state_and_step_advantage() {
     );
     // The Newton/Jacobian machinery really ran.
     assert!(tr.stats().newton_iters >= 2 * tr.stats().accepted);
+
+    // Exact work counts: the derived Jacobian program's size and the
+    // TR-BDF2 controller's accepted steps, Newton iterations and RHS
+    // evaluations are deterministic, so AD-lowering bloat or a
+    // step-controller regression shows up here as a changed count.
+    assert_eq!(sys.jacobian().instrs(), 8, "jacobian instructions");
+    assert_eq!(
+        (
+            tr.stats().accepted,
+            tr.stats().newton_iters,
+            tr.stats().rhs_evals
+        ),
+        (87, 362, 545),
+        "TR-BDF2 (accepted, newton_iters, rhs_evals)"
+    );
 }
 
 /// Robertson kinetics to t = 40 (the classic checkpoint): pinned end

@@ -10,7 +10,7 @@ use ark::core::CompiledSystem;
 use ark::ode::{Rk4, SolveError};
 use ark::sim::reduce::{
     premap, reduce_materialized, Extrema, Histogram, MinMax, MomentStats, Moments, Quantiles,
-    Yield, YieldCounter,
+    Reducer, Yield, YieldCounter,
 };
 use ark::sim::{seed_range, Ensemble};
 use proptest::prelude::*;
@@ -153,4 +153,31 @@ fn multi_block_ensembles_merge_deterministically() {
             assert_extrema_bits(&got.1, &want.1, &cx);
         }
     }
+}
+
+/// The streaming path's memory contract: one accumulator per block, of a
+/// fixed size that does not grow with the number of items folded in. For
+/// the moments + 64-bin quantile sketch + yield tuple that is 616 bytes,
+/// the histogram's bin payload included; an accumulator gaining a field or
+/// a per-item buffer changes the count.
+#[test]
+fn streaming_accumulator_footprint_is_pinned() {
+    let bins = 64;
+    let reducer = (
+        Moments,
+        Quantiles::new(-2.0, 2.0, bins),
+        premap(|v: f64| v > 0.0, YieldCounter),
+    );
+    let footprint = |acc: &(MomentStats, Histogram, Yield)| {
+        std::mem::size_of_val(&acc.0)
+            + std::mem::size_of_val(&acc.1)
+            + std::mem::size_of_val(acc.1.counts())
+            + std::mem::size_of_val(&acc.2)
+    };
+    let mut acc = reducer.new_acc();
+    assert_eq!(footprint(&acc), 616);
+    for k in 0..10_000 {
+        reducer.push(&mut acc, (k as f64 * 0.37).sin() * 3.0);
+    }
+    assert_eq!(footprint(&acc), 616, "footprint after 10 000 items");
 }
