@@ -1,7 +1,7 @@
 //! Simulation benchmark: RK4 throughput on the 53-node t-line.
 
 use ark_core::CompiledSystem;
-use ark_ode::{DormandPrince, OdeSystem, Rk4};
+use ark_ode::{integrate, DormandPrince, OdeSystem, Rk4};
 use ark_paradigms::tln::{linear_tline, tln_language, TlineConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -13,18 +13,11 @@ fn bench_simulate(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("simulate_tline_53");
     group.bench_function("rk4_1000_steps", |b| {
-        b.iter(|| {
-            Rk4 { dt: 2e-11 }
-                .integrate(&sys.bind(), 0.0, &y0, 2e-8, usize::MAX)
-                .unwrap()
-        })
+        b.iter(|| integrate(&Rk4 { dt: 2e-11 }, &sys.bind(), 0.0, &y0, 2e-8, usize::MAX).unwrap())
     });
+    let dp = DormandPrince::new(1e-6, 1e-9);
     group.bench_function("dp45_adaptive", |b| {
-        b.iter(|| {
-            DormandPrince::new(1e-6, 1e-9)
-                .integrate(&sys.bind(), 0.0, &y0, 2e-8)
-                .unwrap()
-        })
+        b.iter(|| integrate(&dp, &sys.bind(), 0.0, &y0, 2e-8, 1).unwrap())
     });
     group.bench_function("rhs_only", |b| {
         let mut dydt = vec![0.0; sys.num_states()];

@@ -2,7 +2,7 @@
 //! vs the compiled-DG RK4 transient on the same design.
 
 use ark_core::CompiledSystem;
-use ark_ode::Rk4;
+use ark_ode::{integrate, Rk4};
 use ark_paradigms::tln::{linear_tline, tln_language, TlineConfig};
 use ark_spice::synth::synthesize;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -22,11 +22,7 @@ fn bench_spice(c: &mut Criterion) {
         b.iter(|| netlist.transient(2e-8, 4e-11, 10).unwrap())
     });
     group.bench_function("dg_rk4", |b| {
-        b.iter(|| {
-            Rk4 { dt: 4e-11 }
-                .integrate(&sys.bind(), 0.0, &y0, 2e-8, 10)
-                .unwrap()
-        })
+        b.iter(|| integrate(&Rk4 { dt: 4e-11 }, &sys.bind(), 0.0, &y0, 2e-8, 10).unwrap())
     });
     group.finish();
 }

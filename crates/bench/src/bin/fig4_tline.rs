@@ -7,7 +7,7 @@
 
 use ark_bench::{print_series, sparkline, trials_arg};
 use ark_core::CompiledSystem;
-use ark_ode::{ensemble_stats, Rk4, Trajectory};
+use ark_ode::{ensemble_stats, integrate, Rk4, Trajectory};
 use ark_paradigms::tln::{
     branched_out_v, branched_tline, gmc_tln_language, linear_out_v, linear_tline, tln_language,
     MismatchKind, TlineConfig,
@@ -23,7 +23,8 @@ fn simulate(
 ) -> Result<(usize, Trajectory), Box<dyn std::error::Error>> {
     let sys = CompiledSystem::compile(lang, graph)?;
     let idx = sys.state_index(out).expect("observation node is stateful");
-    let tr = Rk4 { dt: DT }.integrate(&sys.bind(), 0.0, &sys.initial_state(), T_END, 8)?;
+    let y0 = sys.initial_state();
+    let tr = integrate(&Rk4 { dt: DT }, &sys.bind(), 0.0, &y0, T_END, 8)?;
     Ok((idx, tr))
 }
 

@@ -11,7 +11,7 @@
 
 use ark_bench::trials_arg;
 use ark_core::CompiledSystem;
-use ark_ode::{DormandPrince, TrBdf2};
+use ark_ode::{integrate, DormandPrince, TrBdf2};
 use ark_paradigms::stiff::{robertson_language, robertson_network, vdp_language, vdp_oscillator};
 use ark_paradigms::DynError;
 
@@ -33,8 +33,8 @@ fn main() -> Result<(), DynError> {
         let ix = sys.state_index("x").expect("x is a state");
         let y0 = sys.initial_state();
         let bound = sys.bind();
-        let tr = TrBdf2::new(rtol, atol).integrate(&bound, 0.0, &y0, 3.0, usize::MAX)?;
-        let dp = DormandPrince::new(rtol, atol).integrate(&bound, 0.0, &y0, 3.0)?;
+        let tr = integrate(&TrBdf2::new(rtol, atol), &bound, 0.0, &y0, 3.0, usize::MAX)?;
+        let dp = integrate(&DormandPrince::new(rtol, atol), &bound, 0.0, &y0, 3.0, 1)?;
         let (tr_steps, dp_steps) = (
             tr.stats().accepted + tr.stats().rejected,
             dp.stats().accepted + dp.stats().rejected,
@@ -73,7 +73,14 @@ fn main() -> Result<(), DynError> {
         rsys.state_index("c").expect("c"),
     );
     let y0 = rsys.initial_state();
-    let tr = TrBdf2::new(1e-8, 1e-12).integrate(&rsys.bind(), 0.0, &y0, 40.0, usize::MAX)?;
+    let tr = integrate(
+        &TrBdf2::new(1e-8, 1e-12),
+        &rsys.bind(),
+        0.0,
+        &y0,
+        40.0,
+        usize::MAX,
+    )?;
     let end = tr.last().unwrap().1;
     println!(
         "trbdf2: A = {:.7}  B = {:.3e}  C = {:.7}  (mass drift {:.1e}, {} steps, {} newton iters)",

@@ -1369,7 +1369,13 @@ mod tests {
     use crate::lang::{EdgeType, LanguageBuilder, NodeType, ProdRule};
     use crate::types::SigType;
     use ark_expr::{parse_expr, Lambda};
-    use ark_ode::Rk4;
+    use ark_ode::{integrate, Rk4, Trajectory};
+
+    /// RK4 from the system's own initial state, keeping every `stride`-th step.
+    fn simulate(sys: &CompiledSystem, dt: f64, t1: f64, stride: usize) -> Trajectory {
+        let y0 = sys.initial_state();
+        integrate(&Rk4 { dt }, &sys.bind(), 0.0, &y0, t1, stride).unwrap()
+    }
 
     /// RC-decay language: dV/dt = -V/(r*c) via a self edge.
     fn rc_lang() -> Language {
@@ -1565,7 +1571,7 @@ mod tests {
     #[test]
     fn laned_bind_matches_scalar_per_lane() {
         use ark_expr::LaneScratch;
-        use ark_ode::LaneWorkspace;
+        use ark_ode::{LaneWorkspace, Solver, Strided};
         const L: usize = 4;
         let lang = rc_lang();
         let mut b = GraphBuilder::new_parametric(&lang);
@@ -1594,7 +1600,7 @@ mod tests {
                 let y0 = sys.initial_state_for(p);
                 let mut scratch = sys.scratch();
                 let bound = sys.bind_ref(p, &mut scratch);
-                solver.integrate(&bound, 0.0, &y0, 1.0, 10).unwrap()
+                integrate(&solver, &bound, 0.0, &y0, 1.0, 10).unwrap()
             })
             .collect();
         // Laned path.
@@ -1608,9 +1614,11 @@ mod tests {
         let prefs: Vec<&[f64]> = lane_params.iter().map(|p| p.as_slice()).collect();
         let mut lscratch = LaneScratch::<L>::default();
         let bound = sys.bind_lanes(&prefs, &mut lscratch);
-        let laned = solver
-            .integrate_lanes_with(&bound, 0.0, &y0, 1.0, 10, &mut LaneWorkspace::new(n))
+        let mut rec = Strided::every(10);
+        solver
+            .solve(&bound, 0.0, &y0, 1.0, &mut rec, &mut LaneWorkspace::new(n))
             .unwrap();
+        let laned = rec.into_trajectories();
         for l in 0..L {
             assert_eq!(reference[l], laned[l], "lane {l}");
         }
@@ -1630,9 +1638,7 @@ mod tests {
         assert_eq!(sys.num_states(), 1);
         assert_eq!(sys.state_index("v0"), Some(0));
         assert_eq!(sys.initial_state(), vec![1.0]);
-        let tr = Rk4 { dt: 1e-3 }
-            .integrate(&sys.bind(), 0.0, &sys.initial_state(), 1.0, 10)
-            .unwrap();
+        let tr = simulate(&sys, 1e-3, 1.0, 10);
         let v_end = tr.last().unwrap().1[0];
         assert!((v_end - (-1.0f64).exp()).abs() < 1e-8, "v_end {v_end}");
         // The pretty-printed equation mentions the folded attribute values.
@@ -1676,15 +1682,7 @@ mod tests {
         let g = b.finish().unwrap();
         let sys = CompiledSystem::compile(&lang, &g).unwrap();
         // One period of the harmonic oscillator returns to the start.
-        let tr = Rk4 { dt: 1e-3 }
-            .integrate(
-                &sys.bind(),
-                0.0,
-                &sys.initial_state(),
-                std::f64::consts::TAU,
-                100,
-            )
-            .unwrap();
+        let tr = simulate(&sys, 1e-3, std::f64::consts::TAU, 100);
         let yf = tr.last().unwrap().1;
         assert!((yf[sys.state_index("a").unwrap()] - 1.0).abs() < 1e-6);
         assert!(yf[sys.state_index("b").unwrap()].abs() < 1e-6);
@@ -1730,9 +1728,7 @@ mod tests {
         assert!(sys.is_algebraic("o"));
         assert_eq!(sys.num_states(), 2);
         // V stays at 1 (no dynamics contributions), so dS/dt = 2 → S(1) = 2.
-        let tr = Rk4 { dt: 1e-3 }
-            .integrate(&sys.bind(), 0.0, &sys.initial_state(), 1.0, 10)
-            .unwrap();
+        let tr = simulate(&sys, 1e-3, 1.0, 10);
         let s_end = tr.last().unwrap().1[sys.state_index("s").unwrap()];
         assert!((s_end - 2.0).abs() < 1e-9);
         // Observing the algebraic node directly.
@@ -1818,9 +1814,7 @@ mod tests {
         b.set_switch("c", false).unwrap();
         let g = b.finish().unwrap();
         let sys = CompiledSystem::compile(&lang, &g).unwrap();
-        let tr = Rk4 { dt: 1e-2 }
-            .integrate(&sys.bind(), 0.0, &sys.initial_state(), 1.0, 10)
-            .unwrap();
+        let tr = simulate(&sys, 1e-2, 1.0, 10);
         let yf = tr.last().unwrap().1;
         // Nothing moves.
         assert_eq!(yf[0], 1.0);
@@ -1862,9 +1856,7 @@ mod tests {
         b.set_switch("c", false).unwrap();
         let g = b.finish().unwrap();
         let sys = CompiledSystem::compile(&lang, &g).unwrap();
-        let tr = Rk4 { dt: 1e-3 }
-            .integrate(&sys.bind(), 0.0, &sys.initial_state(), 1.0, 10)
-            .unwrap();
+        let tr = simulate(&sys, 1e-3, 1.0, 10);
         let a_end = tr.last().unwrap().1[sys.state_index("a").unwrap()];
         // a decays at rate 0.1; b receives nothing (its on-rule is inactive)
         // and stays at its default initial value of 1.
@@ -1898,15 +1890,7 @@ mod tests {
         let sys = CompiledSystem::compile(&lang, &g).unwrap();
         assert_eq!(sys.num_states(), 2);
         assert_eq!(sys.state_vars()[1].to_string(), "x'");
-        let tr = Rk4 { dt: 1e-3 }
-            .integrate(
-                &sys.bind(),
-                0.0,
-                &sys.initial_state(),
-                std::f64::consts::TAU,
-                100,
-            )
-            .unwrap();
+        let tr = simulate(&sys, 1e-3, std::f64::consts::TAU, 100);
         let yf = tr.last().unwrap().1;
         // cos(t) returns to 1 after one period.
         assert!((yf[0] - 1.0).abs() < 1e-6);
@@ -1943,9 +1927,7 @@ mod tests {
         b.edge("e", "E", "in", "v").unwrap();
         let g = b.finish().unwrap();
         let sys = CompiledSystem::compile(&lang, &g).unwrap();
-        let tr = Rk4 { dt: 1e-3 }
-            .integrate(&sys.bind(), 0.0, &sys.initial_state(), 1.0, 10)
-            .unwrap();
+        let tr = simulate(&sys, 1e-3, 1.0, 10);
         // v integrates a unit pulse of width 0.5 → 0.5 (up to O(dt) error
         // from the waveform discontinuity landing mid-step).
         let v_end = tr.last().unwrap().1[0];
@@ -2010,9 +1992,7 @@ mod tests {
         b.edge("e1", "E", "b", "p").unwrap();
         let g = b.finish().unwrap();
         let sys = CompiledSystem::compile(&lang, &g).unwrap();
-        let tr = Rk4 { dt: 1e-3 }
-            .integrate(&sys.bind(), 0.0, &sys.initial_state(), 1.0, 10)
-            .unwrap();
+        let tr = simulate(&sys, 1e-3, 1.0, 10);
         let p_end = tr.last().unwrap().1[sys.state_index("p").unwrap()];
         assert!((p_end - 6.0).abs() < 1e-9);
     }
@@ -2028,9 +2008,7 @@ mod tests {
         b.set_init("v0", 0, 4.0).unwrap();
         let g = b.finish().unwrap();
         let sys = CompiledSystem::compile(&lang, &g).unwrap();
-        let tr = Rk4 { dt: 1e-2 }
-            .integrate(&sys.bind(), 0.0, &sys.initial_state(), 1.0, 10)
-            .unwrap();
+        let tr = simulate(&sys, 1e-2, 1.0, 10);
         assert_eq!(tr.last().unwrap().1[0], 4.0);
     }
 }

@@ -34,7 +34,7 @@
 //! use ark_core::compile::CompiledSystem;
 //! use ark_core::types::SigType;
 //! use ark_expr::parse_expr;
-//! use ark_ode::Rk4;
+//! use ark_ode::{integrate, Rk4};
 //!
 //! let lang = LanguageBuilder::new("rc")
 //!     .node_type(
@@ -54,7 +54,7 @@
 //! let graph = b.finish()?;
 //!
 //! let sys = CompiledSystem::compile(&lang, &graph)?;
-//! let tr = Rk4 { dt: 1e-3 }.integrate(&sys.bind(), 0.0, &sys.initial_state(), 1.0, 10)?;
+//! let tr = integrate(&Rk4 { dt: 1e-3 }, &sys.bind(), 0.0, &sys.initial_state(), 1.0, 10)?;
 //! assert!((tr.last().unwrap().1[0] - (-1.0f64).exp()).abs() < 1e-8);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

@@ -423,7 +423,13 @@ fn coerce(value: Value, ty: &SigType) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ark_ode::Rk4;
+    use ark_ode::{integrate, Rk4, Trajectory};
+
+    /// RK4 from the system's own initial state, keeping every `stride`-th step.
+    fn simulate(sys: &CompiledSystem, dt: f64, t1: f64, stride: usize) -> Trajectory {
+        let y0 = sys.initial_state();
+        integrate(&Rk4 { dt }, &sys.bind(), 0.0, &y0, t1, stride).unwrap()
+    }
 
     /// An RC-pair program exercising the whole pipeline end to end.
     const SRC: &str = r#"
@@ -475,9 +481,7 @@ func pair(couple: int[0, 1], tau: real[0.1, 10]) uses rc {
         assert_eq!(graph.num_nodes(), 2);
         assert_eq!(sys.num_states(), 2);
         // Uncoupled: a decays like e^-t, b stays 0.
-        let tr = Rk4 { dt: 1e-3 }
-            .integrate(&sys.bind(), 0.0, &sys.initial_state(), 1.0, 10)
-            .unwrap();
+        let tr = simulate(&sys, 1e-3, 1.0, 10);
         let a = tr.last().unwrap().1[sys.state_index("a").unwrap()];
         let bb = tr.last().unwrap().1[sys.state_index("b").unwrap()];
         assert!((a - (-1.0f64).exp()).abs() < 1e-8);
@@ -510,9 +514,7 @@ func pair(couple: int[0, 1], tau: real[0.1, 10]) uses rc {
                 &ExternRegistry::new(),
             )
             .unwrap();
-        let tr = Rk4 { dt: 1e-3 }
-            .integrate(&sys.bind(), 0.0, &sys.initial_state(), 1.0, 10)
-            .unwrap();
+        let tr = simulate(&sys, 1e-3, 1.0, 10);
         let b = tr.last().unwrap().1[sys.state_index("b").unwrap()];
         assert!(b > 0.1, "b should accumulate charge, got {b}");
     }
@@ -566,12 +568,8 @@ func pair(couple: int[0, 1], tau: real[0.1, 10]) uses rc {
         let lang_derived = prog.language("rc_mm").unwrap();
         let sys_p = CompiledSystem::compile(lang_parent, &g_parent).unwrap();
         let sys_d = CompiledSystem::compile(lang_derived, &g_derived).unwrap();
-        let tp = Rk4 { dt: 1e-3 }
-            .integrate(&sys_p.bind(), 0.0, &sys_p.initial_state(), 1.0, 10)
-            .unwrap();
-        let td = Rk4 { dt: 1e-3 }
-            .integrate(&sys_d.bind(), 0.0, &sys_d.initial_state(), 1.0, 10)
-            .unwrap();
+        let tp = simulate(&sys_p, 1e-3, 1.0, 10);
+        let td = simulate(&sys_d, 1e-3, 1.0, 10);
         assert_eq!(tp.last().unwrap().1, td.last().unwrap().1);
     }
 

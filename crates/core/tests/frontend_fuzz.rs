@@ -1,0 +1,108 @@
+//! No-panic fuzz of the textual frontend: 20 000 randomly edited copies of
+//! the quickstart program go through [`Program::parse`] and
+//! [`Program::build`]. Every edit may make the program invalid, and a
+//! typed error is the expected answer; a panic anywhere in parse, invoke,
+//! validate or compile fails the test and prints the offending source.
+
+use ark_core::program::Program;
+use ark_core::validate::ExternRegistry;
+use ark_core::Value;
+use proptest::prelude::*;
+use std::panic;
+
+/// The quickstart example's program: the raw-string literal in
+/// `examples/quickstart.rs`, so the fuzz follows the README's first run.
+fn quickstart_source() -> &'static str {
+    let file = include_str!("../../../examples/quickstart.rs");
+    let start = file.find("r#\"").expect("quickstart embeds its program") + 3;
+    let len = file[start..].find("\"#").expect("raw string is terminated");
+    &file[start..start + len]
+}
+
+/// Replacement tokens: keywords, names from the program, punctuation and
+/// numeric edge cases.
+#[rustfmt::skip]
+const TOKENS: &[&str] = &[
+    "", " ", "\n", "0", "1", "-1", "1e308", "-1e308", "1e-320", "inf", "-inf", "nan", "NaN",
+    "(", ")", "[", "]", "{", "}", "<", ">", ";", ",", ":", ".", "->", "<=", "=", "+", "-", "*",
+    "/", "//", "\"", "lang", "func", "uses", "ntyp", "etyp", "prod", "cstr", "acc", "rej",
+    "match", "attr", "init", "default", "real", "int", "sum", "mul", "node", "edge",
+    "set-attr", "set-init", "var", "Cell", "Link", "diffuse", "chain", "s", "t", "e", "w",
+    "tau", "a", "b", "c", "a(0)", "a(1)", "s.tau", "e.w", "var(s)", "var(t)", "sin(", "exp(",
+    "real[0, 10]", "real[10, 0]", "match(0, inf, Link, Cell)", "ntyp(0, sum)", "ntyp(3, mul)",
+];
+
+/// One edit: `(kind, position, length, token/byte selector)`. Positions
+/// and lengths are reduced modulo the current source length.
+type Edit = (u8, usize, usize, usize);
+
+fn is_word(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_' || b == b'.'
+}
+
+fn apply(src: &mut Vec<u8>, (kind, pos, len, pick): Edit) {
+    let n = src.len();
+    if n == 0 {
+        src.extend_from_slice(TOKENS[pick % TOKENS.len()].as_bytes());
+        return;
+    }
+    let at = pos % n;
+    let end = (at + len).min(n);
+    match kind {
+        // Delete a byte span.
+        0 => {
+            src.drain(at..end);
+        }
+        // Insert one printable ASCII byte (or a newline).
+        1 => src.insert(
+            at,
+            if pick % 96 == 95 {
+                b'\n'
+            } else {
+                b' ' + (pick % 95) as u8
+            },
+        ),
+        // Overwrite one byte with printable ASCII.
+        2 => src[at] = b' ' + (pick % 95) as u8,
+        // Duplicate a span somewhere else.
+        3 => {
+            let span = src[at..end].to_vec();
+            let to = pick % (n + 1);
+            src.splice(to..to, span);
+        }
+        // Replace the word (or punctuation byte) under `at` with a token.
+        _ => {
+            let (mut lo, mut hi) = (at, at + 1);
+            if is_word(src[at]) {
+                while lo > 0 && is_word(src[lo - 1]) {
+                    lo -= 1;
+                }
+                while hi < n && is_word(src[hi]) {
+                    hi += 1;
+                }
+            }
+            src.splice(lo..hi, TOKENS[pick % TOKENS.len()].bytes());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    #[test]
+    fn edited_quickstart_never_panics(
+        edits in proptest::collection::vec((0u8..5, 0usize..4096, 1usize..16, 0usize..4096), 1..=4),
+    ) {
+        let mut bytes = quickstart_source().as_bytes().to_vec();
+        for &edit in &edits {
+            apply(&mut bytes, edit);
+        }
+        let src = String::from_utf8(bytes).expect("edits insert ASCII only");
+        let outcome = panic::catch_unwind(|| {
+            Program::parse(&src).and_then(|program| {
+                program.build("chain", &[Value::Real(2.0)], 0, &ExternRegistry::new())
+            })
+        });
+        prop_assert!(outcome.is_ok(), "frontend panicked on edits {:?}:\n{}", edits, src);
+    }
+}

@@ -17,8 +17,9 @@
 //! μ = 1000, Robertson kinetics, charge-transfer dynamics) where λ·(span)
 //! is 10⁶ and up.
 //!
-//! The Jacobian comes from [`OdeSystem::jacobian`] when the system provides
-//! one (`ark-core` compiled systems lower it from the value DAG by
+//! The Jacobian comes from
+//! [`OdeSystem::jacobian`](crate::OdeSystem::jacobian) when the system
+//! provides one (`ark-core` compiled systems lower it from the value DAG by
 //! forward-mode differentiation) and from internal forward finite
 //! differences otherwise. Either way the solver composes like every other
 //! one: it implements [`Solver`], streams to observers, and runs under
@@ -31,12 +32,12 @@
 //! infinity:
 //!
 //! ```
-//! use ark_ode::{LinearSystem, TrBdf2};
+//! use ark_ode::{integrate, LinearSystem, TrBdf2};
 //!
 //! // dy/dt = -1e4 y, h = 0.05 → RK4's growth factor per step is huge;
 //! // TR-BDF2 is L-stable and damps it monotonically.
 //! let sys = LinearSystem::new(1, vec![-1e4], |_t, b: &mut [f64]| b[0] = 0.0);
-//! let tr = TrBdf2::fixed(0.05).integrate(&sys, 0.0, &[1.0], 1.0, 1)?;
+//! let tr = integrate(&TrBdf2::fixed(0.05), &sys, 0.0, &[1.0], 1.0, 1)?;
 //! let end = tr.last().unwrap().1[0];
 //! assert!(end.abs() < 1e-6, "L-stable decay, got {end}");
 //! # Ok::<(), ark_ode::SolveError>(())
@@ -44,12 +45,10 @@
 
 use crate::integrate::{LaneError, SolveError};
 use crate::linalg::{Lu, Matrix};
-use crate::observe::Strided;
 use crate::observe::{Observer, StepInfo};
 use crate::solver::Workspace;
 use crate::solver::{validate_dim, validate_span, Adaptive, Elem, Fixed, Solver, SystemOver};
-use crate::system::OdeSystem;
-use crate::trajectory::{SolveStats, Trajectory};
+use crate::trajectory::SolveStats;
 
 /// γ = 2 − √2: the trapezoidal sub-step fraction that makes both TR-BDF2
 /// stages share one iteration matrix (and the method L-stable).
@@ -96,14 +95,14 @@ impl Default for NewtonCfg {
 /// Van der Pol at μ = 1000 — the classic stiff benchmark:
 ///
 /// ```
-/// use ark_ode::{FnSystem, TrBdf2};
+/// use ark_ode::{integrate, FnSystem, TrBdf2};
 ///
 /// let mu = 1000.0;
 /// let vdp = FnSystem::new(2, move |_t, y: &[f64], d: &mut [f64]| {
 ///     d[0] = y[1];
 ///     d[1] = mu * ((1.0 - y[0] * y[0]) * y[1]) - y[0];
 /// });
-/// let tr = TrBdf2::new(1e-6, 1e-9).integrate(&vdp, 0.0, &[2.0, 0.0], 1.0, 1)?;
+/// let tr = integrate(&TrBdf2::new(1e-6, 1e-9), &vdp, 0.0, &[2.0, 0.0], 1.0, 1)?;
 /// let stats = tr.stats();
 /// assert!(stats.accepted < 500, "stiffness-insensitive step count");
 /// # Ok::<(), ark_ode::SolveError>(())
@@ -153,29 +152,6 @@ impl<C> TrBdf2<C> {
     pub fn with_newton(mut self, newton: NewtonCfg) -> Self {
         self.newton = newton;
         self
-    }
-
-    /// Integrate and record every `stride`-th accepted step (ergonomic
-    /// wrapper pairing [`Solver::solve`] with a [`Strided`] recorder, like
-    /// the explicit solvers' `integrate`).
-    ///
-    /// # Errors
-    ///
-    /// See [`Solver::solve`].
-    pub fn integrate(
-        &self,
-        sys: &impl OdeSystem,
-        t0: f64,
-        y0: &[f64],
-        t1: f64,
-        stride: usize,
-    ) -> Result<Trajectory, SolveError>
-    where
-        Self: Solver,
-    {
-        let mut rec = Strided::every(stride);
-        self.solve(sys, t0, y0, t1, &mut rec, &mut Workspace::new(y0.len()))?;
-        Ok(rec.into_trajectory())
     }
 }
 
@@ -687,7 +663,7 @@ impl Solver for TrBdf2<Fixed> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::integrate::Rk4;
+    use crate::integrate::{integrate, Rk4};
     use crate::observe::FinalState;
     use crate::solver::OdeWorkspace;
     use crate::system::{FnSystem, LinearSystem};
@@ -699,9 +675,7 @@ mod tests {
     #[test]
     fn matches_exponential_decay() {
         let sys = decay(1.0);
-        let tr = TrBdf2::new(1e-8, 1e-11)
-            .integrate(&sys, 0.0, &[1.0], 1.0, 1)
-            .unwrap();
+        let tr = integrate(&TrBdf2::new(1e-8, 1e-11), &sys, 0.0, &[1.0], 1.0, 1).unwrap();
         let end = tr.last().unwrap().1[0];
         assert!(
             (end - (-1.0_f64).exp()).abs() < 1e-6,
@@ -713,12 +687,8 @@ mod tests {
     #[test]
     fn fixed_grid_is_deterministic_and_orders_match() {
         let sys = decay(2.0);
-        let a = TrBdf2::fixed(1e-3)
-            .integrate(&sys, 0.0, &[1.0], 1.0, 1)
-            .unwrap();
-        let b = TrBdf2::fixed(1e-3)
-            .integrate(&sys, 0.0, &[1.0], 1.0, 1)
-            .unwrap();
+        let a = integrate(&TrBdf2::fixed(1e-3), &sys, 0.0, &[1.0], 1.0, 1).unwrap();
+        let b = integrate(&TrBdf2::fixed(1e-3), &sys, 0.0, &[1.0], 1.0, 1).unwrap();
         assert_eq!(a, b, "same grid, same bits");
         assert_eq!(a.stats().rejected, 0);
         assert!(a.stats().newton_iters >= a.stats().accepted);
@@ -732,8 +702,8 @@ mod tests {
         let sys = decay(3.0);
         let fd = FnSystem::new(1, |_t, y: &[f64], d: &mut [f64]| d[0] = -3.0 * y[0]);
         let solver = TrBdf2::fixed(1e-2);
-        let a = solver.integrate(&sys, 0.0, &[1.0], 1.0, 1).unwrap();
-        let b = solver.integrate(&fd, 0.0, &[1.0], 1.0, 1).unwrap();
+        let a = integrate(&solver, &sys, 0.0, &[1.0], 1.0, 1).unwrap();
+        let b = integrate(&solver, &fd, 0.0, &[1.0], 1.0, 1).unwrap();
         assert_eq!(a.stats().accepted, b.stats().accepted);
         assert!(
             a.stats().rhs_evals < b.stats().rhs_evals,
@@ -752,12 +722,10 @@ mod tests {
         // region, deep inside TR-BDF2's.
         let sys = decay(1e4);
         let h = 0.05;
-        let implicit = TrBdf2::fixed(h)
-            .integrate(&sys, 0.0, &[1.0], 1.0, 1)
-            .unwrap();
+        let implicit = integrate(&TrBdf2::fixed(h), &sys, 0.0, &[1.0], 1.0, 1).unwrap();
         let end = implicit.last().unwrap().1[0];
         assert!(end.is_finite() && end.abs() < 1e-6, "implicit end {end}");
-        let explicit = Rk4 { dt: h }.integrate(&sys, 0.0, &[1.0], 1.0, 1);
+        let explicit = integrate(&Rk4 { dt: h }, &sys, 0.0, &[1.0], 1.0, 1);
         match explicit {
             Ok(tr) => {
                 let e = tr.last().unwrap().1[0];
@@ -793,7 +761,7 @@ mod tests {
         // An rhs whose Jacobian FD sees as huge and whose dynamics explode
         // faster than Newton can track at a coarse fixed step.
         let sys = FnSystem::new(1, |_t, y: &[f64], d: &mut [f64]| d[0] = (y[0] * 50.0).exp());
-        let res = TrBdf2::fixed(10.0).integrate(&sys, 0.0, &[1.0], 100.0, 1);
+        let res = integrate(&TrBdf2::fixed(10.0), &sys, 0.0, &[1.0], 100.0, 1);
         assert!(
             matches!(
                 res,
@@ -832,9 +800,7 @@ mod tests {
         let sys = FnSystem::new(1, move |t: f64, y: &[f64], d: &mut [f64]| {
             d[0] = -lambda * (y[0] - t.cos())
         });
-        let tr = TrBdf2::new(1e-6, 1e-9)
-            .integrate(&sys, 0.0, &[0.0], 2.0, 1)
-            .unwrap();
+        let tr = integrate(&TrBdf2::new(1e-6, 1e-9), &sys, 0.0, &[0.0], 2.0, 1).unwrap();
         let stats = tr.stats();
         assert!(stats.accepted + stats.rejected < 400, "steps {:?}", stats);
         // The solution rides the slow manifold y ≈ cos t.

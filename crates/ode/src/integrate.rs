@@ -1,10 +1,10 @@
 //! The solver configurations: fixed-step and adaptive integrators.
 //!
 //! The Ark compiler produces an [`OdeSystem`]; these solvers run the
-//! transient simulations behind every figure in the paper. Since the
-//! solver/observer redesign they are thin configurations of the unified
-//! [`Solver`] trait — a [`Stepper`](crate::Stepper) composed with a
-//! [`StepControl`] policy (see [`crate::solver`]):
+//! transient simulations behind every figure in the paper. They are thin
+//! configurations of the unified [`Solver`] trait — a
+//! [`Stepper`](crate::Stepper) composed with a [`StepControl`] policy (see
+//! [`crate::solver`]):
 //!
 //! * [`Rk4`] (and [`Euler`]) — fixed-step explicit methods
 //!   ([`Fixed`] control), predictable cost, used for the TLN/OBC
@@ -17,19 +17,18 @@
 //!   per-lane early-exit masks, opt-in because the voted step grid trades
 //!   bit-identity across lane widths for ensemble throughput.
 //!
-//! Every solver keeps its historical inherent entry points — `integrate`
-//! (allocating), `integrate_with` (caller-provided [`OdeWorkspace`], zero
-//! per-step allocations), and `integrate_lanes_with` (lockstep lanes) —
-//! as wrappers pairing [`Solver::solve`] with a
-//! [`Strided`] trajectory recorder. All of them produce
-//! trajectories bit-identical to the pre-redesign implementations.
+//! Every solver runs through [`Solver::solve`] with an
+//! [`Observer`](crate::Observer). [`integrate()`] is the one allocating
+//! convenience: it pairs `solve` with a fresh [`OdeWorkspace`] and a
+//! [`Strided`] recorder and returns the [`Trajectory`]. Callers that reuse
+//! a workspace, step lanes, or read out in the loop call `solve` directly.
 
 use crate::observe::Strided;
 use crate::solver::{
-    Adaptive, Dp45Stages, Elem, EulerStages, Fixed, LaneWorkspace, OdeWorkspace, Rk4Stages, Solver,
-    StepControl, SystemOver, VotingAdaptive, Workspace,
+    Adaptive, Dp45Stages, Elem, EulerStages, Fixed, OdeWorkspace, Rk4Stages, Solver, StepControl,
+    SystemOver, VotingAdaptive, Workspace,
 };
-use crate::system::{LanedOdeSystem, OdeSystem};
+use crate::system::OdeSystem;
 use crate::trajectory::Trajectory;
 use std::fmt;
 
@@ -187,19 +186,43 @@ impl From<LaneError> for SolveError {
     }
 }
 
-/// Shared wrapper: run `solver` with a [`Strided`] recorder, one lane.
-fn record<V: Solver, E: Elem, S: SystemOver<E> + ?Sized>(
+/// Integrate `sys` from `(t0, y0)` to `t1` under `solver`, recording every
+/// `stride`-th accepted step plus the initial and final states (`stride`
+/// 0 is treated as 1; adaptive solvers usually pass 1).
+///
+/// The one allocating convenience over [`Solver::solve`]: it runs with a
+/// fresh [`OdeWorkspace`] and a [`Strided`] recorder. Hot loops that
+/// integrate many times call `solve` with a reused workspace instead.
+///
+/// # Examples
+///
+/// ```
+/// use ark_ode::{integrate, DormandPrince, FnSystem, Rk4};
+///
+/// let sys = FnSystem::new(1, |_t, y, dydt| dydt[0] = -y[0]);
+/// let fixed = integrate(&Rk4 { dt: 1e-3 }, &sys, 0.0, &[1.0], 1.0, 10)?;
+/// let adaptive = integrate(&DormandPrince::new(1e-9, 1e-12), &sys, 0.0, &[1.0], 1.0, 1)?;
+/// let (f, a) = (fixed.last().unwrap().1[0], adaptive.last().unwrap().1[0]);
+/// assert!((f - a).abs() < 1e-8);
+/// # Ok::<(), ark_ode::SolveError>(())
+/// ```
+///
+/// # Errors
+///
+/// See [`Solver::solve`]: [`SolveError::BadConfig`] for an invalid step,
+/// interval or initial state, [`SolveError::NonFinite`] if the state
+/// blows up, and the adaptive and implicit failures of the chosen solver.
+pub fn integrate<V: Solver, S: OdeSystem + ?Sized>(
     solver: &V,
     sys: &S,
     t0: f64,
-    y0: &[E],
+    y0: &[f64],
     t1: f64,
     stride: usize,
-    ws: &mut Workspace<E>,
-) -> Result<Vec<Trajectory>, SolveError> {
+) -> Result<Trajectory, SolveError> {
     let mut rec = Strided::every(stride);
-    solver.solve(sys, t0, y0, t1, &mut rec, ws)?;
-    Ok(rec.into_trajectories())
+    solver.solve(sys, t0, y0, t1, &mut rec, &mut OdeWorkspace::new(y0.len()))?;
+    Ok(rec.into_trajectory())
 }
 
 /// Forward Euler with a fixed step. Mostly a baseline for convergence tests.
@@ -220,75 +243,6 @@ impl Solver for Euler {
         ws: &mut Workspace<E>,
     ) -> Result<crate::SolveStats, SolveError> {
         Fixed::new(self.dt).drive(&EulerStages, sys, t0, y0, t1, obs, ws)
-    }
-}
-
-impl Euler {
-    /// Integrate from `t0` to `t1`, recording every `stride`-th step (the
-    /// initial and final states are always recorded). Allocates work buffers
-    /// internally; see [`Euler::integrate_with`] for the reusable-buffer
-    /// form.
-    ///
-    /// # Errors
-    ///
-    /// [`SolveError::BadConfig`] for a non-positive step or empty interval,
-    /// [`SolveError::NonFinite`] if the state blows up.
-    pub fn integrate(
-        &self,
-        sys: &impl OdeSystem,
-        t0: f64,
-        y0: &[f64],
-        t1: f64,
-        stride: usize,
-    ) -> Result<Trajectory, SolveError> {
-        self.integrate_with(sys, t0, y0, t1, stride, &mut OdeWorkspace::new(y0.len()))
-    }
-
-    /// Like [`Euler::integrate`], but stepping through the caller-provided
-    /// workspace: the hot loop performs no allocations beyond amortized
-    /// trajectory growth.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Euler::integrate`].
-    pub fn integrate_with(
-        &self,
-        sys: &impl OdeSystem,
-        t0: f64,
-        y0: &[f64],
-        t1: f64,
-        stride: usize,
-        ws: &mut OdeWorkspace,
-    ) -> Result<Trajectory, SolveError> {
-        Ok(record(self, sys, t0, y0, t1, stride, ws)?
-            .pop()
-            .expect("one lane"))
-    }
-
-    /// Lane-batched [`Euler::integrate_with`]: steps `L` independent
-    /// instances in lockstep, producing one trajectory per lane. Each
-    /// lane's trajectory (samples *and* stats) is bit-identical to a scalar
-    /// [`Euler::integrate_with`] of that lane alone — the update arithmetic
-    /// is elementwise and ordered exactly like the scalar loop.
-    ///
-    /// `y0` is struct-of-arrays: `y0[i][l]` is state component `i` of lane
-    /// `l`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Euler::integrate_with`]; when lanes fail, the *lowest* failed
-    /// lane's error is reported (lanes keep stepping after another lane
-    /// fails, so the reported lane and time match the scalar path).
-    pub fn integrate_lanes_with<const L: usize>(
-        &self,
-        sys: &impl LanedOdeSystem<L>,
-        t0: f64,
-        y0: &[[f64; L]],
-        t1: f64,
-        stride: usize,
-        ws: &mut LaneWorkspace<L>,
-    ) -> Result<Vec<Trajectory>, SolveError> {
-        record(self, sys, t0, y0, t1, stride, ws)
     }
 }
 
@@ -313,82 +267,10 @@ impl Solver for Rk4 {
     }
 }
 
-impl Rk4 {
-    /// Integrate from `t0` to `t1`, recording every `stride`-th step (the
-    /// initial and final states are always recorded). Allocates work buffers
-    /// internally; see [`Rk4::integrate_with`] for the reusable-buffer form.
-    ///
-    /// # Errors
-    ///
-    /// [`SolveError::BadConfig`] for a non-positive step or empty interval,
-    /// [`SolveError::NonFinite`] if the state blows up.
-    pub fn integrate(
-        &self,
-        sys: &impl OdeSystem,
-        t0: f64,
-        y0: &[f64],
-        t1: f64,
-        stride: usize,
-    ) -> Result<Trajectory, SolveError> {
-        self.integrate_with(sys, t0, y0, t1, stride, &mut OdeWorkspace::new(y0.len()))
-    }
-
-    /// Like [`Rk4::integrate`], but stepping through the caller-provided
-    /// workspace: the hot loop performs no allocations beyond amortized
-    /// trajectory growth.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Rk4::integrate`].
-    pub fn integrate_with(
-        &self,
-        sys: &impl OdeSystem,
-        t0: f64,
-        y0: &[f64],
-        t1: f64,
-        stride: usize,
-        ws: &mut OdeWorkspace,
-    ) -> Result<Trajectory, SolveError> {
-        Ok(record(self, sys, t0, y0, t1, stride, ws)?
-            .pop()
-            .expect("one lane"))
-    }
-
-    /// Lane-batched [`Rk4::integrate_with`]: steps `L` independent
-    /// instances in lockstep, producing one trajectory per lane. Each
-    /// lane's trajectory (samples *and* stats) is bit-identical to a scalar
-    /// [`Rk4::integrate_with`] of that lane alone: every stage update is
-    /// elementwise with the same operation order as the scalar loop, and
-    /// fixed-step lockstep means all lanes share the exact `t` grid (which
-    /// also keeps the laned interpreter's time-prologue cache shared).
-    ///
-    /// This is the workhorse of the `ark-sim` laned ensembles. The
-    /// PI-adaptive [`DormandPrince`] deliberately has **no** laned form —
-    /// see its type docs; [`VotingDormandPrince`] is the opt-in laned
-    /// adaptive mode.
-    ///
-    /// `y0` is struct-of-arrays: `y0[i][l]` is state component `i` of lane
-    /// `l`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Rk4::integrate_with`]; when lanes fail, the *lowest* failed
-    /// lane's error is reported (lanes keep stepping after another lane
-    /// fails, so the reported lane and time match the scalar path).
-    pub fn integrate_lanes_with<const L: usize>(
-        &self,
-        sys: &impl LanedOdeSystem<L>,
-        t0: f64,
-        y0: &[[f64; L]],
-        t1: f64,
-        stride: usize,
-        ws: &mut LaneWorkspace<L>,
-    ) -> Result<Vec<Trajectory>, SolveError> {
-        record(self, sys, t0, y0, t1, stride, ws)
-    }
-}
-
 /// Adaptive Dormand–Prince 5(4) embedded Runge–Kutta pair.
+///
+/// Recorded samples land on the accepted (possibly large) steps: bound
+/// `h_max` when a trajectory must be interpolated densely.
 ///
 /// # No laned form by default (lockstep fixed-step-only policy)
 ///
@@ -480,53 +362,6 @@ impl DormandPrince {
     pub fn voting(self) -> VotingDormandPrince {
         VotingDormandPrince(self)
     }
-
-    /// Integrate from `t0` to `t1`, recording every accepted step. Allocates
-    /// work buffers internally; see [`DormandPrince::integrate_with`] for
-    /// the reusable-buffer form.
-    ///
-    /// Samples land on the accepted (possibly large) steps; if you need to
-    /// interpolate the result densely, bound `h_max` so linear interpolation
-    /// between samples stays accurate.
-    ///
-    /// The returned trajectory's [`SolveStats`](crate::SolveStats) report
-    /// accepted *and* rejected step counts — rejections are where the PI
-    /// controller earned its keep.
-    ///
-    /// # Errors
-    ///
-    /// [`SolveError::StepSizeUnderflow`] when the error controller cannot
-    /// meet the tolerance, [`SolveError::NonFinite`] on blow-up, and
-    /// [`SolveError::BadConfig`] for invalid configuration.
-    pub fn integrate(
-        &self,
-        sys: &impl OdeSystem,
-        t0: f64,
-        y0: &[f64],
-        t1: f64,
-    ) -> Result<Trajectory, SolveError> {
-        self.integrate_with(sys, t0, y0, t1, &mut OdeWorkspace::new(y0.len()))
-    }
-
-    /// Like [`DormandPrince::integrate`], but stepping through the
-    /// caller-provided workspace: the hot loop performs no allocations
-    /// beyond amortized trajectory growth.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DormandPrince::integrate`].
-    pub fn integrate_with(
-        &self,
-        sys: &impl OdeSystem,
-        t0: f64,
-        y0: &[f64],
-        t1: f64,
-        ws: &mut OdeWorkspace,
-    ) -> Result<Trajectory, SolveError> {
-        Ok(record(self, sys, t0, y0, t1, 1, ws)?
-            .pop()
-            .expect("one lane"))
-    }
 }
 
 /// The lane-batched adaptive solver: [`DormandPrince`] stages under
@@ -584,6 +419,21 @@ mod tests {
     use crate::system::FnSystem;
     use crate::LaneWorkspace;
 
+    /// `solve` + [`Strided`] through a caller-provided, possibly dirty
+    /// workspace — what [`integrate()`] must match bit for bit.
+    pub(super) fn solve_in<V: Solver>(
+        solver: &V,
+        sys: &(impl OdeSystem + ?Sized),
+        y0: &[f64],
+        t1: f64,
+        stride: usize,
+        ws: &mut OdeWorkspace,
+    ) -> Result<Trajectory, SolveError> {
+        let mut rec = Strided::every(stride);
+        solver.solve(sys, 0.0, y0, t1, &mut rec, ws)?;
+        Ok(rec.into_trajectory())
+    }
+
     fn decay() -> FnSystem<impl Fn(f64, &[f64], &mut [f64])> {
         FnSystem::new(1, |_t, y: &[f64], d: &mut [f64]| d[0] = -y[0])
     }
@@ -591,9 +441,7 @@ mod tests {
     #[test]
     fn euler_decay_first_order() {
         let sys = decay();
-        let tr = Euler { dt: 1e-3 }
-            .integrate(&sys, 0.0, &[1.0], 1.0, 100)
-            .unwrap();
+        let tr = integrate(&Euler { dt: 1e-3 }, &sys, 0.0, &[1.0], 1.0, 100).unwrap();
         let (_, yf) = tr.last().unwrap();
         assert!((yf[0] - (-1.0f64).exp()).abs() < 1e-3);
     }
@@ -603,9 +451,7 @@ mod tests {
         // Halving dt halves the global error on y' = -y.
         let sys = decay();
         let err = |dt: f64| {
-            let tr = Euler { dt }
-                .integrate(&sys, 0.0, &[1.0], 1.0, usize::MAX)
-                .unwrap();
+            let tr = integrate(&Euler { dt }, &sys, 0.0, &[1.0], 1.0, usize::MAX).unwrap();
             (tr.last().unwrap().1[0] - (-1.0f64).exp()).abs()
         };
         let ratio = err(0.01) / err(0.005);
@@ -615,9 +461,7 @@ mod tests {
     #[test]
     fn rk4_decay_high_accuracy() {
         let sys = decay();
-        let tr = Rk4 { dt: 1e-2 }
-            .integrate(&sys, 0.0, &[1.0], 1.0, 10)
-            .unwrap();
+        let tr = integrate(&Rk4 { dt: 1e-2 }, &sys, 0.0, &[1.0], 1.0, 10).unwrap();
         let (_, yf) = tr.last().unwrap();
         assert!((yf[0] - (-1.0f64).exp()).abs() < 1e-9);
     }
@@ -626,9 +470,7 @@ mod tests {
     fn rk4_fourth_order_convergence() {
         let sys = decay();
         let err = |dt: f64| {
-            let tr = Rk4 { dt }
-                .integrate(&sys, 0.0, &[1.0], 1.0, usize::MAX)
-                .unwrap();
+            let tr = integrate(&Rk4 { dt }, &sys, 0.0, &[1.0], 1.0, usize::MAX).unwrap();
             (tr.last().unwrap().1[0] - (-1.0f64).exp()).abs()
         };
         let e1 = err(0.1);
@@ -644,9 +486,15 @@ mod tests {
             d[0] = y[1];
             d[1] = -y[0];
         });
-        let tr = Rk4 { dt: 1e-3 }
-            .integrate(&sys, 0.0, &[1.0, 0.0], 2.0 * std::f64::consts::PI, 100)
-            .unwrap();
+        let tr = integrate(
+            &Rk4 { dt: 1e-3 },
+            &sys,
+            0.0,
+            &[1.0, 0.0],
+            2.0 * std::f64::consts::PI,
+            100,
+        )
+        .unwrap();
         let (_, yf) = tr.last().unwrap();
         // One full period returns to the initial condition.
         assert!((yf[0] - 1.0).abs() < 1e-8);
@@ -658,9 +506,7 @@ mod tests {
     #[test]
     fn dp45_decay_meets_tolerance() {
         let sys = decay();
-        let tr = DormandPrince::new(1e-9, 1e-12)
-            .integrate(&sys, 0.0, &[1.0], 1.0)
-            .unwrap();
+        let tr = integrate(&DormandPrince::new(1e-9, 1e-12), &sys, 0.0, &[1.0], 1.0, 1).unwrap();
         let (_, yf) = tr.last().unwrap();
         assert!((yf[0] - (-1.0f64).exp()).abs() < 1e-8);
     }
@@ -675,7 +521,7 @@ mod tests {
             h_max: 1e-2,
             ..DormandPrince::new(1e-8, 1e-11)
         };
-        let tr = solver.integrate(&sys, 0.0, &[0.0], 3.0).unwrap();
+        let tr = integrate(&solver, &sys, 0.0, &[0.0], 3.0, 1).unwrap();
         for t in [0.5, 1.0, 2.0, 3.0] {
             assert!((tr.value_at(t, 0) - t.sin()).abs() < 1e-5, "t={t}");
         }
@@ -685,12 +531,9 @@ mod tests {
     fn dp45_adapts_step_count() {
         // A stiff-ish decay needs more steps at tight tolerance.
         let sys = FnSystem::new(1, |_t, y: &[f64], d: &mut [f64]| d[0] = -50.0 * y[0]);
-        let loose = DormandPrince::new(1e-3, 1e-6)
-            .integrate(&sys, 0.0, &[1.0], 1.0)
-            .unwrap();
-        let tight = DormandPrince::new(1e-10, 1e-13)
-            .integrate(&sys, 0.0, &[1.0], 1.0)
-            .unwrap();
+        let loose = integrate(&DormandPrince::new(1e-3, 1e-6), &sys, 0.0, &[1.0], 1.0, 1).unwrap();
+        let tight =
+            integrate(&DormandPrince::new(1e-10, 1e-13), &sys, 0.0, &[1.0], 1.0, 1).unwrap();
         assert!(tight.len() > loose.len());
     }
 
@@ -703,7 +546,7 @@ mod tests {
             h0: Some(0.5),
             ..DormandPrince::new(1e-8, 1e-11)
         };
-        let tr = solver.integrate(&sys, 0.0, &[1.0], 1.0).unwrap();
+        let tr = integrate(&solver, &sys, 0.0, &[1.0], 1.0, 1).unwrap();
         let stats = tr.stats();
         assert!(stats.rejected >= 1, "stats {stats:?}");
         assert_eq!(stats.accepted, tr.len() - 1);
@@ -718,16 +561,12 @@ mod tests {
     #[test]
     fn fixed_step_stats_count_steps() {
         let sys = decay();
-        let tr = Rk4 { dt: 0.1 }
-            .integrate(&sys, 0.0, &[1.0], 1.0, 1)
-            .unwrap();
+        let tr = integrate(&Rk4 { dt: 0.1 }, &sys, 0.0, &[1.0], 1.0, 1).unwrap();
         let stats = tr.stats();
         assert_eq!(stats.accepted, 10);
         assert_eq!(stats.rejected, 0);
         assert_eq!(stats.rhs_evals, 40);
-        let tr = Euler { dt: 0.1 }
-            .integrate(&sys, 0.0, &[1.0], 1.0, 1)
-            .unwrap();
+        let tr = integrate(&Euler { dt: 0.1 }, &sys, 0.0, &[1.0], 1.0, 1).unwrap();
         assert_eq!(tr.stats().rhs_evals, 10);
     }
 
@@ -735,22 +574,28 @@ mod tests {
     fn workspace_is_reusable_across_dims_and_solvers() {
         let mut ws = OdeWorkspace::new(1);
         let sys1 = decay();
-        let a = Rk4 { dt: 1e-2 }
-            .integrate_with(&sys1, 0.0, &[1.0], 1.0, 10, &mut ws)
-            .unwrap();
+        let a = solve_in(&Rk4 { dt: 1e-2 }, &sys1, &[1.0], 1.0, 10, &mut ws).unwrap();
         // Same workspace, larger system.
         let sys2 = FnSystem::new(2, |_t, y: &[f64], d: &mut [f64]| {
             d[0] = y[1];
             d[1] = -y[0];
         });
-        let b = DormandPrince::default()
-            .integrate_with(&sys2, 0.0, &[1.0, 0.0], 1.0, &mut ws)
-            .unwrap();
+        let b = solve_in(
+            &DormandPrince::default(),
+            &sys2,
+            &[1.0, 0.0],
+            1.0,
+            1,
+            &mut ws,
+        )
+        .unwrap();
         // And back down again, matching the fresh-buffer path exactly.
-        let c = Rk4 { dt: 1e-2 }
-            .integrate_with(&sys1, 0.0, &[1.0], 1.0, 10, &mut ws)
-            .unwrap();
+        let c = solve_in(&Rk4 { dt: 1e-2 }, &sys1, &[1.0], 1.0, 10, &mut ws).unwrap();
         assert_eq!(a, c);
+        assert_eq!(
+            a,
+            integrate(&Rk4 { dt: 1e-2 }, &sys1, 0.0, &[1.0], 1.0, 10).unwrap()
+        );
         assert_eq!(b.dim(), 2);
     }
 
@@ -758,9 +603,7 @@ mod tests {
     fn fixed_step_hits_end_exactly() {
         let sys = decay();
         // dt that does not divide the interval.
-        let tr = Rk4 { dt: 0.3 }
-            .integrate(&sys, 0.0, &[1.0], 1.0, 1)
-            .unwrap();
+        let tr = integrate(&Rk4 { dt: 0.3 }, &sys, 0.0, &[1.0], 1.0, 1).unwrap();
         assert!((tr.last().unwrap().0 - 1.0).abs() < 1e-12);
     }
 
@@ -768,28 +611,66 @@ mod tests {
     fn bad_config_errors() {
         let sys = decay();
         assert!(matches!(
-            Rk4 { dt: 0.0 }.integrate(&sys, 0.0, &[1.0], 1.0, 1),
+            integrate(&Rk4 { dt: 0.0 }, &sys, 0.0, &[1.0], 1.0, 1),
             Err(SolveError::BadConfig(_))
         ));
         assert!(matches!(
-            Rk4 { dt: 0.1 }.integrate(&sys, 1.0, &[1.0], 0.0, 1),
+            integrate(&Rk4 { dt: 0.1 }, &sys, 1.0, &[1.0], 0.0, 1),
             Err(SolveError::BadConfig(_))
         ));
         assert!(matches!(
-            Rk4 { dt: 0.1 }.integrate(&sys, 0.0, &[1.0, 2.0], 1.0, 1),
+            integrate(&Rk4 { dt: 0.1 }, &sys, 0.0, &[1.0, 2.0], 1.0, 1),
             Err(SolveError::BadConfig(_))
         ));
         assert!(matches!(
-            DormandPrince::new(-1.0, 0.0).integrate(&sys, 0.0, &[1.0], 1.0),
+            integrate(&DormandPrince::new(-1.0, 0.0), &sys, 0.0, &[1.0], 1.0, 1),
             Err(SolveError::BadConfig(_))
         ));
+        // Non-finite steps and endpoints are rejected up front, not run to
+        // a trajectory that ends at t0 or fails mid-flight.
+        assert!(matches!(
+            integrate(&Rk4 { dt: f64::INFINITY }, &sys, 0.0, &[1.0], 1.0, 1),
+            Err(SolveError::BadConfig(_))
+        ));
+        for (t0, t1) in [(0.0, f64::INFINITY), (f64::NEG_INFINITY, 1.0)] {
+            assert!(matches!(
+                integrate(&Rk4 { dt: 0.1 }, &sys, t0, &[1.0], t1, 1),
+                Err(SolveError::BadConfig(_))
+            ));
+            assert!(matches!(
+                integrate(&DormandPrince::default(), &sys, t0, &[1.0], t1, 1),
+                Err(SolveError::BadConfig(_))
+            ));
+            assert!(matches!(
+                integrate(&crate::TrBdf2::fixed(0.1), &sys, t0, &[1.0], t1, 1),
+                Err(SolveError::BadConfig(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn strided_capacity_hint_is_bounded() {
+        // 1e15 planned steps at stride 1: reserving the full plan up front
+        // would abort the process. A probe stops the run after 10 steps.
+        let sys = decay();
+        let mut obs = (
+            Strided::every(1),
+            crate::Probe::new(|_t, _y: &[f64], info: crate::StepInfo, _alive: &[bool]| {
+                info.index < 10
+            }),
+        );
+        let stats = Rk4 { dt: 1e-15 }
+            .solve(&sys, 0.0, &[1.0], 1.0, &mut obs, &mut OdeWorkspace::new(1))
+            .unwrap();
+        assert_eq!(stats.accepted, 10);
+        assert_eq!(obs.0.into_trajectory().len(), 11);
     }
 
     #[test]
     fn nonfinite_detected() {
         // dy/dt = y^2 blows up at t=1 for y0=1.
         let sys = FnSystem::new(1, |_t, y: &[f64], d: &mut [f64]| d[0] = y[0] * y[0]);
-        let res = Rk4 { dt: 1e-3 }.integrate(&sys, 0.0, &[1.0], 2.0, 1);
+        let res = integrate(&Rk4 { dt: 1e-3 }, &sys, 0.0, &[1.0], 2.0, 1);
         assert!(matches!(res, Err(SolveError::NonFinite { .. })));
     }
 
@@ -834,7 +715,7 @@ mod tests {
             max_steps: 3,
             ..DormandPrince::new(1e-12, 1e-14)
         };
-        let res = tight.integrate(&sys, 0.0, &[1.0], 1.0);
+        let res = integrate(&tight, &sys, 0.0, &[1.0], 1.0, 1);
         let Err(SolveError::MaxStepsExceeded { t, budget: 3 }) = res else {
             panic!("expected MaxStepsExceeded, got {res:?}");
         };
@@ -845,10 +726,8 @@ mod tests {
             max_steps: 100_000,
             ..DormandPrince::new(1e-12, 1e-14)
         };
-        let a = ample.integrate(&sys, 0.0, &[1.0], 1.0).unwrap();
-        let b = DormandPrince::new(1e-12, 1e-14)
-            .integrate(&sys, 0.0, &[1.0], 1.0)
-            .unwrap();
+        let a = integrate(&ample, &sys, 0.0, &[1.0], 1.0, 1).unwrap();
+        let b = integrate(&DormandPrince::new(1e-12, 1e-14), &sys, 0.0, &[1.0], 1.0, 1).unwrap();
         assert_eq!(a.last(), b.last());
         assert_eq!(a.stats(), b.stats());
     }
@@ -882,23 +761,23 @@ mod tests {
         const L: usize = 4;
         let rates = [0.5, 1.0, 2.0, 3.25];
         let y0s = [1.0, -2.0, 0.125, 7.5];
-        let laned = Rk4 { dt: 1e-2 }
-            .integrate_lanes_with(
+        let mut rec = Strided::every(7);
+        Rk4 { dt: 1e-2 }
+            .solve(
                 &laned_decay(rates),
                 0.0,
                 &[y0s],
                 1.0,
-                7,
+                &mut rec,
                 &mut LaneWorkspace::new(1),
             )
             .unwrap();
+        let laned = rec.into_trajectories();
         for l in 0..L {
             let sys = FnSystem::new(1, move |_t, y: &[f64], d: &mut [f64]| {
                 d[0] = -rates[l] * y[0]
             });
-            let scalar = Rk4 { dt: 1e-2 }
-                .integrate(&sys, 0.0, &[y0s[l]], 1.0, 7)
-                .unwrap();
+            let scalar = integrate(&Rk4 { dt: 1e-2 }, &sys, 0.0, &[y0s[l]], 1.0, 7).unwrap();
             assert_eq!(scalar, laned[l], "lane {l}");
         }
     }
@@ -907,23 +786,23 @@ mod tests {
     fn laned_euler_matches_scalar_bit_for_bit() {
         const L: usize = 2;
         let rates = [0.5, 4.0];
-        let laned = Euler { dt: 1e-2 }
-            .integrate_lanes_with(
+        let mut rec = Strided::every(3);
+        Euler { dt: 1e-2 }
+            .solve(
                 &laned_decay(rates),
                 0.0,
                 &[[1.0; L]],
                 1.0,
-                3,
+                &mut rec,
                 &mut LaneWorkspace::new(1),
             )
             .unwrap();
+        let laned = rec.into_trajectories();
         for l in 0..L {
             let sys = FnSystem::new(1, move |_t, y: &[f64], d: &mut [f64]| {
                 d[0] = -rates[l] * y[0]
             });
-            let scalar = Euler { dt: 1e-2 }
-                .integrate(&sys, 0.0, &[1.0], 1.0, 3)
-                .unwrap();
+            let scalar = integrate(&Euler { dt: 1e-2 }, &sys, 0.0, &[1.0], 1.0, 3).unwrap();
             assert_eq!(scalar, laned[l], "lane {l}");
         }
     }
@@ -939,25 +818,31 @@ mod tests {
             d[0][1] = y[0][1] * y[0][1];
         });
         let got = Rk4 { dt: 1e-3 }
-            .integrate_lanes_with(&sys, 0.0, &[[1.0, 1.0]], 2.0, 1, &mut LaneWorkspace::new(1))
+            .solve(
+                &sys,
+                0.0,
+                &[[1.0, 1.0]],
+                2.0,
+                &mut Strided::every(1),
+                &mut LaneWorkspace::new(1),
+            )
             .unwrap_err();
         let scalar_sys = FnSystem::new(1, |_t, y: &[f64], d: &mut [f64]| d[0] = y[0] * y[0]);
-        let want = Rk4 { dt: 1e-3 }
-            .integrate(&scalar_sys, 0.0, &[1.0], 2.0, 1)
-            .unwrap_err();
+        let want = integrate(&Rk4 { dt: 1e-3 }, &scalar_sys, 0.0, &[1.0], 2.0, 1).unwrap_err();
         assert_eq!(got, want);
     }
 
     #[test]
     fn laned_workspace_is_reusable_across_dims() {
         let mut ws = LaneWorkspace::<2>::new(1);
-        let a = Rk4 { dt: 1e-2 }
-            .integrate_lanes_with(
+        let mut a = Strided::every(5);
+        Rk4 { dt: 1e-2 }
+            .solve(
                 &laned_decay([1.0, 2.0]),
                 0.0,
                 &[[1.0, 1.0]],
                 1.0,
-                5,
+                &mut a,
                 &mut ws,
             )
             .unwrap();
@@ -969,20 +854,27 @@ mod tests {
                     d[1][l] = -y[0][l];
                 }
             });
-        let b = Rk4 { dt: 1e-2 }
-            .integrate_lanes_with(&sys2, 0.0, &[[1.0, 1.0], [0.0, 0.0]], 1.0, 5, &mut ws)
+        let mut b = Strided::every(5);
+        Rk4 { dt: 1e-2 }
+            .solve(&sys2, 0.0, &[[1.0, 1.0], [0.0, 0.0]], 1.0, &mut b, &mut ws)
             .unwrap();
         // And back down, matching the fresh-buffer path exactly.
-        let c = Rk4 { dt: 1e-2 }
-            .integrate_lanes_with(
+        let mut c = Strided::every(5);
+        Rk4 { dt: 1e-2 }
+            .solve(
                 &laned_decay([1.0, 2.0]),
                 0.0,
                 &[[1.0, 1.0]],
                 1.0,
-                5,
+                &mut c,
                 &mut LaneWorkspace::new(1),
             )
             .unwrap();
+        let (a, b, c) = (
+            a.into_trajectories(),
+            b.into_trajectories(),
+            c.into_trajectories(),
+        );
         assert_eq!(a, c);
         assert_eq!(b[0].dim(), 2);
     }
@@ -990,12 +882,8 @@ mod tests {
     #[test]
     fn stride_reduces_samples() {
         let sys = decay();
-        let dense = Rk4 { dt: 1e-3 }
-            .integrate(&sys, 0.0, &[1.0], 1.0, 1)
-            .unwrap();
-        let sparse = Rk4 { dt: 1e-3 }
-            .integrate(&sys, 0.0, &[1.0], 1.0, 100)
-            .unwrap();
+        let dense = integrate(&Rk4 { dt: 1e-3 }, &sys, 0.0, &[1.0], 1.0, 1).unwrap();
+        let sparse = integrate(&Rk4 { dt: 1e-3 }, &sys, 0.0, &[1.0], 1.0, 100).unwrap();
         assert!(dense.len() > 900);
         assert!(sparse.len() < 20);
         // Endpoint recorded in both.
@@ -1009,7 +897,7 @@ mod tests {
             d[0] = -3.0 * y[0] + (5.0 * t).sin()
         });
         let dp = DormandPrince::new(1e-8, 1e-11);
-        let scalar = dp.integrate(&sys, 0.0, &[1.0], 2.0).unwrap();
+        let scalar = integrate(&dp, &sys, 0.0, &[1.0], 2.0, 1).unwrap();
         let mut rec = Strided::every(1);
         dp.voting()
             .solve(&sys, 0.0, &[1.0], 2.0, &mut rec, &mut OdeWorkspace::new(1))
@@ -1110,8 +998,10 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::solve_in;
     use super::*;
     use crate::system::{FnSystem, LinearSystem};
+    use crate::LaneWorkspace;
     use proptest::prelude::*;
 
     proptest! {
@@ -1119,9 +1009,9 @@ mod proptests {
         #[test]
         fn constant_rhs_linear(c in -5.0..5.0f64, t1 in 0.1..3.0f64) {
             let sys = FnSystem::new(1, move |_t, _y: &[f64], d: &mut [f64]| d[0] = c);
-            let rk = Rk4 { dt: 0.01 }.integrate(&sys, 0.0, &[0.0], t1, 1).unwrap();
+            let rk = integrate(&Rk4 { dt: 0.01 }, &sys, 0.0, &[0.0], t1, 1).unwrap();
             prop_assert!((rk.last().unwrap().1[0] - c * t1).abs() < 1e-9);
-            let dp = DormandPrince::default().integrate(&sys, 0.0, &[0.0], t1).unwrap();
+            let dp = integrate(&DormandPrince::default(), &sys, 0.0, &[0.0], t1, 1).unwrap();
             prop_assert!((dp.last().unwrap().1[0] - c * t1).abs() < 1e-6);
         }
 
@@ -1129,7 +1019,7 @@ mod proptests {
         #[test]
         fn decay_monotone(y0 in 0.1..10.0f64, rate in 0.1..5.0f64) {
             let sys = FnSystem::new(1, move |_t, y: &[f64], d: &mut [f64]| d[0] = -rate * y[0]);
-            let tr = Rk4 { dt: 1e-3 }.integrate(&sys, 0.0, &[y0], 1.0, 10).unwrap();
+            let tr = integrate(&Rk4 { dt: 1e-3 }, &sys, 0.0, &[y0], 1.0, 10).unwrap();
             let mut prev = f64::INFINITY;
             for (_, s) in tr.iter() {
                 prop_assert!(s[0] > 0.0);
@@ -1144,9 +1034,9 @@ mod proptests {
             let sys = FnSystem::new(1, move |t: f64, y: &[f64], d: &mut [f64]| {
                 d[0] = -a * y[0] + (3.0 * t).sin()
             });
-            let rk = Rk4 { dt: 1e-3 }.integrate(&sys, 0.0, &[1.0], 2.0, 1).unwrap();
+            let rk = integrate(&Rk4 { dt: 1e-3 }, &sys, 0.0, &[1.0], 2.0, 1).unwrap();
             let solver = DormandPrince { h_max: 1e-2, ..DormandPrince::new(1e-9, 1e-12) };
-            let dp = solver.integrate(&sys, 0.0, &[1.0], 2.0).unwrap();
+            let dp = integrate(&solver, &sys, 0.0, &[1.0], 2.0, 1).unwrap();
             // Endpoint: both solvers land exactly on t=2, so only solver
             // error shows up.
             let (r_end, d_end) = (rk.last().unwrap().1[0], dp.last().unwrap().1[0]);
@@ -1178,27 +1068,28 @@ mod proptests {
             });
             let y0s = [[y0[0], y0[1], y0[2], y0[3]]];
             for dt in [0.05, 0.013] {
-                let laned = Rk4 { dt }
-                    .integrate_lanes_with(&sys, 0.0, &y0s, t1, stride, &mut LaneWorkspace::new(1))
-                    .unwrap();
-                let laned_e = Euler { dt }
-                    .integrate_lanes_with(&sys, 0.0, &y0s, t1, stride, &mut LaneWorkspace::new(1))
-                    .unwrap();
+                let mut rec = Strided::every(stride);
+                Rk4 { dt }.solve(&sys, 0.0, &y0s, t1, &mut rec, &mut LaneWorkspace::new(1)).unwrap();
+                let laned = rec.into_trajectories();
+                let mut rec = Strided::every(stride);
+                Euler { dt }.solve(&sys, 0.0, &y0s, t1, &mut rec, &mut LaneWorkspace::new(1)).unwrap();
+                let laned_e = rec.into_trajectories();
                 for l in 0..L {
                     let scalar_sys = FnSystem::new(1, move |_t, y: &[f64], d: &mut [f64]| {
                         d[0] = -rs[l] * y[0] + (2.0 * y[0]).sin() * 0.1;
                     });
-                    let rk = Rk4 { dt }.integrate(&scalar_sys, 0.0, &[y0[l]], t1, stride).unwrap();
+                    let rk = integrate(&Rk4 { dt }, &scalar_sys, 0.0, &[y0[l]], t1, stride).unwrap();
                     prop_assert_eq!(&rk, &laned[l]);
-                    let eu = Euler { dt }.integrate(&scalar_sys, 0.0, &[y0[l]], t1, stride).unwrap();
+                    let eu = integrate(&Euler { dt }, &scalar_sys, 0.0, &[y0[l]], t1, stride).unwrap();
                     prop_assert_eq!(&eu, &laned_e[l]);
                 }
             }
         }
 
-        /// The in-place (`integrate_with`) API is bit-identical to the
-        /// legacy allocating API on random linear systems, for every solver
-        /// — including when the workspace is dirty from a previous run.
+        /// `solve` through a reused workspace is bit-identical to the
+        /// allocating [`integrate()`] on random linear systems, for every
+        /// solver — including when the workspace is dirty from a previous
+        /// run.
         #[test]
         fn inplace_matches_allocating(
             a in proptest::collection::vec(-2.0..2.0f64, 9),
@@ -1212,17 +1103,17 @@ mod proptests {
             });
             let mut ws = OdeWorkspace::new(1); // deliberately undersized
             for dt in [0.05, 0.01] {
-                let legacy = Euler { dt }.integrate(&sys, 0.0, &y0, 1.0, 3);
-                let inplace = Euler { dt }.integrate_with(&sys, 0.0, &y0, 1.0, 3, &mut ws);
-                prop_assert_eq!(legacy, inplace);
-                let legacy = Rk4 { dt }.integrate(&sys, 0.0, &y0, 1.0, 3);
-                let inplace = Rk4 { dt }.integrate_with(&sys, 0.0, &y0, 1.0, 3, &mut ws);
-                prop_assert_eq!(legacy, inplace);
+                let fresh = integrate(&Euler { dt }, &sys, 0.0, &y0, 1.0, 3);
+                let inplace = solve_in(&Euler { dt }, &sys, &y0, 1.0, 3, &mut ws);
+                prop_assert_eq!(fresh, inplace);
+                let fresh = integrate(&Rk4 { dt }, &sys, 0.0, &y0, 1.0, 3);
+                let inplace = solve_in(&Rk4 { dt }, &sys, &y0, 1.0, 3, &mut ws);
+                prop_assert_eq!(fresh, inplace);
             }
             let dp = DormandPrince::new(1e-7, 1e-10);
-            let legacy = dp.integrate(&sys, 0.0, &y0, 1.0);
-            let inplace = dp.integrate_with(&sys, 0.0, &y0, 1.0, &mut ws);
-            prop_assert_eq!(legacy, inplace);
+            let fresh = integrate(&dp, &sys, 0.0, &y0, 1.0, 1);
+            let inplace = solve_in(&dp, &sys, &y0, 1.0, 1, &mut ws);
+            prop_assert_eq!(fresh, inplace);
         }
 
         /// Step-size voting at width 4: every lane's result meets the
@@ -1264,8 +1155,7 @@ mod proptests {
                 (y0 + 1.0 / d) * (-a * t).exp() + (a * t.sin() - t.cos()) / d
             };
             let err = |dt: f64| {
-                let tr = crate::TrBdf2::fixed(dt)
-                    .integrate(&sys, 0.0, &[y0], 1.0, usize::MAX)
+                let tr = integrate(&crate::TrBdf2::fixed(dt), &sys, 0.0, &[y0], 1.0, usize::MAX)
                     .unwrap();
                 (tr.last().unwrap().1[0] - exact(1.0)).abs()
             };
@@ -1281,8 +1171,7 @@ mod proptests {
         fn trbdf2_stable_where_rk4_explodes(lam in 1e3..1e5f64) {
             let sys = LinearSystem::new(1, vec![-lam], |_t, b: &mut [f64]| b[0] = 0.0);
             let h = 0.1;
-            let tr = crate::TrBdf2::fixed(h)
-                .integrate(&sys, 0.0, &[1.0], 1.0, 1)
+            let tr = integrate(&crate::TrBdf2::fixed(h), &sys, 0.0, &[1.0], 1.0, 1)
                 .unwrap();
             let mut prev = 1.0;
             for (_, s) in tr.iter() {
@@ -1291,7 +1180,7 @@ mod proptests {
             }
             prop_assert!(prev < 1e-6, "implicit end {prev}");
             // RK4's growth factor per step at λh ≥ 100 is ≈ (λh)⁴/24.
-            match (Rk4 { dt: h }).integrate(&sys, 0.0, &[1.0], 1.0, 1) {
+            match integrate(&(Rk4 { dt: h }), &sys, 0.0, &[1.0], 1.0, 1) {
                 Ok(tr) => {
                     let end = tr.last().unwrap().1[0].abs();
                     prop_assert!(end > 1e3, "rk4 should explode, got {end}");

@@ -9,10 +9,12 @@
 //!   from a [`Stepper`] (Butcher-stage arithmetic written once over both
 //!   widths) and a [`StepControl`] policy ([`Fixed`], [`Adaptive`] PI
 //!   control, lane-voting [`VotingAdaptive`]) — see [`solver`];
-//! * [`Observer`] — streaming readout of a run: [`Strided`] /
-//!   [`DenseRecorder`] trajectory recording (bit-identical to the
-//!   pre-redesign paths), allocation-free [`FinalState`], and in-loop
-//!   [`Probe`]s — see [`observe`];
+//! * [`integrate()`] — the one allocating convenience: `solve` with a
+//!   fresh workspace and a [`Strided`] recorder, returning a
+//!   [`Trajectory`];
+//! * [`Observer`] — streaming readout of a run: [`Strided`] trajectory
+//!   recording, allocation-free [`FinalState`], and in-loop [`Probe`]s —
+//!   see [`observe`];
 //! * [`OdeSystem`] — the system interface ([`FnSystem`] and [`LinearSystem`]
 //!   adapters included);
 //! * [`Rk4`], [`Euler`] — fixed-step explicit solver configurations;
@@ -24,14 +26,14 @@
 //!   estimate or fixed-grid, consuming analytic Jacobians through
 //!   [`OdeSystem::jacobian`] (finite-difference fallback) — the stepper for
 //!   stiff designs where explicit methods need `h ≲ 1/λ` — see [`implicit`];
-//! * [`OdeWorkspace`] — reusable integration buffers: every solver offers an
-//!   `integrate_with` variant whose hot loop performs zero per-step
-//!   allocations, the form the `ark-sim` ensemble engine runs per worker;
+//! * [`OdeWorkspace`] — reusable integration buffers: [`Solver::solve`]
+//!   through a caller-owned workspace performs zero per-step allocations,
+//!   the form the `ark-sim` ensemble engine runs per worker;
 //! * [`LanedOdeSystem`] / [`LaneWorkspace`] — the lane-batched
-//!   (struct-of-arrays) siblings: [`Rk4::integrate_lanes_with`] and
-//!   [`Euler::integrate_lanes_with`] step `L` ensemble instances in
-//!   lockstep, bit-identical per lane to the scalar path (the PI-adaptive
-//!   solver deliberately has no laned form — see [`DormandPrince`]);
+//!   (struct-of-arrays) siblings: `solve` over `[f64; L]` steps `L`
+//!   ensemble instances of [`Rk4`] or [`Euler`] in lockstep, bit-identical
+//!   per lane to the scalar path (the PI-adaptive solver deliberately has
+//!   no laned form — see [`DormandPrince`]);
 //! * [`Trajectory`] — recorded solutions (flat sample storage) with
 //!   interpolation, windows, and resampling (observation windows for PUF
 //!   responses, §2.2);
@@ -42,11 +44,11 @@
 //! # Examples
 //!
 //! ```
-//! use ark_ode::{FnSystem, Rk4};
+//! use ark_ode::{integrate, FnSystem, Rk4};
 //!
 //! // dV/dt = -V/RC with RC = 1.
 //! let sys = FnSystem::new(1, |_t, y, dydt| dydt[0] = -y[0]);
-//! let tr = Rk4 { dt: 1e-3 }.integrate(&sys, 0.0, &[1.0], 1.0, 10)?;
+//! let tr = integrate(&Rk4 { dt: 1e-3 }, &sys, 0.0, &[1.0], 1.0, 10)?;
 //! let v_end = tr.last().unwrap().1[0];
 //! assert!((v_end - (-1.0f64).exp()).abs() < 1e-9);
 //! # Ok::<(), ark_ode::SolveError>(())
@@ -70,12 +72,13 @@ pub use analysis::{
     EnsembleStats,
 };
 pub use implicit::{NewtonCfg, TrBdf2};
-pub use integrate::{DormandPrince, Euler, LaneError, Rk4, SolveError, VotingDormandPrince};
-pub use observe::{DenseRecorder, FinalState, Observer, Probe, StepInfo, Strided};
+pub use integrate::{
+    integrate, DormandPrince, Euler, LaneError, Rk4, SolveError, VotingDormandPrince,
+};
+pub use observe::{FinalState, Observer, Probe, StepInfo, Strided};
 pub use solver::{
     Adaptive, Dp45Stages, Elem, EmbeddedStepper, EulerStages, Fixed, LaneWorkspace, Method,
-    OdeWorkspace, Rk4Stages, Session, Solver, StepControl, Stepper, SystemOver, VotingAdaptive,
-    Workspace,
+    OdeWorkspace, Rk4Stages, Solver, StepControl, Stepper, SystemOver, VotingAdaptive, Workspace,
 };
 pub use system::{FnLanedSystem, FnSystem, LanedOdeSystem, LinearSystem, OdeSystem, StageHint};
 pub use trajectory::{relative_rmse, SolveStats, Trajectory};

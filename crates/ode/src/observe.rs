@@ -9,7 +9,6 @@
 //! * [`Strided`] — record every `stride`-th accepted step (plus the initial
 //!   and final states) into one [`Trajectory`] per lane, bit-identical to
 //!   the pre-redesign recording;
-//! * [`DenseRecorder`] — [`Strided`] at stride 1: every accepted step;
 //! * [`FinalState`] — keep only the last state, no trajectory allocation;
 //! * [`Probe`] — run a closure on every accepted step (in-loop readout,
 //!   convergence tests, early exit).
@@ -81,6 +80,12 @@ pub trait Observer<E: Elem> {
     fn finish(&mut self, stats: SolveStats);
 }
 
+/// Upper bound on the samples [`Strided`] reserves up front from a
+/// fixed-step plan; longer recordings grow by amortized doubling. Keeps a
+/// tiny `dt` (or a probe that stops the run early) from reserving memory
+/// for steps that may never be recorded.
+const MAX_PREALLOCATED_SAMPLES: usize = 1 << 16;
+
 /// Record every `stride`-th accepted step — plus the initial state and the
 /// final step — into one [`Trajectory`] per lane.
 ///
@@ -138,7 +143,9 @@ impl<E: Elem> Observer<E> for Strided {
         self.dim = y0.len();
         self.row.resize(self.dim, 0.0);
         self.trs.clear();
-        let capacity = planned_steps.map_or(128, |s| s / self.stride + 2);
+        let capacity = planned_steps
+            .map_or(128, |s| (s / self.stride).saturating_add(2))
+            .min(MAX_PREALLOCATED_SAMPLES);
         for lane in 0..E::WIDTH {
             self.trs.push(Trajectory::with_capacity(self.dim, capacity));
             self.push_lane(lane, t0, y0);
@@ -160,45 +167,6 @@ impl<E: Elem> Observer<E> for Strided {
         for tr in &mut self.trs {
             tr.set_stats(stats);
         }
-    }
-}
-
-/// Record every accepted step: [`Strided`] at stride 1.
-#[derive(Debug, Clone, Default)]
-pub struct DenseRecorder(Strided);
-
-impl DenseRecorder {
-    /// A dense recorder.
-    pub fn new() -> Self {
-        DenseRecorder(Strided::every(1))
-    }
-
-    /// The recorded trajectory of a scalar run.
-    ///
-    /// # Panics
-    ///
-    /// As [`Strided::into_trajectory`].
-    pub fn into_trajectory(self) -> Trajectory {
-        self.0.into_trajectory()
-    }
-
-    /// The recorded trajectories, one per lane.
-    pub fn into_trajectories(self) -> Vec<Trajectory> {
-        self.0.into_trajectories()
-    }
-}
-
-impl<E: Elem> Observer<E> for DenseRecorder {
-    fn start(&mut self, t0: f64, y0: &[E], planned_steps: Option<usize>) {
-        self.0.start(t0, y0, planned_steps)
-    }
-
-    fn record(&mut self, t: f64, y: &[E], info: StepInfo, alive: &[bool]) -> bool {
-        self.0.record(t, y, info, alive)
-    }
-
-    fn finish(&mut self, stats: SolveStats) {
-        Observer::<E>::finish(&mut self.0, stats)
     }
 }
 

@@ -1,9 +1,7 @@
 //! The unified solver core: one [`Solver`] trait over scalar *and*
 //! lane-batched integration.
 //!
-//! Before this module, every integrator hand-rolled three near-identical
-//! loops (`integrate`, `integrate_with`, `integrate_lanes_with`). The
-//! redesign splits a solver into two orthogonal pieces:
+//! A solver is two orthogonal pieces:
 //!
 //! * a [`Stepper`] — the Butcher-tableau stage arithmetic of one method
 //!   (forward Euler, classical RK4, the Dormand–Prince 5(4) embedded pair),
@@ -20,9 +18,10 @@
 //! recording into the loop, the drive loops report every accepted step to
 //! an [`Observer`] — dense/strided trajectory
 //! recording, final-state-only capture, or in-loop probes (readout programs
-//! evaluating inside the laned hot loop). The historical
-//! `integrate`/`integrate_with` methods survive as thin wrappers that pair
-//! a solver with a [`Strided`](crate::observe::Strided) recorder.
+//! evaluating inside the laned hot loop). [`Solver::solve`] is the only
+//! way to integrate; [`integrate()`](crate::integrate()) is its one
+//! allocating convenience, pairing it with a fresh workspace and a
+//! [`Strided`](crate::observe::Strided) recorder.
 //!
 //! # Examples
 //!
@@ -657,7 +656,12 @@ pub struct Adaptive {
 pub struct VotingAdaptive(pub Adaptive);
 
 pub(crate) fn validate_span(t0: f64, t1: f64) -> Result<(), SolveError> {
-    if t0.is_nan() || t1.is_nan() || t1 <= t0 {
+    if !t0.is_finite() || !t1.is_finite() {
+        return Err(SolveError::BadConfig(format!(
+            "interval [{t0}, {t1}] must have finite endpoints"
+        )));
+    }
+    if t1 <= t0 {
         return Err(SolveError::BadConfig(format!(
             "empty interval [{t0}, {t1}]"
         )));
@@ -689,9 +693,9 @@ impl<St: Stepper> StepControl<St> for Fixed {
         obs: &mut O,
         ws: &mut Workspace<E>,
     ) -> Result<SolveStats, SolveError> {
-        if self.dt.is_nan() || self.dt <= 0.0 {
+        if !self.dt.is_finite() || self.dt <= 0.0 {
             return Err(SolveError::BadConfig(format!(
-                "step dt={} must be positive",
+                "step dt={} must be positive and finite",
                 self.dt
             )));
         }
@@ -944,11 +948,10 @@ impl<St: EmbeddedStepper> StepControl<St> for VotingAdaptive {
 /// The unified solver interface: one trait for scalar and lane-batched,
 /// fixed-step and adaptive integration.
 ///
-/// Implementations drive an [`Observer`] over the accepted steps; the
-/// historical `integrate`/`integrate_with`/`integrate_lanes_with` inherent
-/// methods on [`Euler`](crate::Euler), [`Rk4`](crate::Rk4), and
-/// [`DormandPrince`](crate::DormandPrince) are thin wrappers that pair
-/// `solve` with a [`Strided`](crate::observe::Strided) trajectory recorder.
+/// Implementations drive an [`Observer`] over the accepted steps. To get a
+/// [`Trajectory`](crate::Trajectory) back without managing a workspace,
+/// use [`integrate()`](crate::integrate()), which pairs `solve` with a
+/// [`Strided`](crate::observe::Strided) trajectory recorder.
 ///
 /// # Examples
 ///
@@ -1034,58 +1037,5 @@ impl<St, Ctl: StepControl<St>> Solver for Method<St, Ctl> {
 
     fn supports_lanes(&self) -> bool {
         self.control.supports_lanes()
-    }
-}
-
-/// A solve-in-progress configuration: one system and one time interval,
-/// ready to be run under any solver/observer pairing. Thin sugar over
-/// [`Solver::solve`] for exploratory code that tries several solvers or
-/// observers against the same setup.
-///
-/// # Examples
-///
-/// ```
-/// use ark_ode::{DormandPrince, FnSystem, OdeWorkspace, Rk4, Session, Strided};
-///
-/// let sys = FnSystem::new(1, |_t, y, dydt| dydt[0] = -y[0]);
-/// let session = Session::new(&sys, 0.0, 1.0);
-/// let mut ws = OdeWorkspace::new(1);
-/// let mut fixed = Strided::every(1);
-/// session.run(&Rk4 { dt: 1e-3 }, &[1.0], &mut fixed, &mut ws)?;
-/// let mut adaptive = Strided::every(1);
-/// session.run(&DormandPrince::new(1e-9, 1e-12), &[1.0], &mut adaptive, &mut ws)?;
-/// let (f, a) = (fixed.into_trajectory(), adaptive.into_trajectory());
-/// assert!((f.last().unwrap().1[0] - a.last().unwrap().1[0]).abs() < 1e-8);
-/// # Ok::<(), ark_ode::SolveError>(())
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct Session<'a, Sys: ?Sized> {
-    sys: &'a Sys,
-    t0: f64,
-    t1: f64,
-}
-
-impl<'a, Sys: ?Sized> Session<'a, Sys> {
-    /// A session integrating `sys` over `[t0, t1]`.
-    pub fn new(sys: &'a Sys, t0: f64, t1: f64) -> Self {
-        Session { sys, t0, t1 }
-    }
-
-    /// Run the session under `solver`, feeding accepted steps to `obs`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Solver::solve`].
-    pub fn run<E: Elem, V: Solver, O: Observer<E>>(
-        &self,
-        solver: &V,
-        y0: &[E],
-        obs: &mut O,
-        ws: &mut Workspace<E>,
-    ) -> Result<SolveStats, SolveError>
-    where
-        Sys: SystemOver<E>,
-    {
-        solver.solve(self.sys, self.t0, y0, self.t1, obs, ws)
     }
 }

@@ -29,7 +29,7 @@ use ark_core::types::SigType;
 use ark_core::validate::ExternRegistry;
 use ark_core::{CompiledSystem, EvalScratch, FuncError, Graph, LaneScratch, LangError};
 use ark_expr::parse_expr;
-use ark_ode::{OdeWorkspace, Trajectory};
+use ark_ode::{OdeWorkspace, Rk4, Solver, Strided, Trajectory};
 use ark_sim::LaneReadout;
 
 /// A 3×3 CNN template: feedback matrix `A`, control matrix `B`, bias `z`.
@@ -606,17 +606,10 @@ fn run_cnn_core(
     ws: &mut OdeWorkspace,
 ) -> Result<CnnRun, crate::DynError> {
     let y0 = sys.initial_state_for(params);
-    let tr = {
-        let bound = sys.bind_ref(params, scratch);
-        ark_ode::Rk4 { dt: CNN_SOLVER_DT }.integrate_with(
-            &bound,
-            0.0,
-            &y0,
-            t_end,
-            CNN_SOLVER_STRIDE,
-            ws,
-        )?
-    };
+    let mut rec = Strided::every(CNN_SOLVER_STRIDE);
+    let bound = sys.bind_ref(params, scratch);
+    Rk4 { dt: CNN_SOLVER_DT }.solve(&bound, 0.0, &y0, t_end, &mut rec, ws)?;
+    let tr = rec.into_trajectory();
     read_cnn_run(sys, width, height, params, t_end, snap_times, &tr, scratch)
 }
 
@@ -630,7 +623,7 @@ fn read_cnn_run(
     params: &[f64],
     t_end: f64,
     snap_times: &[f64],
-    tr: &ark_ode::Trajectory,
+    tr: &Trajectory,
     scratch: &mut EvalScratch,
 ) -> Result<CnnRun, crate::DynError> {
     let snapshots: Vec<(f64, Image)> = snap_times
@@ -873,7 +866,7 @@ pub fn run_cnn_ensemble(
     // laned interpreter (see `CnnReadout`), bit-identical per lane to the
     // scalar path.
     let readout = CnnReadout::new(&sys, pcnn.width, pcnn.height, t_end, snap_times);
-    ens.run(&sys, &ark_ode::Rk4 { dt: CNN_SOLVER_DT }, seeds, 0.0, t_end)
+    ens.run(&sys, &Rk4 { dt: CNN_SOLVER_DT }, seeds, 0.0, t_end)
         .stride(CNN_SOLVER_STRIDE)
         .map_grouped(&readout)
 }
@@ -974,7 +967,7 @@ pub fn run_cnn_yield_with(
         premap(|wrong: f64| wrong == 0.0, YieldCounter),
     );
     let ((wrong_pixels, wrong_histogram, counts), recovery) = ens
-        .run(&sys, &ark_ode::Rk4 { dt: CNN_SOLVER_DT }, seeds, 0.0, t_end)
+        .run(&sys, &Rk4 { dt: CNN_SOLVER_DT }, seeds, 0.0, t_end)
         .prep(|seed| {
             let mut params = sys.sample_params(seed);
             ark_sim::faultpoint::corrupt_all(faults, seed, &mut params, &mut []);
@@ -1287,7 +1280,7 @@ mod tests {
         let pcnn = build_cnn_parametric(lang, input, template, nonideality)?;
         let sys = CompiledSystem::compile_parametric(lang, &pcnn.pgraph)?;
         let (width, height) = (pcnn.width, pcnn.height);
-        ens.run(&sys, &ark_ode::Rk4 { dt: CNN_SOLVER_DT }, seeds, 0.0, t_end)
+        ens.run(&sys, &Rk4 { dt: CNN_SOLVER_DT }, seeds, 0.0, t_end)
             .stride(CNN_SOLVER_STRIDE)
             .map(|_seed, params, tr, scratch| {
                 read_cnn_run(&sys, width, height, params, t_end, snap_times, &tr, scratch)
@@ -1364,9 +1357,8 @@ mod tests {
             h0: Some(2.0),
             ..ark_ode::DormandPrince::new(1e-8, 1e-10)
         };
-        let tr = solver
-            .integrate(&sys.bind(), 0.0, &sys.initial_state(), 5.0)
-            .unwrap();
+        let tr =
+            ark_ode::integrate(&solver, &sys.bind(), 0.0, &sys.initial_state(), 5.0, 1).unwrap();
         let stats = tr.stats();
         assert!(stats.rejected >= 1, "stats {stats:?}");
         assert_eq!(stats.accepted, tr.len() - 1);

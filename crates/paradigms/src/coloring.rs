@@ -17,7 +17,7 @@ use ark_core::lang::{Language, LanguageBuilder, NodeType, ProdRule, Reduction};
 use ark_core::types::SigType;
 use ark_core::{CompiledSystem, Graph};
 use ark_expr::parse_expr;
-use ark_ode::{phase_distance, wrap_phase, Rk4};
+use ark_ode::{integrate, phase_distance, wrap_phase, Rk4};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::f64::consts::{PI, TAU};
@@ -79,7 +79,8 @@ pub fn color_graph(
 ) -> Result<ColoringOutcome, Box<dyn std::error::Error>> {
     let graph = build_coloring_network(lang, problem, seed)?;
     let sys = CompiledSystem::compile(lang, &graph)?;
-    let tr = Rk4 { dt: 1e-10 }.integrate(&sys.bind(), 0.0, &sys.initial_state(), 8e-8, 100)?;
+    let y0 = sys.initial_state();
+    let tr = integrate(&Rk4 { dt: 1e-10 }, &sys.bind(), 0.0, &y0, 8e-8, 100)?;
     let yf = tr.last().expect("nonempty").1;
     let colors: Vec<usize> = (0..problem.n)
         .map(|i| {
@@ -169,9 +170,8 @@ mod tests {
         b.edge("sa", "Cpl", "a", "a").unwrap();
         let g = b.finish().unwrap();
         let sys = CompiledSystem::compile(&l3, &g).unwrap();
-        let tr = Rk4 { dt: 1e-11 }
-            .integrate(&sys.bind(), 0.0, &sys.initial_state(), 2e-8, 100)
-            .unwrap();
+        let y0 = sys.initial_state();
+        let tr = integrate(&Rk4 { dt: 1e-11 }, &sys.bind(), 0.0, &y0, 2e-8, 100).unwrap();
         let phi = wrap_phase(tr.last().unwrap().1[0]);
         let nearest = (0..3)
             .map(|a| phase_distance(phi, TAU * a as f64 / 3.0))

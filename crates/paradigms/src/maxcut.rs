@@ -9,7 +9,7 @@
 
 use ark_core::func::{GraphBuilder, ParametricGraph};
 use ark_core::{CompiledSystem, FuncError, Graph, Language};
-use ark_ode::{phase_distance, wrap_phase, Rk4};
+use ark_ode::{integrate, phase_distance, wrap_phase, Rk4};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::f64::consts::PI;
@@ -310,8 +310,8 @@ pub fn solve(
 ) -> Result<MaxCutOutcome, crate::DynError> {
     let graph = build_maxcut_network(lang, problem, coupling, seed)?;
     let sys = CompiledSystem::compile(lang, &graph)?;
-    let tr =
-        Rk4 { dt: SOLVE_DT }.integrate(&sys.bind(), 0.0, &sys.initial_state(), SOLVE_TIME, 50)?;
+    let y0 = sys.initial_state();
+    let tr = integrate(&Rk4 { dt: SOLVE_DT }, &sys.bind(), 0.0, &y0, SOLVE_TIME, 50)?;
     let yf = tr.last().expect("nonempty trajectory").1;
     let phases: Vec<f64> = (0..problem.n)
         .map(|i| {

@@ -187,7 +187,13 @@ mod tests {
     use ark_core::func::GraphBuilder;
     use ark_core::validate::{validate, ExternRegistry};
     use ark_core::CompiledSystem;
-    use ark_ode::{wrap_phase, Rk4};
+    use ark_ode::{integrate, wrap_phase, Rk4, Trajectory};
+
+    /// RK4 from the system's own initial state, keeping every `stride`-th step.
+    fn simulate(sys: &CompiledSystem, dt: f64, t1: f64, stride: usize) -> Trajectory {
+        let y0 = sys.initial_state();
+        integrate(&Rk4 { dt }, &sys.bind(), 0.0, &y0, t1, stride).unwrap()
+    }
     use std::f64::consts::PI;
 
     #[test]
@@ -212,9 +218,7 @@ mod tests {
         b.set_attr("c", "k", -1.0).unwrap();
         let g = b.finish().unwrap();
         let sys = CompiledSystem::compile(&lang, &g).unwrap();
-        let tr = Rk4 { dt: 1e-11 }
-            .integrate(&sys.bind(), 0.0, &sys.initial_state(), 3e-8, 100)
-            .unwrap();
+        let tr = simulate(&sys, 1e-11, 3e-8, 100);
         let yf = tr.last().unwrap().1;
         let pa = wrap_phase(yf[sys.state_index("a").unwrap()]);
         let pb = wrap_phase(yf[sys.state_index("b").unwrap()]);
@@ -242,9 +246,7 @@ mod tests {
         b.set_attr("c", "k", 1.0).unwrap();
         let g = b.finish().unwrap();
         let sys = CompiledSystem::compile(&lang, &g).unwrap();
-        let tr = Rk4 { dt: 1e-11 }
-            .integrate(&sys.bind(), 0.0, &sys.initial_state(), 3e-8, 100)
-            .unwrap();
+        let tr = simulate(&sys, 1e-11, 3e-8, 100);
         let yf = tr.last().unwrap().1;
         let pa = wrap_phase(yf[0]);
         let pb = wrap_phase(yf[1]);
@@ -272,9 +274,7 @@ mod tests {
         let noisy = build("Cpl_ofs", 3);
         let run = |g: &Graph| {
             let sys = CompiledSystem::compile(&ofs, g).unwrap();
-            let tr = Rk4 { dt: 1e-11 }
-                .integrate(&sys.bind(), 0.0, &sys.initial_state(), 3e-8, 100)
-                .unwrap();
+            let tr = simulate(&sys, 1e-11, 3e-8, 100);
             wrap_phase(tr.last().unwrap().1[0])
         };
         let p_ideal = run(&ideal);
@@ -367,9 +367,7 @@ mod tests {
         b.set_attr("c", "k", -1.0).unwrap();
         let g = b.finish().unwrap();
         let sys = CompiledSystem::compile(&ic, &g).unwrap();
-        let tr = Rk4 { dt: 1e-11 }
-            .integrate(&sys.bind(), 0.0, &sys.initial_state(), 3e-8, 100)
-            .unwrap();
+        let tr = simulate(&sys, 1e-11, 3e-8, 100);
         let yf = tr.last().unwrap().1;
         let d = ark_ode::phase_distance(wrap_phase(yf[0]), wrap_phase(yf[1]));
         assert!((d - PI).abs() < 0.01);

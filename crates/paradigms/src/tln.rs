@@ -576,7 +576,7 @@ mod tests {
     use ark_core::program::Program;
     use ark_core::validate::{validate, ExternRegistry};
     use ark_core::Value;
-    use ark_ode::Rk4;
+    use ark_ode::{integrate, Rk4};
 
     fn simulate(
         lang: &Language,
@@ -586,9 +586,7 @@ mod tests {
     ) -> (CompiledSystem, ark_ode::Trajectory) {
         let sys = CompiledSystem::compile(lang, graph).unwrap();
         let y0 = sys.initial_state();
-        let tr = Rk4 { dt }
-            .integrate(&sys.bind(), 0.0, &y0, t_end, 8)
-            .unwrap();
+        let tr = integrate(&Rk4 { dt }, &sys.bind(), 0.0, &y0, t_end, 8).unwrap();
         (sys, tr)
     }
 

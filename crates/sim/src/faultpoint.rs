@@ -219,7 +219,7 @@ impl<S: OdeSystem> OdeSystem for FaultSystem<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ark_ode::{FnSystem, Rk4, SolveError, TrBdf2};
+    use ark_ode::{integrate, FnSystem, Rk4, SolveError, TrBdf2};
 
     #[test]
     fn selection_is_seed_pure_and_near_rate() {
@@ -257,9 +257,7 @@ mod tests {
         );
         // Rk4 makes 4 calls per step: call 40 lands in step 11 (0-based
         // step 10), so the failure time is pinned.
-        let err = Rk4 { dt: 0.01 }
-            .integrate(&sys, 0.0, &[1.0], 1.0, 1)
-            .unwrap_err();
+        let err = integrate(&Rk4 { dt: 0.01 }, &sys, 0.0, &[1.0], 1.0, 1).unwrap_err();
         let SolveError::NonFinite { t } = err else {
             panic!("expected NonFinite, got {err:?}");
         };
@@ -269,9 +267,7 @@ mod tests {
     #[test]
     fn perturbation_shifts_the_solution_without_failing() {
         let clean = FnSystem::new(1, |_t, y: &[f64], d: &mut [f64]| d[0] = -y[0]);
-        let tr0 = Rk4 { dt: 0.01 }
-            .integrate(&clean, 0.0, &[1.0], 1.0, 1)
-            .unwrap();
+        let tr0 = integrate(&Rk4 { dt: 0.01 }, &clean, 0.0, &[1.0], 1.0, 1).unwrap();
         let sys = FaultSystem::new(
             FnSystem::new(1, |_t, y: &[f64], d: &mut [f64]| d[0] = -y[0]),
             RhsFault::Perturb {
@@ -279,9 +275,7 @@ mod tests {
                 magnitude: 0.5,
             },
         );
-        let tr = Rk4 { dt: 0.01 }
-            .integrate(&sys, 0.0, &[1.0], 1.0, 1)
-            .unwrap();
+        let tr = integrate(&Rk4 { dt: 0.01 }, &sys, 0.0, &[1.0], 1.0, 1).unwrap();
         let (end, end0) = (tr.last().unwrap().1[0], tr0.last().unwrap().1[0]);
         assert!(end.is_finite() && (end - end0).abs() > 0.1);
     }
@@ -292,16 +286,12 @@ mod tests {
             FnSystem::new(1, |_t, y: &[f64], d: &mut [f64]| d[0] = -y[0]),
             RhsFault::SingularJacobian,
         );
-        let err = TrBdf2::fixed(0.1)
-            .integrate(&sys, 0.0, &[1.0], 1.0, 1)
-            .unwrap_err();
+        let err = integrate(&TrBdf2::fixed(0.1), &sys, 0.0, &[1.0], 1.0, 1).unwrap_err();
         assert!(
             matches!(err, SolveError::NewtonDivergence { .. }),
             "{err:?}"
         );
-        let err = TrBdf2::new(1e-6, 1e-9)
-            .integrate(&sys, 0.0, &[1.0], 1.0, 1)
-            .unwrap_err();
+        let err = integrate(&TrBdf2::new(1e-6, 1e-9), &sys, 0.0, &[1.0], 1.0, 1).unwrap_err();
         assert!(
             matches!(err, SolveError::StepSizeUnderflow { .. }),
             "{err:?}"

@@ -4,7 +4,7 @@
 
 use crate::synth::{synthesize, SynthError};
 use ark_core::{CompiledSystem, Graph, Language};
-use ark_ode::{relative_rmse, Rk4, Trajectory};
+use ark_ode::{integrate, relative_rmse, Rk4, Trajectory};
 use ark_paradigms::tln::{branched_tline, linear_tline, MismatchKind, TlineConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -93,8 +93,8 @@ pub fn dg_vs_netlist_rmse(
 ) -> Result<f64, CampaignError> {
     let sys =
         CompiledSystem::compile(lang, graph).map_err(|e| CampaignError::Sim(e.to_string()))?;
-    let dg_tr: Trajectory = Rk4 { dt }
-        .integrate(&sys.bind(), 0.0, &sys.initial_state(), t_end, 4)
+    let y0 = sys.initial_state();
+    let dg_tr: Trajectory = integrate(&Rk4 { dt }, &sys.bind(), 0.0, &y0, t_end, 4)
         .map_err(|e| CampaignError::Sim(e.to_string()))?;
     let nl = synthesize(lang, graph).map_err(CampaignError::Synth)?;
     let nl_tr = nl

@@ -10,7 +10,7 @@
 use ark::core::program::Program;
 use ark::core::validate::ExternRegistry;
 use ark::core::Value;
-use ark::ode::Rk4;
+use ark::ode::{integrate, Rk4};
 
 const SRC: &str = r#"
 lang diffuse {
@@ -71,7 +71,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Transient simulation.
-    let tr = Rk4 { dt: 1e-3 }.integrate(&system.bind(), 0.0, &system.initial_state(), 2.0, 100)?;
+    let y0 = system.initial_state();
+    let tr = integrate(&Rk4 { dt: 1e-3 }, &system.bind(), 0.0, &y0, 2.0, 100)?;
     println!("\n t      a       b       c");
     for &t in &[0.0, 0.5, 1.0, 1.5, 2.0] {
         let y = tr.at(t);

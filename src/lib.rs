@@ -10,7 +10,7 @@
 //! ```
 //! use ark::core::program::Program;
 //! use ark::core::validate::ExternRegistry;
-//! use ark::ode::Rk4;
+//! use ark::ode::{integrate, Rk4};
 //!
 //! let program = Program::parse(r#"
 //! lang rc {
@@ -21,7 +21,7 @@
 //! func cell() uses rc { node v : V; edge <v, v> sv : E; set-attr v.tau = 1.0; }
 //! "#)?;
 //! let (_graph, system) = program.build("cell", &[], 0, &ExternRegistry::new())?;
-//! let tr = Rk4 { dt: 1e-3 }.integrate(&system.bind(), 0.0, &system.initial_state(), 1.0, 10)?;
+//! let tr = integrate(&Rk4 { dt: 1e-3 }, &system.bind(), 0.0, &system.initial_state(), 1.0, 10)?;
 //! assert!((tr.last().unwrap().1[0] - (-1.0f64).exp()).abs() < 1e-8);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

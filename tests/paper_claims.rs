@@ -4,7 +4,7 @@
 
 use ark::core::validate::validate;
 use ark::core::CompiledSystem;
-use ark::ode::{ensemble_stats, Rk4};
+use ark::ode::{ensemble_stats, integrate, Rk4, Trajectory};
 use ark::paradigms::cnn::{
     build_cnn, cnn_language, grid_extern_registry, hw_cnn_language, run_cnn, NonIdeality,
     EDGE_TEMPLATE,
@@ -18,6 +18,12 @@ use ark::paradigms::tln::{
 };
 use std::f64::consts::PI;
 
+/// RK4 from the system's own initial state, keeping every `stride`-th step.
+fn simulate(sys: &CompiledSystem, dt: f64, t1: f64, stride: usize) -> Trajectory {
+    let y0 = sys.initial_state();
+    integrate(&Rk4 { dt }, &sys.bind(), 0.0, &y0, t1, stride).unwrap()
+}
+
 /// Figure 4a/4b: branched line shows an attenuated pulse plus an echo; the
 /// linear line shows a single clean pulse.
 #[test]
@@ -27,9 +33,7 @@ fn fig4_linear_vs_branched_shapes() {
 
     let linear = linear_tline(&lang, 12, &cfg, 0).unwrap();
     let sys = CompiledSystem::compile(&lang, &linear).unwrap();
-    let tr = Rk4 { dt: 2e-11 }
-        .integrate(&sys.bind(), 0.0, &sys.initial_state(), 6e-8, 8)
-        .unwrap();
+    let tr = simulate(&sys, 2e-11, 6e-8, 8);
     let out = sys.state_index(&linear_out_v(12)).unwrap();
     let (t_main, v_main) = tr.peak_in_window(out, 0.0, 6e-8);
     assert!(v_main > 0.4 && v_main < 0.65, "linear peak {v_main}");
@@ -41,9 +45,7 @@ fn fig4_linear_vs_branched_shapes() {
     // main pulse (trunk delay 16 ns, echo +20 ns).
     let branched = branched_tline(&lang, 8, 10, 8, &cfg, 0).unwrap();
     let sys = CompiledSystem::compile(&lang, &branched).unwrap();
-    let tr = Rk4 { dt: 2e-11 }
-        .integrate(&sys.bind(), 0.0, &sys.initial_state(), 1.2e-7, 8)
-        .unwrap();
+    let tr = simulate(&sys, 2e-11, 1.2e-7, 8);
     let out = sys.state_index(&branched_out_v(8)).unwrap();
     let (tb, vb) = tr.peak_in_window(out, 0.0, 4.5e-8);
     assert!(
@@ -68,9 +70,7 @@ fn fig4_gm_variation_dominates_cint() {
             .map(|seed| {
                 let g = linear_tline(&gmc, 10, &cfg, seed).unwrap();
                 let sys = CompiledSystem::compile(&gmc, &g).unwrap();
-                Rk4 { dt: 5e-11 }
-                    .integrate(&sys.bind(), 0.0, &sys.initial_state(), 4e-8, 8)
-                    .unwrap()
+                simulate(&sys, 5e-11, 4e-8, 8)
             })
             .collect::<Vec<_>>()
     };

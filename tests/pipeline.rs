@@ -5,12 +5,18 @@
 use ark::core::program::Program;
 use ark::core::validate::{validate, ExternRegistry};
 use ark::core::{CompiledSystem, Value};
-use ark::ode::{relative_rmse, Rk4};
+use ark::ode::{integrate, relative_rmse, Rk4, Trajectory};
 use ark::paradigms::tln::{
     gmc_tln_language, linear_out_v, linear_tline, tln_language, MismatchKind, TlineConfig,
     BR_FUNC_SRC,
 };
 use ark::spice::synthesize;
+
+/// RK4 from the system's own initial state, keeping every `stride`-th step.
+fn simulate(sys: &CompiledSystem, dt: f64, t1: f64, stride: usize) -> Trajectory {
+    let y0 = sys.initial_state();
+    integrate(&Rk4 { dt }, &sys.bind(), 0.0, &y0, t1, stride).unwrap()
+}
 
 /// Text → program → graph → validator → compiler → ODE → trajectory.
 #[test]
@@ -20,9 +26,7 @@ fn textual_program_end_to_end() {
     for br in [0i64, 1] {
         let graph = prog.invoke("br_func", &[Value::Int(br)], 0).unwrap();
         let sys = CompiledSystem::compile(lang, &graph).unwrap();
-        let tr = Rk4 { dt: 2e-11 }
-            .integrate(&sys.bind(), 0.0, &sys.initial_state(), 2e-8, 16)
-            .unwrap();
+        let tr = simulate(&sys, 2e-11, 2e-8, 16);
         // Signal reaches OUT_V in both configurations.
         let out = sys.state_index("OUT_V").unwrap();
         let (_, peak) = tr.peak_in_window(out, 0.0, 2e-8);
@@ -47,9 +51,7 @@ fn dg_and_netlist_agree_across_crates() {
         .is_valid());
 
     let sys = CompiledSystem::compile(&gmc, &graph).unwrap();
-    let dg = Rk4 { dt: 2e-11 }
-        .integrate(&sys.bind(), 0.0, &sys.initial_state(), 2e-8, 4)
-        .unwrap();
+    let dg = simulate(&sys, 2e-11, 2e-8, 4);
     let nl = synthesize(&gmc, &graph).unwrap();
     let nt = nl.transient(2e-8, 2e-11, 4).unwrap();
 
@@ -78,12 +80,8 @@ fn inheritance_preserves_dynamics_end_to_end() {
 
     let s_base = CompiledSystem::compile(&base, &g_base).unwrap();
     let s_gmc = CompiledSystem::compile(&gmc, &g_gmc).unwrap();
-    let t_base = Rk4 { dt: 5e-11 }
-        .integrate(&s_base.bind(), 0.0, &s_base.initial_state(), 1e-8, 8)
-        .unwrap();
-    let t_gmc = Rk4 { dt: 5e-11 }
-        .integrate(&s_gmc.bind(), 0.0, &s_gmc.initial_state(), 1e-8, 8)
-        .unwrap();
+    let t_base = simulate(&s_base, 5e-11, 1e-8, 8);
+    let t_gmc = simulate(&s_gmc, 5e-11, 1e-8, 8);
     // Bit-identical: the derived language falls back to exactly the parent
     // rules for base-type graphs.
     assert_eq!(t_base.last().unwrap().1, t_gmc.last().unwrap().1);
@@ -108,12 +106,8 @@ fn substitution_changes_dynamics_but_stays_valid() {
 
     let si = CompiledSystem::compile(&gmc, &ideal).unwrap();
     let sn = CompiledSystem::compile(&gmc, &noisy).unwrap();
-    let ti = Rk4 { dt: 5e-11 }
-        .integrate(&si.bind(), 0.0, &si.initial_state(), 2e-8, 8)
-        .unwrap();
-    let tn = Rk4 { dt: 5e-11 }
-        .integrate(&sn.bind(), 0.0, &sn.initial_state(), 2e-8, 8)
-        .unwrap();
+    let ti = simulate(&si, 5e-11, 2e-8, 8);
+    let tn = simulate(&sn, 5e-11, 2e-8, 8);
     let out = si.state_index(&linear_out_v(6)).unwrap();
     let diff: f64 = (1..20)
         .map(|k| {

@@ -2,13 +2,13 @@
 //! drive loops must reproduce the **pre-redesign** integrator arithmetic
 //! exactly. The reference implementations below are verbatim copies of the
 //! historical hand-rolled loops (Euler, RK4, Dormand–Prince with PI
-//! control); the proptests pin the `DenseRecorder`/`Strided` output — and
-//! therefore the `integrate`/`integrate_with` wrappers — to them bit for
-//! bit on randomized systems.
+//! control); the proptests pin the `Strided` output — and therefore the
+//! allocating `integrate` convenience — to them bit for bit on randomized
+//! systems.
 
 use ark::ode::{
-    DormandPrince, Euler, FinalState, FnSystem, OdeWorkspace, Probe, Rk4, SolveStats, Solver,
-    Strided, Trajectory,
+    integrate, DormandPrince, Euler, FinalState, FnSystem, OdeWorkspace, Probe, Rk4, SolveStats,
+    Solver, Strided, Trajectory,
 };
 use proptest::prelude::*;
 
@@ -245,7 +245,7 @@ fn test_rhs(a: [f64; 9], f: f64) -> impl Fn(f64, &[f64], &mut [f64]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `DenseRecorder`/`Strided` under the redesigned drive loops are
+    /// `Strided` recordings under the redesigned drive loops are
     /// bit-identical to the pre-redesign Euler and RK4 loops on randomized
     /// systems, strides, and intervals.
     #[test]
@@ -261,10 +261,10 @@ proptest! {
         let rhs = test_rhs(a, f);
         let sys = FnSystem::new(3, test_rhs(a, f));
         let rk_ref = reference_rk4(dt, &rhs, 3, 0.0, &y0, t1, stride);
-        let rk_new = Rk4 { dt }.integrate(&sys, 0.0, &y0, t1, stride).unwrap();
+        let rk_new = integrate(&Rk4 { dt }, &sys, 0.0, &y0, t1, stride).unwrap();
         prop_assert_eq!(&rk_ref, &rk_new);
         let eu_ref = reference_euler(dt, &rhs, 3, 0.0, &y0, t1, stride);
-        let eu_new = Euler { dt }.integrate(&sys, 0.0, &y0, t1, stride).unwrap();
+        let eu_new = integrate(&Euler { dt }, &sys, 0.0, &y0, t1, stride).unwrap();
         prop_assert_eq!(&eu_ref, &eu_new);
     }
 
@@ -283,7 +283,7 @@ proptest! {
         let sys = FnSystem::new(3, test_rhs(a, f));
         let cfg = DormandPrince { h0, ..DormandPrince::new(1e-7, 1e-10) };
         let reference = reference_dp45(&cfg, &rhs, 3, 0.0, &y0, t1);
-        let new = cfg.integrate(&sys, 0.0, &y0, t1).unwrap();
+        let new = integrate(&cfg, &sys, 0.0, &y0, t1, 1).unwrap();
         prop_assert_eq!(&reference, &new);
     }
 
@@ -297,7 +297,7 @@ proptest! {
     ) {
         let a: [f64; 9] = a.try_into().unwrap();
         let sys = FnSystem::new(3, test_rhs(a, 0.3));
-        let tr = Rk4 { dt }.integrate(&sys, 0.0, &y0, 1.0, 1).unwrap();
+        let tr = integrate(&Rk4 { dt }, &sys, 0.0, &y0, 1.0, 1).unwrap();
         let mut end = FinalState::new();
         let stats = Rk4 { dt }
             .solve(&sys, 0.0, &y0, 1.0, &mut end, &mut OdeWorkspace::new(3))

@@ -5,7 +5,7 @@
 //! the explicit adaptive pair and worker-count determinism locked in.
 
 use ark::core::CompiledSystem;
-use ark::ode::{DormandPrince, TrBdf2};
+use ark::ode::{integrate, DormandPrince, TrBdf2};
 use ark::paradigms::stiff::{robertson_language, robertson_network, vdp_language, vdp_oscillator};
 use ark::sim::{seed_range, Ensemble};
 
@@ -27,9 +27,7 @@ fn vdp_mu1000_golden_end_state_and_step_advantage() {
     let y0 = sys.initial_state();
     let bound = sys.bind();
 
-    let tr = TrBdf2::new(1e-6, 1e-9)
-        .integrate(&bound, 0.0, &y0, 3.0, usize::MAX)
-        .unwrap();
+    let tr = integrate(&TrBdf2::new(1e-6, 1e-9), &bound, 0.0, &y0, 3.0, usize::MAX).unwrap();
     let implicit_steps = tr.stats().accepted + tr.stats().rejected;
     let end = tr.last().unwrap().1;
     eprintln!(
@@ -42,9 +40,7 @@ fn vdp_mu1000_golden_end_state_and_step_advantage() {
         tr.stats().rhs_evals
     );
 
-    let dp = DormandPrince::new(1e-6, 1e-9)
-        .integrate(&bound, 0.0, &y0, 3.0)
-        .unwrap();
+    let dp = integrate(&DormandPrince::new(1e-6, 1e-9), &bound, 0.0, &y0, 3.0, 1).unwrap();
     let dp_end = dp.last().unwrap().1;
     eprintln!(
         "vdp dp45:   x={:.10} y={:.10e} accepted={} rejected={} rhs={}",
@@ -105,9 +101,15 @@ fn robertson_golden_end_state() {
     );
     let y0 = sys.initial_state();
     let bound = sys.bind();
-    let tr = TrBdf2::new(1e-8, 1e-12)
-        .integrate(&bound, 0.0, &y0, 40.0, usize::MAX)
-        .unwrap();
+    let tr = integrate(
+        &TrBdf2::new(1e-8, 1e-12),
+        &bound,
+        0.0,
+        &y0,
+        40.0,
+        usize::MAX,
+    )
+    .unwrap();
     let end = tr.last().unwrap().1;
     eprintln!(
         "robertson trbdf2: A={:.10} B={:.10e} C={:.10} accepted={} rejected={} newton={}",
@@ -189,7 +191,7 @@ fn vdp_ensemble_bit_identical_across_worker_counts() {
     for (seed, tr) in seeds.iter().zip(&reference) {
         let (_, y0) = prep(*seed);
         let bound = sys.bind();
-        let direct = solver.integrate(&bound, 0.0, &y0, 1.0, 1).unwrap();
+        let direct = integrate(&solver, &bound, 0.0, &y0, 1.0, 1).unwrap();
         assert_eq!(&direct, tr, "seed {seed} ensemble vs direct");
     }
 }
