@@ -1,5 +1,6 @@
 //! Right-hand-side microbenchmark: the fused `SystemProgram` path, on the
-//! interpreter and as a native kernel, on the three paper workloads
+//! interpreter (one lane, `fused`, and four lanes per call, `fused4`) and
+//! as a native kernel, on the three paper workloads
 //! (`ark_bench::rhs_workloads`: Figure 11 CNN, Figure 4 GmC-TLN, Table 1
 //! OBC max-cut).
 //!
@@ -11,7 +12,8 @@
 //! deterministic sizes are pinned by `tests/program_size.rs`.
 
 use ark_bench::rhs_workloads;
-use ark_core::{Backend, CompiledSystem};
+use ark_core::{Backend, CompiledSystem, LaneScratch};
+use ark_ode::LanedOdeSystem;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::time::Instant;
 
@@ -76,6 +78,16 @@ fn bench_rhs(c: &mut Criterion) {
                 })
             });
         }
+        group.bench_function("fused4", |b| {
+            let y: Vec<[f64; 4]> = w.sys.initial_state().iter().map(|&v| [v; 4]).collect();
+            let mut dydt = vec![[0.0; 4]; w.sys.num_states()];
+            let mut scratch = LaneScratch::<4>::default();
+            let bound = w.sys.bind_lanes::<4>(&[&[][..]; 4], &mut scratch);
+            b.iter(|| {
+                bound.rhs(black_box(0.5), &y, &mut dydt);
+                black_box(dydt[0])
+            })
+        });
         group.finish();
     }
 }

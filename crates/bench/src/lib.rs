@@ -20,7 +20,7 @@
 //! Criterion performance benchmarks live under `benches/`.
 
 #![warn(missing_docs)]
-// Unsafe code lives only in ark-expr's codegen dlopen path.
+// Unsafe code lives only in ark-expr.
 #![forbid(unsafe_code)]
 
 use ark_core::CompiledSystem;

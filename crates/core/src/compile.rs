@@ -27,10 +27,8 @@ use crate::func::ParametricGraph;
 use crate::lang::{LangError, Language, Reduction, RuleTarget};
 use crate::mismatch::{sample_param_vector, ParamSite, ParamTarget};
 use crate::types::Value;
-use ark_expr::program::{
-    LaneScratch, ProgScratch, ProgramBuilder, ProgramResolver, SystemProgram, VarRef,
-};
-use ark_expr::{Backend, Differentiator, Expr, MapContext, NativeStatus, TapeError};
+use ark_expr::program::{LaneScratch, ProgramBuilder, ProgramResolver, SystemProgram, VarRef};
+use ark_expr::{Backend, Differentiator, Expr, LowerError, MapContext, NativeStatus};
 use ark_ode::OdeSystem;
 use std::cell::{RefCell, RefMut};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -76,7 +74,9 @@ pub enum CompileError {
     },
     /// Order-0 (pure function) nodes form a dependency cycle.
     AlgebraicLoop(Vec<String>),
-    /// Program lowering failed (internal invariant; should not escape).
+    /// A production rule's expression cannot be lowered into the fused
+    /// system program — for example a call to a builtin the program has
+    /// no opcode for (`atan2`). The message names the offending leaf.
     Lowering(String),
 }
 
@@ -123,8 +123,8 @@ impl From<LangError> for CompileError {
     }
 }
 
-impl From<TapeError> for CompileError {
-    fn from(e: TapeError) -> Self {
+impl From<LowerError> for CompileError {
+    fn from(e: LowerError) -> Self {
         CompileError::Lowering(e.to_string())
     }
 }
@@ -163,7 +163,7 @@ pub struct EvalScratch {
     buf: Vec<f64>,
     /// Register files for fused [`SystemProgram`]s, keyed by program id
     /// (one per program so constant pools stay primed).
-    progs: Vec<ProgScratch>,
+    progs: Vec<LaneScratch<1>>,
     /// Nonzero-entry output buffer for the Jacobian program
     /// ([`CompiledSystem::eval_jacobian_with`]).
     jvals: Vec<f64>,
@@ -172,7 +172,7 @@ pub struct EvalScratch {
 impl EvalScratch {
     /// The program scratch primed for `id` (or a fresh one that the next
     /// evaluation will prime).
-    fn prog_state(&mut self, id: u64) -> &mut ProgScratch {
+    fn prog_state(&mut self, id: u64) -> &mut LaneScratch<1> {
         let i = self.prog_state_index(id);
         &mut self.progs[i]
     }
@@ -187,7 +187,7 @@ impl EvalScratch {
         {
             return i;
         }
-        self.progs.push(ProgScratch::default());
+        self.progs.push(LaneScratch::default());
         self.progs.len() - 1
     }
 }
@@ -232,7 +232,7 @@ impl<'a> BoundSystem<'a> {
     }
 
     /// The fused right-hand side's register file in this binding's scratch.
-    fn rhs_scratch(&self) -> RefMut<'_, ProgScratch> {
+    fn rhs_scratch(&self) -> RefMut<'_, LaneScratch<1>> {
         let id = self.sys.rhs_prog.id();
         RefMut::map(self.scratch.borrow_mut(), |s| s.get().prog_state(id))
     }
@@ -257,7 +257,7 @@ impl OdeSystem for BoundSystem<'_> {
 
     /// Forward the hint to the fused right-hand side: a promised same-`t`
     /// stage lets the next evaluation skip the time-prologue revalidation
-    /// (see [`ark_expr::program::ProgScratch::hint_same_time`]).
+    /// (see [`LaneScratch::hint_same_time`]).
     fn stage_hint(&self, hint: ark_ode::StageHint) {
         match hint {
             ark_ode::StageHint::SameTimeNext => self.rhs_scratch().hint_same_time(),

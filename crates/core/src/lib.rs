@@ -60,7 +60,7 @@
 //! ```
 
 #![warn(missing_docs)]
-// Unsafe code lives only in ark-expr's codegen dlopen path.
+// Unsafe code lives only in ark-expr.
 #![forbid(unsafe_code)]
 
 pub mod compile;

@@ -3,10 +3,12 @@
 //! [`Program::build`]. Every edit may make the program invalid, and a
 //! typed error is the expected answer; a panic anywhere in parse, invoke,
 //! validate or compile fails the test and prints the offending source.
+//! One directed edit pins the typed error of a call that parses and
+//! validates but has no program opcode.
 
-use ark_core::program::Program;
+use ark_core::program::{Program, ProgramError};
 use ark_core::validate::ExternRegistry;
-use ark_core::Value;
+use ark_core::{CompileError, Value};
 use proptest::prelude::*;
 use std::panic;
 
@@ -105,4 +107,22 @@ proptest! {
         });
         prop_assert!(outcome.is_ok(), "frontend panicked on edits {:?}:\n{}", edits, src);
     }
+}
+
+/// `atan2` passes parse and validation (it is a tree-walk builtin) but has
+/// no program opcode: `build` must return a typed lowering error that
+/// names the call, in terms of the system program.
+#[test]
+fn unsupported_call_is_a_typed_lowering_error() {
+    let src = quickstart_source().replace("s <= -var(s)/s.tau;", "s <= -atan2(var(s), s.tau);");
+    assert_ne!(src, quickstart_source(), "quickstart leak rule not found");
+    let program = Program::parse(&src).expect("atan2 parses");
+    let err = program
+        .build("chain", &[Value::Real(2.0)], 0, &ExternRegistry::new())
+        .expect_err("atan2 cannot be lowered");
+    let ProgramError::Compile(CompileError::Lowering(msg)) = &err else {
+        panic!("expected a lowering error, got {err:?}");
+    };
+    assert!(msg.contains("`atan2`"), "{msg}");
+    assert!(!err.to_string().contains("tape"), "{err}");
 }

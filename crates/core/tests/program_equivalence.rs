@@ -5,13 +5,16 @@
 //! fused right-hand side and observation program agree *bit for bit* with
 //! the tree-walking reference evaluator
 //! ([`CompiledSystem::eval_reference`](ark_core::CompiledSystem::eval_reference))
-//! at arbitrary states, times and parameter vectors.
+//! at arbitrary states, times and parameter vectors, one lane at a time
+//! and four lanes at once.
 //!
 //! The graph generators live in [`common`] and are shared with the
 //! Jacobian differential tests (`jacobian_differential.rs`).
 
 mod common;
 
+use ark_core::LaneScratch;
+use ark_ode::LanedOdeSystem;
 use common::{arb_spec, compile_spec, compile_spec_parametric, ptest_language};
 use proptest::prelude::*;
 
@@ -98,6 +101,60 @@ proptest! {
         for (i, (a, b)) in algs.iter().zip(&reference_algs).enumerate() {
             prop_assert_eq!(a.to_bits(), b.to_bits(),
                 "alg[{}] fused {} vs reference {}", i, a, b);
+        }
+    }
+
+    /// Four lanes at once: four perturbed parameter vectors bound with
+    /// `bind_lanes::<4>`, each lane at its own state. Every lane's rhs and
+    /// observation output equal the reference at that lane's parameters
+    /// and state, bit for bit.
+    #[test]
+    fn laned_fused_bit_identical_to_reference(
+        spec in arb_spec(),
+        t in 0.0..10.0f64,
+        scale in -2.0..2.0f64,
+        wobbles in (-0.5..0.5f64, -0.5..0.5f64, -0.5..0.5f64, -0.5..0.5f64),
+    ) {
+        const L: usize = 4;
+        let lang = ptest_language();
+        let sys = compile_spec_parametric(&lang, &spec);
+        let n = sys.num_states();
+        let params: Vec<Vec<f64>> = [wobbles.0, wobbles.1, wobbles.2, wobbles.3]
+            .iter()
+            .map(|wobble| {
+                sys.nominal_params()
+                    .iter()
+                    .enumerate()
+                    .map(|(k, w)| w + wobble * (1.0 + k as f64).cos())
+                    .collect()
+            })
+            .collect();
+        let prefs: Vec<&[f64]> = params.iter().map(|p| &p[..]).collect();
+        let states: Vec<Vec<f64>> = (0..L)
+            .map(|l| {
+                (0..n)
+                    .map(|k| scale * (0.5 + 0.23 * k as f64 + 0.61 * l as f64).sin())
+                    .collect()
+            })
+            .collect();
+        let y: Vec<[f64; L]> = (0..n).map(|i| std::array::from_fn(|l| states[l][i])).collect();
+        let mut dydt = vec![[0.0; L]; n];
+        let mut rhs_scratch = LaneScratch::<L>::default();
+        sys.bind_lanes::<L>(&prefs, &mut rhs_scratch).rhs(t, &y, &mut dydt);
+        let mut algs = vec![[0.0; L]; sys.num_algebraics()];
+        let mut obs_scratch = LaneScratch::<L>::default();
+        sys.eval_algebraics_lanes(t, &y, &prefs, &mut obs_scratch, &mut algs);
+        for l in 0..L {
+            let (reference, reference_algs) = sys.eval_reference(t, &states[l], &params[l]);
+            for (i, (a, b)) in dydt.iter().zip(&reference).enumerate() {
+                prop_assert_eq!(a[l].to_bits(), b.to_bits(),
+                    "lane {} dydt[{}] fused {} vs reference {}", l, i, a[l], b);
+            }
+            prop_assert_eq!(reference_algs.len(), algs.len());
+            for (i, (a, b)) in algs.iter().zip(&reference_algs).enumerate() {
+                prop_assert_eq!(a[l].to_bits(), b.to_bits(),
+                    "lane {} alg[{}] fused {} vs reference {}", l, i, a[l], b);
+            }
         }
     }
 }

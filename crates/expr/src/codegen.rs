@@ -183,14 +183,11 @@ impl fmt::Display for NativeStatus {
 // Source emission
 // ---------------------------------------------------------------------------
 
-/// Lane widths with dedicated generated kernels. Other widths fall back to
-/// the laned interpreter (still bit-identical — that is the whole spec).
-pub const NATIVE_LANE_WIDTHS: [usize; 2] = [4, 8];
-
-/// Every width with an exported kernel per segment: the scalar kernel, then
-/// each of [`NATIVE_LANE_WIDTHS`]. Also the row order of
-/// [`NativeKernel`]'s function table.
-pub(crate) const KERNEL_WIDTHS: [usize; 3] = [1, NATIVE_LANE_WIDTHS[0], NATIVE_LANE_WIDTHS[1]];
+/// Lane widths with an exported kernel per segment, `1` being the scalar
+/// kernel. Other widths run on the interpreter (still bit-identical —
+/// that is the whole spec). Also the row order of [`NativeKernel`]'s
+/// function table.
+pub(crate) const KERNEL_WIDTHS: [usize; 3] = [1, 4, 8];
 
 /// Each segment's name in the emitted source, in [`Segment`] order: the
 /// generic driver is `<name>::<L>`, its chunks are modules `<name>_<k>`.
@@ -615,31 +612,8 @@ impl NativeKernel {
         self.min_slots
     }
 
-    /// The width-`width` function for `seg`, once the caller's buffers
-    /// (counted in registers and slots of that width) are checked to cover
-    /// every index the generated code touches.
-    fn entry(&self, seg: Segment, width: usize, n_regs: usize, n_slots: usize) -> SegFn {
-        assert!(
-            n_regs >= self.min_regs && n_slots >= self.min_slots,
-            "native kernel bounds exceed caller buffers"
-        );
-        let w = KERNEL_WIDTHS
-            .iter()
-            .position(|&w| w == width)
-            .unwrap_or_else(|| unreachable!("unsupported native lane width {width}"));
-        self.fns[w][seg as usize]
-    }
-
-    /// Run `seg` over a scalar register file.
-    pub(crate) fn run(&self, seg: Segment, regs: &mut [f64], slots: &[f64], t: f64) {
-        let f = self.entry(seg, 1, regs.len(), slots.len());
-        // SAFETY: `entry` checked the bounds; the generated code only
-        // touches registers below min_regs and slots below min_slots.
-        unsafe { f(regs.as_mut_ptr(), slots.as_ptr(), t) }
-    }
-
     /// Run `seg` over a width-`L` register file; `L` must be one of
-    /// [`KERNEL_WIDTHS`].
+    /// [`KERNEL_WIDTHS`] (`L = 1` is the scalar kernel).
     pub(crate) fn run_lanes<const L: usize>(
         &self,
         seg: Segment,
@@ -647,10 +621,18 @@ impl NativeKernel {
         slots: &[[f64; L]],
         t: f64,
     ) {
-        let f = self.entry(seg, L, regs.len(), slots.len());
+        assert!(
+            regs.len() >= self.min_regs && slots.len() >= self.min_slots,
+            "native kernel bounds exceed caller buffers"
+        );
+        let w = KERNEL_WIDTHS
+            .iter()
+            .position(|&w| w == L)
+            .unwrap_or_else(|| unreachable!("unsupported native lane width {L}"));
+        let f = self.fns[w][seg as usize];
         // SAFETY: `[[f64; L]]` is a contiguous lane-major f64 buffer of
         // len()*L elements, the layout the width-`L` kernel indexes; bounds
-        // checked in lane units by `entry`.
+        // checked in lane units above.
         unsafe { f(regs.as_mut_ptr().cast(), slots.as_ptr().cast(), t) }
     }
 }

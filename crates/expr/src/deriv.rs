@@ -40,7 +40,7 @@
 //! let mut diff = Differentiator::new(&mut pb);
 //! let df = diff.derive(f, 0).expect("depends on x");
 //! let prog = pb.finish(&[f, df], 0);
-//! let mut scratch = ark_expr::ProgScratch::default();
+//! let mut scratch = ark_expr::LaneScratch::<1>::default();
 //! let mut out = [0.0; 2];
 //! prog.eval_into(&mut scratch, &[2.0], 0.0, &[], &mut out);
 //! let x = 2.0_f64;
@@ -376,7 +376,7 @@ impl<'a> Differentiator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{parse_expr, ProgScratch, SlotResolver};
+    use crate::{parse_expr, LaneScratch, SlotResolver};
 
     /// Resolver mapping `x`→0, `y`→1, `z`→2.
     fn xyz() -> SlotResolver<impl Fn(&str) -> Option<usize>> {
@@ -400,7 +400,7 @@ mod tests {
         let mut outs = vec![f];
         outs.extend(grads.iter().flatten());
         let prog = pb.finish(&outs, 0);
-        let mut scratch = ProgScratch::default();
+        let mut scratch = LaneScratch::<1>::default();
         let mut out = vec![0.0; outs.len()];
         let mut eval = |slots: &[f64]| {
             prog.eval_into(&mut scratch, slots, 0.25, &[], &mut out);

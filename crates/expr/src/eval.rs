@@ -361,7 +361,7 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::ast::UnaryOp;
-    use crate::program::{ProgScratch, ProgramBuilder, SlotResolver};
+    use crate::program::{LaneScratch, ProgramBuilder, SlotResolver};
     use proptest::prelude::*;
 
     /// Strategy for random expressions over vars x (slot 0) and y (slot 1).
@@ -397,7 +397,7 @@ mod proptests {
             let v = pb.add_expr(&e, &resolve).unwrap();
             let prog = pb.finish(&[v], 0);
             let mut out = [0.0];
-            prog.eval_into(&mut ProgScratch::default(), &[x, y], t, &[], &mut out);
+            prog.eval_into(&mut LaneScratch::<1>::default(), &[x, y], t, &[], &mut out);
             if reference.is_nan() {
                 prop_assert!(out[0].is_nan());
             } else {

@@ -34,7 +34,8 @@
 
 #![warn(missing_docs)]
 // This crate hosts the project's only unsafe code (the codegen dlopen
-// path); every unsafe block must carry a `// SAFETY:` justification.
+// path and the one-lane slice view of the scalar interpreter entry
+// points); every unsafe block must carry a `// SAFETY:` justification.
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod analysis;
@@ -59,6 +60,6 @@ pub use error::{EvalError, ParseError};
 pub use eval::{eval, eval_bool, EvalContext, MapContext};
 pub use parse::{parse_bool_expr, parse_expr, parse_lambda};
 pub use program::{
-    LaneScratch, ProgScratch, ProgramBuilder, ProgramResolver, SlotResolver, SystemProgram,
-    TapeError, ValueId, VarRef,
+    LaneScratch, LowerError, ProgramBuilder, ProgramResolver, SlotResolver, SystemProgram, ValueId,
+    VarRef,
 };

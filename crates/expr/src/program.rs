@@ -31,6 +31,15 @@
 //!    are reused as soon as their value dies, so the register file stays
 //!    cache-sized instead of growing one register per instruction.
 //!
+//! One interpreter runs the result, generic over the lane width `L`: a
+//! [`LaneScratch<L>`] holds `L` instances' registers side by side, and each
+//! instruction is dispatched once and applied to all `L` lanes.
+//! [`SystemProgram::eval_into`] and [`SystemProgram::eval_bound`] are the
+//! `L = 1` case (a `&[f64]` viewed as one-lane registers), and lane-parallel
+//! ensembles use [`SystemProgram::eval_lanes_bound`] at `L` = 4 or 8. The
+//! native kernels of [`codegen`](crate::codegen) have the same shape: each
+//! segment emitted once, generic over `L`.
+//!
 //! Evaluation semantics are *bit-identical* to evaluating each expression
 //! with the tree-walking [`eval()`](crate::eval()): every transformation
 //! either shares or fuses identical arithmetic, never reassociates or
@@ -41,16 +50,17 @@ use crate::analysis::Segment;
 use crate::ast::{BinaryOp, BoolExpr, CmpOp, Expr, UnaryOp};
 use crate::builtins::Builtin3;
 use crate::codegen::{
-    Backend, CodegenCache, CodegenError, NativeKernel, NativeStatus, NATIVE_LANE_WIDTHS,
+    Backend, CodegenCache, CodegenError, NativeKernel, NativeStatus, KERNEL_WIDTHS,
 };
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// An error produced while lowering an expression into a program.
+/// An error produced while lowering an expression into a
+/// [`SystemProgram`] (see [`ProgramBuilder::add_expr`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TapeError {
+pub enum LowerError {
     /// `var(.)` reference that the resolver could not map to a slot.
     UnresolvedVar(String),
     /// Attribute reference that survived constant folding.
@@ -61,22 +71,33 @@ pub enum TapeError {
     UnsupportedCall(String),
 }
 
-impl fmt::Display for TapeError {
+impl fmt::Display for LowerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TapeError::UnresolvedVar(n) => write!(f, "unresolved variable var({n})"),
-            TapeError::UnresolvedAttr(n, a) => {
-                write!(f, "attribute {n}.{a} not folded before tape compilation")
+            LowerError::UnresolvedVar(n) => write!(f, "unresolved variable var({n})"),
+            LowerError::UnresolvedAttr(n, a) => {
+                write!(
+                    f,
+                    "attribute {n}.{a} not folded before system-program lowering"
+                )
             }
-            TapeError::UnresolvedArg(n) => {
-                write!(f, "argument {n} not substituted before tape compilation")
+            LowerError::UnresolvedArg(n) => {
+                write!(
+                    f,
+                    "argument {n} not substituted before system-program lowering"
+                )
             }
-            TapeError::UnsupportedCall(n) => write!(f, "call to `{n}` not supported on tape"),
+            LowerError::UnsupportedCall(n) => write!(
+                f,
+                "call to `{n}` not supported by system-program lowering \
+                 (supported calls: one-argument functions, pulse, square_pulse, \
+                 smoothstep, min, max, pow)"
+            ),
         }
     }
 }
 
-impl std::error::Error for TapeError {}
+impl std::error::Error for LowerError {}
 
 /// A value in the program builder's hash-consed DAG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -162,7 +183,7 @@ impl VNode {
 /// let a = pb.add_expr(&parse_expr("2*var(x) + 1")?, &resolve)?;
 /// let b = pb.add_expr(&parse_expr("1 + 2*var(x)")?, &resolve)?;
 /// let prog = pb.finish(&[a, b], 0);
-/// let mut scratch = ark_expr::ProgScratch::default();
+/// let mut scratch = ark_expr::LaneScratch::<1>::default();
 /// let mut out = [0.0; 2];
 /// prog.eval_into(&mut scratch, &[3.0], 0.0, &[], &mut out);
 /// assert_eq!(out, [7.0, 7.0]);
@@ -253,28 +274,30 @@ impl ProgramBuilder {
     ///
     /// # Errors
     ///
-    /// A [`TapeError`] for any leaf that cannot be lowered: unresolved
+    /// A [`LowerError`] for any leaf that cannot be lowered: unresolved
     /// variables, attributes without a parameter slot, arguments, and
     /// unsupported calls.
     pub fn add_expr(
         &mut self,
         expr: &Expr,
         resolve: &impl ProgramResolver,
-    ) -> Result<ValueId, TapeError> {
+    ) -> Result<ValueId, LowerError> {
         Ok(match expr {
             Expr::Const(x) => self.constant(*x),
             Expr::Time => self.intern(VNode::Time),
             Expr::Var(n) => match resolve.var(n) {
                 Some(VarRef::Slot(s)) => self.load(s),
                 Some(VarRef::Value(v)) => v,
-                None => return Err(TapeError::UnresolvedVar(n.clone())),
+                None => return Err(LowerError::UnresolvedVar(n.clone())),
             },
             Expr::Attr(n, a) => match resolve.attr(n, a) {
                 Some(slot) => self.param(slot),
-                None => return Err(TapeError::UnresolvedAttr(n.clone(), a.clone())),
+                None => return Err(LowerError::UnresolvedAttr(n.clone(), a.clone())),
             },
-            Expr::Arg(n) => return Err(TapeError::UnresolvedArg(n.clone())),
-            Expr::CallAttr(n, a, _) => return Err(TapeError::UnresolvedAttr(n.clone(), a.clone())),
+            Expr::Arg(n) => return Err(LowerError::UnresolvedArg(n.clone())),
+            Expr::CallAttr(n, a, _) => {
+                return Err(LowerError::UnresolvedAttr(n.clone(), a.clone()))
+            }
             Expr::Unary(op, a) => {
                 let ra = self.add_expr(a, resolve)?.0;
                 self.intern(VNode::Un(*op, ra))
@@ -293,7 +316,7 @@ impl ProgramBuilder {
                 };
                 if let Some(b3) = builtin {
                     if args.len() != 3 {
-                        return Err(TapeError::UnsupportedCall(name.clone()));
+                        return Err(LowerError::UnsupportedCall(name.clone()));
                     }
                     let ra = self.add_expr(&args[0], resolve)?.0;
                     let rb = self.add_expr(&args[1], resolve)?.0;
@@ -312,7 +335,7 @@ impl ProgramBuilder {
                             let rb = self.add_expr(&args[1], resolve)?.0;
                             self.intern(VNode::Bin(op, ra, rb))
                         }
-                        _ => return Err(TapeError::UnsupportedCall(name.clone())),
+                        _ => return Err(LowerError::UnsupportedCall(name.clone())),
                     }
                 }
             }
@@ -329,7 +352,7 @@ impl ProgramBuilder {
         &mut self,
         expr: &BoolExpr,
         resolve: &impl ProgramResolver,
-    ) -> Result<ValueId, TapeError> {
+    ) -> Result<ValueId, LowerError> {
         Ok(match expr {
             BoolExpr::Lit(b) => self.constant(if *b { 1.0 } else { 0.0 }),
             BoolExpr::Cmp(op, a, b) => {
@@ -664,14 +687,26 @@ pub(crate) enum POp {
     Call3(Builtin3, u32, u32, u32),
 }
 
-/// Per-worker register file for [`SystemProgram`] evaluation.
+/// Per-worker struct-of-arrays register file for [`SystemProgram`]
+/// evaluation: register `r` holds `L` values, one per ensemble instance.
+///
+/// There is one interpreter, generic over the lane width: it executes the
+/// program's instruction stream once and applies every operation
+/// elementwise across the `L` lanes — plain `[f64; L]` loops the compiler
+/// auto-vectorizes — so one instruction dispatch serves `L` fabricated
+/// instances. `LaneScratch<1>` is the scalar case, behind
+/// [`SystemProgram::eval_into`] and [`SystemProgram::eval_bound`]; wider
+/// scratches serve lane-parallel ensembles through
+/// [`SystemProgram::eval_lanes_bound`]. Per-lane results are bit-identical
+/// across widths because each lane performs exactly the same operation
+/// sequence.
 ///
 /// One scratch serves programs of any size (buffers grow on demand) and is
 /// automatically re-primed when handed to a different program; keeping one
 /// scratch per program avoids re-priming the constant pool.
-#[derive(Debug, Clone, Default)]
-pub struct ProgScratch {
-    regs: Vec<f64>,
+#[derive(Debug, Clone)]
+pub struct LaneScratch<const L: usize> {
+    regs: Vec<[f64; L]>,
     /// The program this scratch is currently primed for.
     ready_for: Option<u64>,
     params_set: bool,
@@ -684,7 +719,21 @@ pub struct ProgScratch {
     hint_same_time: bool,
 }
 
-impl ProgScratch {
+impl<const L: usize> Default for LaneScratch<L> {
+    fn default() -> Self {
+        LaneScratch {
+            regs: Vec::new(),
+            ready_for: None,
+            params_set: false,
+            pprologue_run: false,
+            has_time: false,
+            last_time: 0,
+            hint_same_time: false,
+        }
+    }
+}
+
+impl<const L: usize> LaneScratch<L> {
     /// The program id this scratch is currently primed for, if any.
     pub fn program_id(&self) -> Option<u64> {
         self.ready_for
@@ -705,7 +754,7 @@ impl ProgScratch {
 
 /// A whole-system register program: optimized instruction stream plus
 /// constant pool, parameter segment, and output map. Immutable and
-/// `Send + Sync`; per-thread mutable state lives in [`ProgScratch`].
+/// `Send + Sync`; per-thread mutable state lives in a [`LaneScratch`].
 ///
 /// Built by [`ProgramBuilder::finish`]; see the [module docs](self) for the
 /// optimization pipeline and the bit-identity guarantee.
@@ -856,224 +905,20 @@ impl SystemProgram {
         self.prepared().as_ref().ok().map(|k| &**k)
     }
 
-    /// [`SystemProgram::native_kernel`] guarded for the scalar path:
-    /// the kernel must not read input slots past `slots.len()`.
-    fn native_for(&self, n_slots: usize) -> Option<&NativeKernel> {
+    /// [`SystemProgram::native_kernel`] guarded for a width-`L` evaluation
+    /// over `n_slots` input slots: only widths with generated kernels
+    /// ([`KERNEL_WIDTHS`]) qualify, and the kernel must not read input
+    /// slots past `n_slots`. Other widths interpret (still bit-identical —
+    /// that is the spec).
+    fn native_for<const L: usize>(&self, n_slots: usize) -> Option<&NativeKernel> {
+        if !KERNEL_WIDTHS.contains(&L) {
+            return None;
+        }
         self.native_kernel().filter(|k| n_slots >= k.min_slots())
     }
 
-    /// [`SystemProgram::native_kernel`] guarded for the laned path: only
-    /// widths with generated kernels ([`NATIVE_LANE_WIDTHS`]) qualify;
-    /// other widths interpret (still bit-identical — that is the spec).
-    fn native_for_lanes<const L: usize>(&self, n_slots: usize) -> Option<&NativeKernel> {
-        if !NATIVE_LANE_WIDTHS.contains(&L) {
-            return None;
-        }
-        self.native_for(n_slots)
-    }
-
-    /// Prime `scratch` for this program if it is not already.
-    fn ensure(&self, scratch: &mut ProgScratch) {
-        if scratch.ready_for == Some(self.id) {
-            return;
-        }
-        if scratch.regs.len() < self.n_regs as usize {
-            scratch.regs.resize(self.n_regs as usize, 0.0);
-        }
-        scratch.regs[..self.consts.len()].copy_from_slice(&self.consts);
-        scratch.ready_for = Some(self.id);
-        scratch.params_set = false;
-        scratch.pprologue_run = false;
-        scratch.has_time = false;
-        scratch.hint_same_time = false;
-    }
-
-    /// Bind a parameter vector for subsequent evaluations through `scratch`.
-    /// A no-op when the exact same parameter bits are already bound, so the
-    /// prologue cache survives repeated binds within one instance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params.len()` differs from [`SystemProgram::param_count`].
-    pub fn set_params(&self, scratch: &mut ProgScratch, params: &[f64]) {
-        assert_eq!(
-            params.len(),
-            self.n_params as usize,
-            "parameter vector length mismatch"
-        );
-        self.ensure(scratch);
-        let base = self.consts.len();
-        let seg = &mut scratch.regs[base..base + params.len()];
-        let unchanged = scratch.params_set
-            && seg
-                .iter()
-                .zip(params)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-        if !unchanged {
-            seg.copy_from_slice(params);
-            scratch.params_set = true;
-            scratch.pprologue_run = false;
-            scratch.has_time = false;
-            scratch.hint_same_time = false;
-        }
-    }
-
-    /// Evaluate the program: `slots` is the dynamic input vector (the state),
-    /// `time` the simulation time, and `out` receives one value per output.
-    /// Parametric programs (re)bind `params` first (a bitwise no-op check
-    /// when unchanged).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is shorter than the output count, a `Load` slot is out
-    /// of bounds of `slots`, or `params` has the wrong length.
-    pub fn eval_into(
-        &self,
-        scratch: &mut ProgScratch,
-        slots: &[f64],
-        time: f64,
-        params: &[f64],
-        out: &mut [f64],
-    ) {
-        if self.n_params > 0 {
-            self.set_params(scratch, params);
-        }
-        self.eval_bound(scratch, slots, time, out);
-    }
-
-    /// Evaluate without touching the parameter binding — the hot-loop form
-    /// behind an exclusive binding (the caller guarantees, typically via
-    /// Rust's borrow rules, that [`SystemProgram::set_params`] was called on
-    /// this scratch and the parameters have not changed since). Skips the
-    /// per-call O(params) re-validation of [`SystemProgram::eval_into`].
-    ///
-    /// # Panics
-    ///
-    /// As [`SystemProgram::eval_into`], plus if parameters are required but
-    /// unbound.
-    pub fn eval_bound(&self, scratch: &mut ProgScratch, slots: &[f64], time: f64, out: &mut [f64]) {
-        if self.n_params > 0 {
-            assert!(
-                scratch.ready_for == Some(self.id) && scratch.params_set,
-                "parameters must be bound with set_params before eval_bound"
-            );
-        } else {
-            self.ensure(scratch);
-        }
-        // Bit-identical either way: the generated code mirrors `exec`
-        // operation for operation, so which engine runs is unobservable in
-        // the results (only in the ns).
-        let native = self.native_for(slots.len());
-        let regs = &mut scratch.regs[..];
-        if !scratch.pprologue_run {
-            // Parameter-dependent, time-free values: once per instance.
-            match native {
-                Some(k) => k.run(Segment::ParamPrologue, regs, slots, time),
-                None => {
-                    for instr in &self.pprologue {
-                        regs[instr.dest as usize] = exec(&instr.op, regs, slots, time);
-                    }
-                }
-            }
-            scratch.pprologue_run = true;
-            scratch.has_time = false;
-            scratch.hint_same_time = false;
-        }
-        let regs = &mut scratch.regs[..];
-        // A solver stage hint certifies the repeated time, skipping even
-        // the bit-pattern revalidation of the time-prologue cache.
-        let hinted = scratch.hint_same_time && scratch.has_time;
-        scratch.hint_same_time = false;
-        if hinted {
-            debug_assert_eq!(
-                scratch.last_time,
-                time.to_bits(),
-                "stage hint promised an identical time"
-            );
-        } else if !(scratch.has_time && scratch.last_time == time.to_bits()) {
-            match native {
-                Some(k) => k.run(Segment::TimePrologue, regs, slots, time),
-                None => {
-                    for instr in &self.tprologue {
-                        regs[instr.dest as usize] = exec(&instr.op, regs, slots, time);
-                    }
-                }
-            }
-            scratch.last_time = time.to_bits();
-            scratch.has_time = true;
-        }
-        assert!(out.len() >= self.outputs.len(), "output buffer too short");
-        let regs = &mut scratch.regs[..];
-        match native {
-            Some(k) => k.run(Segment::Body, regs, slots, time),
-            None => {
-                for instr in &self.body {
-                    regs[instr.dest as usize] = exec(&instr.op, regs, slots, time);
-                }
-            }
-        }
-        for (o, &r) in out.iter_mut().zip(&self.outputs) {
-            *o = regs[r as usize];
-        }
-    }
-}
-
-/// Struct-of-arrays register file for lane-parallel [`SystemProgram`]
-/// evaluation: register `r` holds `L` values, one per ensemble instance.
-///
-/// The laned interpreter ([`SystemProgram::eval_lanes_bound`]) executes the
-/// *same* instruction stream as the scalar path but applies every operation
-/// elementwise across `L` lanes — plain `[f64; L]` arithmetic the compiler
-/// auto-vectorizes — so one instruction dispatch serves `L` fabricated
-/// instances. Per-lane results are bit-identical to `L` scalar evaluations
-/// because each lane performs exactly the scalar operation sequence.
-///
-/// Like [`ProgScratch`], one `LaneScratch` serves programs of any size and
-/// is re-primed when handed to a different program.
-#[derive(Debug, Clone)]
-pub struct LaneScratch<const L: usize> {
-    regs: Vec<[f64; L]>,
-    /// The program this scratch is currently primed for.
-    ready_for: Option<u64>,
-    params_set: bool,
-    /// Parameter-prologue results are valid for the bound parameters.
-    pprologue_run: bool,
-    has_time: bool,
-    last_time: u64,
-    /// See [`ProgScratch::hint_same_time`].
-    hint_same_time: bool,
-}
-
-impl<const L: usize> Default for LaneScratch<L> {
-    fn default() -> Self {
-        LaneScratch {
-            regs: Vec::new(),
-            ready_for: None,
-            params_set: false,
-            pprologue_run: false,
-            has_time: false,
-            last_time: 0,
-            hint_same_time: false,
-        }
-    }
-}
-
-impl<const L: usize> LaneScratch<L> {
-    /// The program id this scratch is currently primed for, if any.
-    pub fn program_id(&self) -> Option<u64> {
-        self.ready_for
-    }
-
-    /// Laned twin of [`ProgScratch::hint_same_time`]: the next laned
-    /// evaluation repeats the previous `time` bit for bit.
-    pub fn hint_same_time(&mut self) {
-        self.hint_same_time = true;
-    }
-}
-
-impl SystemProgram {
-    /// Prime `scratch` for laned evaluation of this program if it is not
-    /// already (constant pool splatted across all lanes).
+    /// Prime `scratch` for this program if it is not already (constant
+    /// pool splatted across all lanes).
     fn ensure_lanes<const L: usize>(&self, scratch: &mut LaneScratch<L>) {
         if scratch.ready_for == Some(self.id) {
             return;
@@ -1091,8 +936,64 @@ impl SystemProgram {
         scratch.hint_same_time = false;
     }
 
-    /// Bind one parameter vector per lane for subsequent laned evaluations.
-    /// A no-op when the exact same parameter bits are already bound in every
+    /// Bind a parameter vector for subsequent evaluations through `scratch`
+    /// — the one-lane case of [`SystemProgram::set_params_lanes`]. A no-op
+    /// when the exact same parameter bits are already bound, so the
+    /// prologue cache survives repeated binds within one instance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.len()` differs from [`SystemProgram::param_count`].
+    pub fn set_params(&self, scratch: &mut LaneScratch<1>, params: &[f64]) {
+        self.set_params_lanes(scratch, &[params]);
+    }
+
+    /// Evaluate the program: `slots` is the dynamic input vector (the state),
+    /// `time` the simulation time, and `out` receives one value per output.
+    /// Parametric programs (re)bind `params` first (a bitwise no-op check
+    /// when unchanged).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is shorter than the output count, a `Load` slot is out
+    /// of bounds of `slots`, or `params` has the wrong length.
+    pub fn eval_into(
+        &self,
+        scratch: &mut LaneScratch<1>,
+        slots: &[f64],
+        time: f64,
+        params: &[f64],
+        out: &mut [f64],
+    ) {
+        if self.n_params > 0 {
+            self.set_params(scratch, params);
+        }
+        self.eval_bound(scratch, slots, time, out);
+    }
+
+    /// Evaluate without touching the parameter binding — the hot-loop form
+    /// behind an exclusive binding (the caller guarantees, typically via
+    /// Rust's borrow rules, that [`SystemProgram::set_params`] was called on
+    /// this scratch and the parameters have not changed since). Skips the
+    /// per-call O(params) re-validation of [`SystemProgram::eval_into`].
+    /// The one-lane case of [`SystemProgram::eval_lanes_bound`].
+    ///
+    /// # Panics
+    ///
+    /// As [`SystemProgram::eval_into`], plus if parameters are required but
+    /// unbound.
+    pub fn eval_bound(
+        &self,
+        scratch: &mut LaneScratch<1>,
+        slots: &[f64],
+        time: f64,
+        out: &mut [f64],
+    ) {
+        self.eval_lanes_bound(scratch, one_lane(slots), time, one_lane_mut(out));
+    }
+
+    /// Bind one parameter vector per lane for subsequent evaluations. A
+    /// no-op when the exact same parameter bits are already bound in every
     /// lane, so the prologue cache survives repeated binds of one group.
     ///
     /// # Panics
@@ -1116,16 +1017,15 @@ impl SystemProgram {
         let base = self.consts.len();
         let seg = &mut scratch.regs[base..base + self.n_params as usize];
         let unchanged = scratch.params_set
-            && seg.iter().enumerate().all(|(i, r)| {
-                params
-                    .iter()
-                    .zip(r.iter())
-                    .all(|(p, v)| v.to_bits() == p[i].to_bits())
+            && params.iter().enumerate().all(|(l, p)| {
+                seg.iter()
+                    .zip(*p)
+                    .all(|(r, v)| r[l].to_bits() == v.to_bits())
             });
         if !unchanged {
-            for (i, r) in seg.iter_mut().enumerate() {
-                for (v, p) in r.iter_mut().zip(params) {
-                    *v = p[i];
+            for (l, p) in params.iter().enumerate() {
+                for (r, &v) in seg.iter_mut().zip(*p) {
+                    r[l] = v;
                 }
             }
             scratch.params_set = true;
@@ -1135,22 +1035,21 @@ impl SystemProgram {
         }
     }
 
-    /// Laned evaluation: `slots` is the struct-of-arrays state
-    /// (`slots[slot][lane]`), `out` receives one `[f64; L]` per output.
-    /// Parameters must have been bound with
+    /// Evaluate `L` instances at once: `slots` is the struct-of-arrays
+    /// state (`slots[slot][lane]`), `out` receives one `[f64; L]` per
+    /// output. Parameters must have been bound with
     /// [`SystemProgram::set_params_lanes`] (the caller guarantees, typically
-    /// via Rust's borrow rules, that they have not changed since) — the
-    /// laned sibling of [`SystemProgram::eval_bound`].
+    /// via Rust's borrow rules, that they have not changed since).
     ///
-    /// Lane `l`'s outputs are bit-identical to a scalar
-    /// [`SystemProgram::eval_into`] with lane `l`'s parameters and state:
-    /// both prologue tiers and the body run the same operations in the same
-    /// order per lane, only batched `L` instances wide.
+    /// Lane `l`'s outputs are bit-identical to a one-lane evaluation with
+    /// lane `l`'s parameters and state: both prologue tiers and the body
+    /// run the same operations in the same order per lane, only batched
+    /// `L` instances wide.
     ///
     /// # Panics
     ///
-    /// As [`SystemProgram::eval_bound`]: unbound parameters, an out-of-range
-    /// `Load` slot, or an undersized output buffer.
+    /// Panics on unbound parameters, an out-of-range `Load` slot, or an
+    /// undersized output buffer.
     pub fn eval_lanes_bound<const L: usize>(
         &self,
         scratch: &mut LaneScratch<L>,
@@ -1161,30 +1060,28 @@ impl SystemProgram {
         if self.n_params > 0 {
             assert!(
                 scratch.ready_for == Some(self.id) && scratch.params_set,
-                "parameters must be bound with set_params_lanes before eval_lanes_bound"
+                "parameters must be bound with set_params or set_params_lanes before evaluation"
             );
         } else {
             self.ensure_lanes(scratch);
         }
-        // Bit-identical either way: the laned kernels perform the scalar
-        // operation sequence per lane, exactly like `exec_lanes`.
-        let native = self.native_for_lanes::<L>(slots.len());
-        let regs = &mut scratch.regs[..];
+        // Bit-identical either way: the generated kernels perform
+        // `exec_lanes`'s operation sequence per lane, so which engine runs
+        // is unobservable in the results (only in the ns).
+        let native = self.native_for::<L>(slots.len());
         if !scratch.pprologue_run {
-            // Parameter-dependent, time-free values: once per lane group.
-            match native {
-                Some(k) => k.run_lanes::<L>(Segment::ParamPrologue, regs, slots, time),
-                None => {
-                    for instr in &self.pprologue {
-                        regs[instr.dest as usize] = exec_lanes(&instr.op, regs, slots, time);
-                    }
-                }
-            }
+            // Parameter-dependent, time-free values: once per binding.
+            self.run_segment(
+                Segment::ParamPrologue,
+                native,
+                &mut scratch.regs,
+                slots,
+                time,
+            );
             scratch.pprologue_run = true;
             scratch.has_time = false;
             scratch.hint_same_time = false;
         }
-        let regs = &mut scratch.regs[..];
         // A solver stage hint certifies the repeated time, skipping even
         // the bit-pattern revalidation of the time-prologue cache.
         let hinted = scratch.hint_same_time && scratch.has_time;
@@ -1197,152 +1094,162 @@ impl SystemProgram {
             );
         } else if !(scratch.has_time && scratch.last_time == time.to_bits()) {
             // Static, time-dependent values: one pass serves all lanes.
-            match native {
-                Some(k) => k.run_lanes::<L>(Segment::TimePrologue, regs, slots, time),
-                None => {
-                    for instr in &self.tprologue {
-                        regs[instr.dest as usize] = exec_lanes(&instr.op, regs, slots, time);
-                    }
-                }
-            }
+            self.run_segment(
+                Segment::TimePrologue,
+                native,
+                &mut scratch.regs,
+                slots,
+                time,
+            );
             scratch.last_time = time.to_bits();
             scratch.has_time = true;
         }
         assert!(out.len() >= self.outputs.len(), "output buffer too short");
-        let regs = &mut scratch.regs[..];
-        match native {
-            Some(k) => k.run_lanes::<L>(Segment::Body, regs, slots, time),
-            None => {
-                for instr in &self.body {
-                    regs[instr.dest as usize] = exec_lanes(&instr.op, regs, slots, time);
-                }
-            }
-        }
+        self.run_segment(Segment::Body, native, &mut scratch.regs, slots, time);
         for (o, &r) in out.iter_mut().zip(&self.outputs) {
-            *o = regs[r as usize];
+            *o = scratch.regs[r as usize];
+        }
+    }
+
+    /// Run segment `seg` over `regs`: through the native kernel when there
+    /// is one, else one [`exec_lanes`] per instruction.
+    #[inline(always)]
+    fn run_segment<const L: usize>(
+        &self,
+        seg: Segment,
+        native: Option<&NativeKernel>,
+        regs: &mut [[f64; L]],
+        slots: &[[f64; L]],
+        time: f64,
+    ) {
+        if let Some(k) = native {
+            return k.run_lanes::<L>(seg, regs, slots, time);
+        }
+        let instrs = match seg {
+            Segment::ParamPrologue => &self.pprologue,
+            Segment::TimePrologue => &self.tprologue,
+            Segment::Body => &self.body,
+        };
+        for instr in instrs {
+            regs[instr.dest as usize] = exec_lanes(&instr.op, regs, slots, time);
         }
     }
 }
 
-/// Laned twin of [`exec`]: the same operation applied elementwise across
-/// `L` lanes. Per lane, the arithmetic (and its order) is exactly the
-/// scalar interpreter's, so results are bit-identical; the `[f64; L]` loops
-/// are what the optimizer turns into SIMD.
-#[inline]
+/// `xs` as one-lane registers, for the scalar entry points.
+fn one_lane(xs: &[f64]) -> &[[f64; 1]] {
+    // SAFETY: `[f64; 1]` has the size and alignment of `f64`, and a slice
+    // of `[f64; L]` is one contiguous buffer of `len * L` values — the
+    // layout `NativeKernel::run_lanes` already relies on — so `xs` is
+    // exactly `xs.len()` one-lane registers, borrowed for the same lifetime.
+    unsafe { std::slice::from_raw_parts(xs.as_ptr().cast(), xs.len()) }
+}
+
+/// Mutable twin of [`one_lane`].
+fn one_lane_mut(xs: &mut [f64]) -> &mut [[f64; 1]] {
+    // SAFETY: as in `one_lane`; the exclusive borrow of `xs` moves into
+    // the result, so no alias outlives it.
+    unsafe { std::slice::from_raw_parts_mut(xs.as_mut_ptr().cast(), xs.len()) }
+}
+
+/// Execute one instruction across `L` lanes: every lane performs exactly
+/// the same arithmetic, in the same order, so lanes are bit-identical to
+/// each other and to the native kernels. The explicit `for l in 0..L`
+/// loops (rather than `std::array::from_fn`) plus `inline(always)` make
+/// `L = 1` compile to plain scalar code and wider `L` to SIMD.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)]
 fn exec_lanes<const L: usize>(
     op: &POp,
     regs: &[[f64; L]],
     slots: &[[f64; L]],
     time: f64,
 ) -> [f64; L] {
-    use std::array::from_fn;
+    let bit = |b: bool| if b { 1.0 } else { 0.0 };
+    let mut out = [0.0; L];
     match *op {
-        POp::Time => [time; L],
-        POp::Load(s) => slots[s as usize],
+        POp::Time => out = [time; L],
+        POp::Load(s) => out = slots[s as usize],
         POp::NegLoad(s) => {
-            let a = slots[s as usize];
-            from_fn(|l| -a[l])
+            let a = &slots[s as usize];
+            for l in 0..L {
+                out[l] = -a[l];
+            }
         }
         POp::Un(op, a) => {
-            let a = regs[a as usize];
-            from_fn(|l| op.apply(a[l]))
+            let a = &regs[a as usize];
+            for l in 0..L {
+                out[l] = op.apply(a[l]);
+            }
         }
         POp::Bin(op, a, b) => {
-            let (a, b) = (regs[a as usize], regs[b as usize]);
-            from_fn(|l| op.apply(a[l], b[l]))
+            let (a, b) = (&regs[a as usize], &regs[b as usize]);
+            for l in 0..L {
+                out[l] = op.apply(a[l], b[l]);
+            }
         }
         POp::MulAdd(a, b, c) => {
-            let (a, b, c) = (regs[a as usize], regs[b as usize], regs[c as usize]);
-            from_fn(|l| a[l] * b[l] + c[l])
+            let (a, b, c) = (&regs[a as usize], &regs[b as usize], &regs[c as usize]);
+            for l in 0..L {
+                out[l] = a[l] * b[l] + c[l];
+            }
         }
         POp::AddMul(a, b, c) => {
-            let (a, b, c) = (regs[a as usize], regs[b as usize], regs[c as usize]);
-            from_fn(|l| a[l] + b[l] * c[l])
+            let (a, b, c) = (&regs[a as usize], &regs[b as usize], &regs[c as usize]);
+            for l in 0..L {
+                out[l] = a[l] + b[l] * c[l];
+            }
         }
         POp::MulSub(a, b, c) => {
-            let (a, b, c) = (regs[a as usize], regs[b as usize], regs[c as usize]);
-            from_fn(|l| a[l] * b[l] - c[l])
+            let (a, b, c) = (&regs[a as usize], &regs[b as usize], &regs[c as usize]);
+            for l in 0..L {
+                out[l] = a[l] * b[l] - c[l];
+            }
         }
         POp::SubMul(a, b, c) => {
-            let (a, b, c) = (regs[a as usize], regs[b as usize], regs[c as usize]);
-            from_fn(|l| a[l] - b[l] * c[l])
+            let (a, b, c) = (&regs[a as usize], &regs[b as usize], &regs[c as usize]);
+            for l in 0..L {
+                out[l] = a[l] - b[l] * c[l];
+            }
         }
         POp::Cmp(op, a, b) => {
-            let (a, b) = (regs[a as usize], regs[b as usize]);
-            from_fn(|l| if op.apply(a[l], b[l]) { 1.0 } else { 0.0 })
+            let (a, b) = (&regs[a as usize], &regs[b as usize]);
+            for l in 0..L {
+                out[l] = bit(op.apply(a[l], b[l]));
+            }
         }
         POp::And(a, b) => {
-            let (a, b) = (regs[a as usize], regs[b as usize]);
-            from_fn(|l| if a[l] > 0.5 && b[l] > 0.5 { 1.0 } else { 0.0 })
+            let (a, b) = (&regs[a as usize], &regs[b as usize]);
+            for l in 0..L {
+                out[l] = bit(a[l] > 0.5 && b[l] > 0.5);
+            }
         }
         POp::Or(a, b) => {
-            let (a, b) = (regs[a as usize], regs[b as usize]);
-            from_fn(|l| if a[l] > 0.5 || b[l] > 0.5 { 1.0 } else { 0.0 })
+            let (a, b) = (&regs[a as usize], &regs[b as usize]);
+            for l in 0..L {
+                out[l] = bit(a[l] > 0.5 || b[l] > 0.5);
+            }
         }
         POp::Not(a) => {
-            let a = regs[a as usize];
-            from_fn(|l| if a[l] > 0.5 { 0.0 } else { 1.0 })
+            let a = &regs[a as usize];
+            for l in 0..L {
+                out[l] = if a[l] > 0.5 { 0.0 } else { 1.0 };
+            }
         }
         POp::Select(c, t, e) => {
-            let (c, t, e) = (regs[c as usize], regs[t as usize], regs[e as usize]);
-            from_fn(|l| if c[l] > 0.5 { t[l] } else { e[l] })
+            let (c, t, e) = (&regs[c as usize], &regs[t as usize], &regs[e as usize]);
+            for l in 0..L {
+                out[l] = if c[l] > 0.5 { t[l] } else { e[l] };
+            }
         }
         POp::Call3(b3, a, b, c) => {
-            let (a, b, c) = (regs[a as usize], regs[b as usize], regs[c as usize]);
-            from_fn(|l| b3.apply(a[l], b[l], c[l]))
+            let (a, b, c) = (&regs[a as usize], &regs[b as usize], &regs[c as usize]);
+            for l in 0..L {
+                out[l] = b3.apply(a[l], b[l], c[l]);
+            }
         }
     }
-}
-
-#[inline]
-fn exec(op: &POp, regs: &[f64], slots: &[f64], time: f64) -> f64 {
-    match *op {
-        POp::Time => time,
-        POp::Load(s) => slots[s as usize],
-        POp::NegLoad(s) => -slots[s as usize],
-        POp::Un(op, a) => op.apply(regs[a as usize]),
-        POp::Bin(op, a, b) => op.apply(regs[a as usize], regs[b as usize]),
-        POp::MulAdd(a, b, c) => regs[a as usize] * regs[b as usize] + regs[c as usize],
-        POp::AddMul(a, b, c) => regs[a as usize] + regs[b as usize] * regs[c as usize],
-        POp::MulSub(a, b, c) => regs[a as usize] * regs[b as usize] - regs[c as usize],
-        POp::SubMul(a, b, c) => regs[a as usize] - regs[b as usize] * regs[c as usize],
-        POp::Cmp(op, a, b) => {
-            if op.apply(regs[a as usize], regs[b as usize]) {
-                1.0
-            } else {
-                0.0
-            }
-        }
-        POp::And(a, b) => {
-            if regs[a as usize] > 0.5 && regs[b as usize] > 0.5 {
-                1.0
-            } else {
-                0.0
-            }
-        }
-        POp::Or(a, b) => {
-            if regs[a as usize] > 0.5 || regs[b as usize] > 0.5 {
-                1.0
-            } else {
-                0.0
-            }
-        }
-        POp::Not(a) => {
-            if regs[a as usize] > 0.5 {
-                0.0
-            } else {
-                1.0
-            }
-        }
-        POp::Select(c, t, e) => {
-            if regs[c as usize] > 0.5 {
-                regs[t as usize]
-            } else {
-                regs[e as usize]
-            }
-        }
-        POp::Call3(b3, a, b, c) => b3.apply(regs[a as usize], regs[b as usize], regs[c as usize]),
-    }
+    out
 }
 
 #[cfg(test)]
@@ -1361,7 +1268,7 @@ mod tests {
             .collect();
         let prog = pb.finish(&outs, 0);
         let slots: Vec<f64> = vars.iter().map(|(_, v)| *v).collect();
-        let mut scratch = ProgScratch::default();
+        let mut scratch = LaneScratch::<1>::default();
         let mut out = vec![0.0; outs.len()];
         prog.eval_into(&mut scratch, &slots, time, &[], &mut out);
         out
@@ -1416,7 +1323,7 @@ mod tests {
         assert_eq!(prog.const_count(), 1);
         // Load + Add only; the constant lives in the pool.
         assert_eq!(prog.len(), 2);
-        let mut s = ProgScratch::default();
+        let mut s = LaneScratch::<1>::default();
         let mut out = [0.0];
         prog.eval_into(&mut s, &[1.0], 0.0, &[], &mut out);
         assert_eq!(out[0], 4.5);
@@ -1428,7 +1335,7 @@ mod tests {
         let v = pb.constant(2.5);
         let prog = pb.finish(&[v], 0);
         assert!(prog.is_empty());
-        let mut s = ProgScratch::default();
+        let mut s = LaneScratch::<1>::default();
         let mut out = [0.0];
         prog.eval_into(&mut s, &[], 0.0, &[], &mut out);
         assert_eq!(out[0], 2.5);
@@ -1445,7 +1352,7 @@ mod tests {
         // Time + Sin in the prologue; Load + Add in the body.
         assert_eq!(prog.prologue_len(), 2);
         assert_eq!(prog.body_len(), 2);
-        let mut s = ProgScratch::default();
+        let mut s = LaneScratch::<1>::default();
         let mut out = [0.0];
         prog.eval_into(&mut s, &[1.0], 0.5, &[], &mut out);
         assert_eq!(out[0], 0.5f64.sin() + 1.0);
@@ -1455,35 +1362,6 @@ mod tests {
         // New time invalidates the cache.
         prog.eval_into(&mut s, &[2.0], 0.75, &[], &mut out);
         assert_eq!(out[0], 0.75f64.sin() + 2.0);
-    }
-
-    #[test]
-    fn params_feed_evaluation_and_invalidate_prologue() {
-        struct R;
-        impl ProgramResolver for R {
-            fn var(&self, _: &str) -> Option<VarRef> {
-                Some(VarRef::Slot(0))
-            }
-            fn attr(&self, _: &str, attr: &str) -> Option<usize> {
-                match attr {
-                    "a" => Some(0),
-                    "b" => Some(1),
-                    _ => None,
-                }
-            }
-        }
-        let mut pb = ProgramBuilder::new();
-        let v = pb
-            .add_expr(&parse_expr("n.a * var(x) + n.b").unwrap(), &R)
-            .unwrap();
-        let prog = pb.finish(&[v], 2);
-        assert_eq!(prog.param_count(), 2);
-        let mut s = ProgScratch::default();
-        let mut out = [0.0];
-        prog.eval_into(&mut s, &[3.0], 0.0, &[2.0, 1.0], &mut out);
-        assert_eq!(out[0], 7.0);
-        prog.eval_into(&mut s, &[3.0], 0.0, &[-1.0, 0.5], &mut out);
-        assert_eq!(out[0], -2.5);
     }
 
     #[test]
@@ -1501,28 +1379,90 @@ mod tests {
             prog.register_count(),
             prog.len()
         );
-        let mut s = ProgScratch::default();
+        let mut s = LaneScratch::<1>::default();
         let mut out = [0.0];
         prog.eval_into(&mut s, &[1.0], 0.0, &[], &mut out);
         assert_eq!(out[0], 14.0);
     }
 
     #[test]
+    fn params_feed_evaluation_and_invalidate_prologue() {
+        params_feed_evaluation_and_invalidate_prologue_at::<1>();
+        params_feed_evaluation_and_invalidate_prologue_at::<4>();
+    }
+
+    fn params_feed_evaluation_and_invalidate_prologue_at<const L: usize>() {
+        struct R;
+        impl ProgramResolver for R {
+            fn var(&self, _: &str) -> Option<VarRef> {
+                Some(VarRef::Slot(0))
+            }
+            fn attr(&self, _: &str, attr: &str) -> Option<usize> {
+                match attr {
+                    "a" => Some(0),
+                    "b" => Some(1),
+                    _ => None,
+                }
+            }
+        }
+        let build = |src: &str, n_params: usize| {
+            let mut pb = ProgramBuilder::new();
+            let v = pb.add_expr(&parse_expr(src).unwrap(), &R).unwrap();
+            pb.finish(&[v], n_params)
+        };
+        let mut s = LaneScratch::<L>::default();
+        let mut out = [[0.0; L]];
+        let affine = build("n.a * var(x) + n.b", 2);
+        assert_eq!(affine.param_count(), 2);
+        for (params, want) in [([2.0, 1.0], 7.0), ([-1.0, 0.5], -2.5)] {
+            affine.set_params_lanes(&mut s, &[&params[..]; L]);
+            affine.eval_lanes_bound(&mut s, &[[3.0; L]], 0.0, &mut out);
+            assert_eq!(out[0], [want; L]);
+        }
+        // exp(n.a) is a param-only prologue value: rebinding different
+        // lane params (here, neighbouring lanes swap) must rerun it.
+        let expo = build("exp(n.a) + var(x)", 1);
+        let x: [f64; L] = std::array::from_fn(|l| l as f64 + 1.0);
+        let first: [f64; L] = std::array::from_fn(|l| (l % 2) as f64);
+        for a in [first, first.map(|a| 1.0 - a)] {
+            let lanes = a.map(|a| [a]);
+            let params: Vec<&[f64]> = lanes.iter().map(|p| &p[..]).collect();
+            expo.set_params_lanes(&mut s, &params);
+            expo.eval_lanes_bound(&mut s, &[x], 0.0, &mut out);
+            assert_eq!(out[0], std::array::from_fn(|l| a[l].exp() + x[l]));
+        }
+    }
+
+    #[test]
     fn scratch_reprimed_when_switching_programs() {
-        let mut pb = ProgramBuilder::new();
-        let a = pb.constant(1.25);
-        let pa = pb.finish(&[a], 0);
-        let mut pb2 = ProgramBuilder::new();
-        let b = pb2.constant(4.5);
-        let pb2 = pb2.finish(&[b], 0);
-        let mut s = ProgScratch::default();
-        let mut out = [0.0];
-        pa.eval_into(&mut s, &[], 0.0, &[], &mut out);
-        assert_eq!(out[0], 1.25);
-        pb2.eval_into(&mut s, &[], 0.0, &[], &mut out);
-        assert_eq!(out[0], 4.5);
-        pa.eval_into(&mut s, &[], 0.0, &[], &mut out);
-        assert_eq!(out[0], 1.25);
+        scratch_reprimed_when_switching_programs_at::<1>();
+        scratch_reprimed_when_switching_programs_at::<4>();
+    }
+
+    fn scratch_reprimed_when_switching_programs_at<const L: usize>() {
+        let build = |src: &str| {
+            let mut pb = ProgramBuilder::new();
+            let resolve = SlotResolver(|_: &str| Some(0));
+            let v = pb.add_expr(&parse_expr(src).unwrap(), &resolve).unwrap();
+            pb.finish(&[v], 0)
+        };
+        let (ca, cb) = (build("1.25"), build("4.5"));
+        let (pa, pb) = (build("var(x) + 1.5"), build("var(x) * 3.0"));
+        let x: [f64; L] = std::array::from_fn(|l| l as f64 + 1.0);
+        let (xa, xb) = (x.map(|x| x + 1.5), x.map(|x| x * 3.0));
+        let mut s = LaneScratch::<L>::default();
+        let mut out = [[0.0; L]];
+        for (prog, slots, want) in [
+            (&ca, &[][..], [1.25; L]),
+            (&cb, &[], [4.5; L]),
+            (&ca, &[], [1.25; L]),
+            (&pa, &[x], xa),
+            (&pb, &[x], xb),
+            (&pa, &[x], xa),
+        ] {
+            prog.eval_lanes_bound(&mut s, slots, 0.0, &mut out);
+            assert_eq!(out[0], want);
+        }
     }
 
     #[test]
@@ -1531,15 +1471,15 @@ mod tests {
         let none = SlotResolver(|_: &str| None);
         assert_eq!(
             pb.add_expr(&parse_expr("var(ghost)").unwrap(), &none),
-            Err(TapeError::UnresolvedVar("ghost".into()))
+            Err(LowerError::UnresolvedVar("ghost".into()))
         );
         assert!(matches!(
             pb.add_expr(&parse_expr("s.c").unwrap(), &none),
-            Err(TapeError::UnresolvedAttr(_, _))
+            Err(LowerError::UnresolvedAttr(_, _))
         ));
         assert!(matches!(
             pb.add_expr(&parse_expr("mystery(1)").unwrap(), &none),
-            Err(TapeError::UnsupportedCall(_))
+            Err(LowerError::UnsupportedCall(_))
         ));
     }
 
@@ -1572,7 +1512,7 @@ mod tests {
             // exercised identically via repeated times).
             let mut want = [0.0f64; L];
             for l in 0..L {
-                let mut s = ProgScratch::default();
+                let mut s = LaneScratch::<1>::default();
                 let mut out = [0.0];
                 prog.eval_into(&mut s, &[states[l]], time, &lane_params[l], &mut out);
                 want[l] = out[0];
@@ -1587,59 +1527,6 @@ mod tests {
                 assert_eq!(want[l].to_bits(), out[0][l].to_bits(), "lane {l} t={time}");
             }
         }
-    }
-
-    #[test]
-    fn laned_scratch_reprimed_when_switching_programs() {
-        let mut pb = ProgramBuilder::new();
-        let resolve = SlotResolver(|_: &str| Some(0));
-        let a = pb
-            .add_expr(&parse_expr("var(x) + 1.5").unwrap(), &resolve)
-            .unwrap();
-        let pa = pb.finish(&[a], 0);
-        let mut pb2 = ProgramBuilder::new();
-        let b = pb2
-            .add_expr(&parse_expr("var(x) * 3.0").unwrap(), &resolve)
-            .unwrap();
-        let pb2 = pb2.finish(&[b], 0);
-        let mut ls = LaneScratch::<2>::default();
-        let slots = [[1.0, 2.0]];
-        let mut out = [[0.0; 2]];
-        pa.eval_lanes_bound(&mut ls, &slots, 0.0, &mut out);
-        assert_eq!(out[0], [2.5, 3.5]);
-        pb2.eval_lanes_bound(&mut ls, &slots, 0.0, &mut out);
-        assert_eq!(out[0], [3.0, 6.0]);
-        pa.eval_lanes_bound(&mut ls, &slots, 0.0, &mut out);
-        assert_eq!(out[0], [2.5, 3.5]);
-    }
-
-    #[test]
-    fn lane_param_rebind_invalidates_prologue() {
-        struct R;
-        impl ProgramResolver for R {
-            fn var(&self, _: &str) -> Option<VarRef> {
-                Some(VarRef::Slot(0))
-            }
-            fn attr(&self, _: &str, attr: &str) -> Option<usize> {
-                (attr == "a").then_some(0)
-            }
-        }
-        let mut pb = ProgramBuilder::new();
-        // exp(n.a) is a param-only prologue value.
-        let v = pb
-            .add_expr(&parse_expr("exp(n.a) + var(x)").unwrap(), &R)
-            .unwrap();
-        let prog = pb.finish(&[v], 1);
-        let mut ls = LaneScratch::<2>::default();
-        let slots = [[1.0, 2.0]];
-        let mut out = [[0.0; 2]];
-        prog.set_params_lanes(&mut ls, &[&[0.0], &[1.0]]);
-        prog.eval_lanes_bound(&mut ls, &slots, 0.0, &mut out);
-        assert_eq!(out[0], [2.0, 1.0f64.exp() + 2.0]);
-        // Rebinding different lane params must rerun the param prologue.
-        prog.set_params_lanes(&mut ls, &[&[1.0], &[0.0]]);
-        prog.eval_lanes_bound(&mut ls, &slots, 0.0, &mut out);
-        assert_eq!(out[0], [1.0 + 1.0f64.exp(), 3.0]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! before anything touches codegen — impossible to guarantee in a binary
 //! running other tests in parallel.
 
-use ark_expr::{parse_expr, Backend, ProgScratch, ProgramBuilder, SlotResolver};
+use ark_expr::{parse_expr, Backend, LaneScratch, ProgramBuilder, SlotResolver};
 
 #[test]
 fn codegen_dir_env_override_is_honored() {
@@ -20,7 +20,7 @@ fn codegen_dir_env_override_is_honored() {
     let mut prog = pb.finish(&[v], 0);
     prog.set_backend(Backend::Native);
 
-    let mut scratch = ProgScratch::default();
+    let mut scratch = LaneScratch::<1>::default();
     let mut out = [0.0];
     prog.eval_into(&mut scratch, &[0.75], 0.0, &[], &mut out);
     assert_eq!(out[0], 0.75f64.sin() * 0.75 + 0.5);

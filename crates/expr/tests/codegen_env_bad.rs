@@ -8,7 +8,7 @@
 //! process can create regardless of privileges (chmod-based read-only
 //! setups are ineffective when tests run as root).
 
-use ark_expr::{parse_expr, Backend, ProgScratch, ProgramBuilder, SlotResolver};
+use ark_expr::{parse_expr, Backend, LaneScratch, ProgramBuilder, SlotResolver};
 
 #[test]
 fn unusable_codegen_dir_falls_back_to_interpreter() {
@@ -25,8 +25,8 @@ fn unusable_codegen_dir_falls_back_to_interpreter() {
     let interp = native.clone();
     native.set_backend(Backend::Native);
 
-    let mut sn = ProgScratch::default();
-    let mut si = ProgScratch::default();
+    let mut sn = LaneScratch::<1>::default();
+    let mut si = LaneScratch::<1>::default();
     let mut on = [0.0];
     let mut oi = [0.0];
     // Evaluation succeeds through the interpreter fallback...

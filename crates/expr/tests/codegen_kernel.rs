@@ -8,8 +8,8 @@
 //! long program pins the same parity across the emitter's chunk boundaries.
 
 use ark_expr::{
-    parse_expr, Backend, LaneScratch, ProgScratch, ProgramBuilder, ProgramResolver, SlotResolver,
-    SystemProgram, ValueId, VarRef,
+    parse_expr, Backend, LaneScratch, ProgramBuilder, ProgramResolver, SlotResolver, SystemProgram,
+    ValueId, VarRef,
 };
 
 /// Every expression form that lowers to a distinct opcode. Operand slots
@@ -93,8 +93,8 @@ fn native_scalar_bit_identical_to_interpreter() {
         native.native_active(),
         "kernel must compile in this environment (rustc is on PATH)"
     );
-    let mut si = ProgScratch::default();
-    let mut sn = ProgScratch::default();
+    let mut si = LaneScratch::<1>::default();
+    let mut sn = LaneScratch::<1>::default();
     let mut oi = vec![0.0; EXPRS.len()];
     let mut on = vec![0.0; EXPRS.len()];
     for (slots, t) in POINTS {
@@ -270,7 +270,7 @@ fn multi_chunk_scalar_bit_identical_to_interpreter() {
         "kernel must compile in this environment"
     );
     let n_out = interp.output_count();
-    let (mut si, mut sn) = (ProgScratch::default(), ProgScratch::default());
+    let (mut si, mut sn) = (LaneScratch::<1>::default(), LaneScratch::<1>::default());
     let (mut oi, mut on) = (vec![0.0; n_out], vec![0.0; n_out]);
     for (k, (slots, t)) in POINTS.into_iter().enumerate() {
         let params = chunk_params(k);

@@ -35,7 +35,7 @@
 //! ```
 
 #![warn(missing_docs)]
-// Unsafe code lives only in ark-expr's codegen dlopen path.
+// Unsafe code lives only in ark-expr.
 #![forbid(unsafe_code)]
 
 /// Thread-safe boxed error used by the workload entry points, so whole runs

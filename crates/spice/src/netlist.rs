@@ -11,7 +11,7 @@
 //! linear circuits.
 
 use crate::linalg::{Lu, Matrix, SingularMatrix};
-use ark_expr::{eval, Expr, MapContext, ProgramBuilder, SlotResolver, TapeError};
+use ark_expr::{eval, Expr, LowerError, MapContext, ProgramBuilder, SlotResolver};
 use ark_ode::Trajectory;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -41,7 +41,7 @@ impl Waveform {
     ///
     /// Returns the lowering error for expressions with unresolved
     /// references or calls a compiled program cannot represent.
-    pub fn from_expr(expr: &Expr) -> Result<Self, TapeError> {
+    pub fn from_expr(expr: &Expr) -> Result<Self, LowerError> {
         ProgramBuilder::new().add_expr(expr, &SlotResolver(|_: &str| None::<usize>))?;
         Ok(Waveform { expr: expr.clone() })
     }
@@ -375,14 +375,14 @@ mod tests {
     #[test]
     fn waveform_from_expr_rejects_non_closed_expressions() {
         let err = |src: &str| Waveform::from_expr(&parse_expr(src).unwrap()).unwrap_err();
-        assert_eq!(err("var(x)"), TapeError::UnresolvedVar("x".into()));
+        assert_eq!(err("var(x)"), LowerError::UnresolvedVar("x".into()));
         assert_eq!(
             err("n.a"),
-            TapeError::UnresolvedAttr("n".into(), "a".into())
+            LowerError::UnresolvedAttr("n".into(), "a".into())
         );
         assert_eq!(
             err("atan2(time, 1)"),
-            TapeError::UnsupportedCall("atan2".into())
+            LowerError::UnsupportedCall("atan2".into())
         );
     }
 
