@@ -29,7 +29,7 @@ use ark_core::types::SigType;
 use ark_core::validate::ExternRegistry;
 use ark_core::{CompiledSystem, EvalScratch, FuncError, Graph, LaneScratch, LangError};
 use ark_expr::parse_expr;
-use ark_ode::{OdeWorkspace, Rk4, Solver, Strided, Trajectory};
+use ark_ode::{integrate, Rk4, Trajectory};
 use ark_sim::LaneReadout;
 
 /// A 3×3 CNN template: feedback matrix `A`, control matrix `B`, bias `z`.
@@ -572,94 +572,32 @@ pub fn run_cnn(
     snap_times: &[f64],
 ) -> Result<CnnRun, crate::DynError> {
     let sys = CompiledSystem::compile(lang, &inst.graph)?;
-    let mut scratch = sys.scratch();
-    let mut ws = OdeWorkspace::new(sys.num_states());
-    run_cnn_core(
-        &sys,
-        inst.width,
-        inst.height,
-        &[],
+    let tr = integrate(
+        &Rk4 { dt: CNN_SOLVER_DT },
+        &sys.bind(),
+        0.0,
+        &sys.initial_state(),
         t_end,
-        snap_times,
-        &mut scratch,
-        &mut ws,
-    )
+        CNN_SOLVER_STRIDE,
+    )?;
+    let mut out = Vec::with_capacity(1);
+    CnnReadout::new(&sys, inst.width, inst.height, t_end, snap_times).finish_group::<1>(
+        &[0],
+        &[&[]],
+        vec![tr],
+        &mut LaneScratch::default(),
+        &mut sys.scratch(),
+        &mut out,
+    )?;
+    Ok(out.pop().expect("one lane, one run"))
 }
 
-/// The CNN transient solver configuration, shared by the scalar and laned
+/// The CNN transient solver configuration, shared by [`run_cnn`] and the
 /// ensemble paths so they integrate on the identical grid.
 const CNN_SOLVER_DT: f64 = 2e-3;
 const CNN_SOLVER_STRIDE: usize = 5;
 
-/// Integrate + read out one CNN instance of an already-compiled system —
-/// the shared core behind [`run_cnn`] and the parametric
-/// [`run_cnn_ensemble`]. `params` is empty for non-parametric systems.
-#[allow(clippy::too_many_arguments)]
-fn run_cnn_core(
-    sys: &CompiledSystem,
-    width: usize,
-    height: usize,
-    params: &[f64],
-    t_end: f64,
-    snap_times: &[f64],
-    scratch: &mut EvalScratch,
-    ws: &mut OdeWorkspace,
-) -> Result<CnnRun, crate::DynError> {
-    let y0 = sys.initial_state_for(params);
-    let mut rec = Strided::every(CNN_SOLVER_STRIDE);
-    let bound = sys.bind_ref(params, scratch);
-    Rk4 { dt: CNN_SOLVER_DT }.solve(&bound, 0.0, &y0, t_end, &mut rec, ws)?;
-    let tr = rec.into_trajectory();
-    read_cnn_run(sys, width, height, params, t_end, snap_times, &tr, scratch)
-}
-
-/// The observation half of a CNN run: output snapshots, the final image,
-/// and the analog convergence probe over an already-integrated trajectory.
-#[allow(clippy::too_many_arguments)]
-fn read_cnn_run(
-    sys: &CompiledSystem,
-    width: usize,
-    height: usize,
-    params: &[f64],
-    t_end: f64,
-    snap_times: &[f64],
-    tr: &Trajectory,
-    scratch: &mut EvalScratch,
-) -> Result<CnnRun, crate::DynError> {
-    let snapshots: Vec<(f64, Image)> = snap_times
-        .iter()
-        .map(|&t| {
-            (
-                t,
-                read_output_dims(sys, width, height, t, &tr.at(t), params, scratch),
-            )
-        })
-        .collect();
-    let final_output = read_output_dims(sys, width, height, t_end, &tr.at(t_end), params, scratch);
-    // Analog convergence: first probe time from which every cell's output
-    // stays within EPS of its final value.
-    let mut convergence_time = None;
-    for k in (0..=CONV_PROBES).rev() {
-        let t = t_end * k as f64 / CONV_PROBES as f64;
-        let img = read_output_dims(sys, width, height, t, &tr.at(t), params, scratch);
-        let worst = img
-            .iter()
-            .map(|(r, c, v)| (v - final_output.get(r, c)).abs())
-            .fold(0.0f64, f64::max);
-        if worst > CONV_EPS {
-            break;
-        }
-        convergence_time = Some(t);
-    }
-    Ok(CnnRun {
-        snapshots,
-        final_output,
-        convergence_time,
-    })
-}
-
-/// Convergence tolerance of the analog probe (shared by the scalar and
-/// laned readout paths so they agree bit for bit).
+/// Convergence tolerance of the analog probe.
 const CONV_EPS: f64 = 0.02;
 /// Probe-grid resolution of the convergence scan.
 const CONV_PROBES: usize = 400;
@@ -671,10 +609,9 @@ const CONV_PROBES: usize = 400;
 /// readout tail that kept the laned CNN ensemble well under the laned
 /// integration speedup.
 ///
-/// Per-lane results are bit-identical to the scalar [`read_cnn_run`] path:
-/// trajectory interpolation uses the same arithmetic on the same shared
-/// time grid (lockstep fixed-step lanes), and the laned interpreter runs
-/// the identical operation sequence per lane.
+/// A scalar run is the one-lane group, and per-lane results do not depend
+/// on the lane width: lockstep fixed-step lanes share one time grid, and
+/// the laned interpreter runs the identical operation sequence per lane.
 struct CnnReadout<'a> {
     sys: &'a CompiledSystem,
     width: usize,
@@ -750,25 +687,6 @@ impl<'a> CnnReadout<'a> {
 }
 
 impl LaneReadout<CnnRun, crate::DynError> for CnnReadout<'_> {
-    fn finish(
-        &self,
-        _seed: u64,
-        params: &[f64],
-        tr: Trajectory,
-        scratch: &mut EvalScratch,
-    ) -> Result<CnnRun, crate::DynError> {
-        read_cnn_run(
-            self.sys,
-            self.width,
-            self.height,
-            params,
-            self.t_end,
-            self.snap_times,
-            &tr,
-            scratch,
-        )
-    }
-
     fn finish_group<const L: usize>(
         &self,
         _seeds: &[u64],
@@ -861,10 +779,9 @@ pub fn run_cnn_ensemble(
     let pcnn = build_cnn_parametric(lang, input, template, nonideality)?;
     let sys = CompiledSystem::compile_parametric(lang, &pcnn.pgraph)?;
     // Integration runs lane-batched (groups of `ens.lanes()` instances per
-    // interpreted instruction), and so does the readout: full lane groups
-    // evaluate the snapshot/convergence observation program through the
-    // laned interpreter (see `CnnReadout`), bit-identical per lane to the
-    // scalar path.
+    // interpreted instruction), and so does the readout: every lane group
+    // evaluates the snapshot/convergence observation program through the
+    // laned interpreter (see `CnnReadout`).
     let readout = CnnReadout::new(&sys, pcnn.width, pcnn.height, t_end, snap_times);
     ens.run(&sys, &Rk4 { dt: CNN_SOLVER_DT }, seeds, 0.0, t_end)
         .stride(CNN_SOLVER_STRIDE)
@@ -1261,6 +1178,52 @@ mod tests {
         let wide = spread_for(0.2);
         assert!(narrow > 0.0, "sigma 0.01 must perturb parameters");
         assert!(wide > narrow * 5.0, "narrow {narrow} wide {wide}");
+    }
+
+    /// The observation half of a CNN run: output snapshots, the final image,
+    /// and the analog convergence probe over an already-integrated trajectory.
+    #[allow(clippy::too_many_arguments)]
+    fn read_cnn_run(
+        sys: &CompiledSystem,
+        width: usize,
+        height: usize,
+        params: &[f64],
+        t_end: f64,
+        snap_times: &[f64],
+        tr: &Trajectory,
+        scratch: &mut EvalScratch,
+    ) -> Result<CnnRun, crate::DynError> {
+        let snapshots: Vec<(f64, Image)> = snap_times
+            .iter()
+            .map(|&t| {
+                (
+                    t,
+                    read_output_dims(sys, width, height, t, &tr.at(t), params, scratch),
+                )
+            })
+            .collect();
+        let final_output =
+            read_output_dims(sys, width, height, t_end, &tr.at(t_end), params, scratch);
+        // Analog convergence: first probe time from which every cell's output
+        // stays within EPS of its final value.
+        let mut convergence_time = None;
+        for k in (0..=CONV_PROBES).rev() {
+            let t = t_end * k as f64 / CONV_PROBES as f64;
+            let img = read_output_dims(sys, width, height, t, &tr.at(t), params, scratch);
+            let worst = img
+                .iter()
+                .map(|(r, c, v)| (v - final_output.get(r, c)).abs())
+                .fold(0.0f64, f64::max);
+            if worst > CONV_EPS {
+                break;
+            }
+            convergence_time = Some(t);
+        }
+        Ok(CnnRun {
+            snapshots,
+            final_output,
+            convergence_time,
+        })
     }
 
     /// [`run_cnn_ensemble`] with the readout forced to run scalar, once per

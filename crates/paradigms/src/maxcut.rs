@@ -122,51 +122,6 @@ pub fn build_maxcut_network(
     b.finish()
 }
 
-/// Build the dense *parametric solver template* for `n`-vertex max-cut
-/// instances: the complete graph `K_n` with every candidate coupling weight
-/// `k` and every initial phase left as an explicit parameter slot (plus the
-/// mismatch slots of `Cpl_ofs` offsets, when the offset coupling is
-/// selected). One compile serves any `n`-vertex instance as a parameter
-/// vector — `k = -1` on its edges, `k = 0` on the rest.
-///
-/// The Monte Carlo entry points no longer use this: absent edges still cost
-/// instructions at `k = 0`, which made the dense template *slower* per step
-/// than a rebuilt sparse instance (0.74× the rebuild path's speed on
-/// sparse Table 1 cells). [`build_maxcut_sparse_template`] + per-topology-class
-/// memoization replaced it; the dense form remains for workloads that
-/// genuinely sweep over *all* topologies with one compile.
-///
-/// # Errors
-///
-/// Propagates construction errors (e.g. `Cpl_ofs` without the ofs-obc
-/// language).
-pub fn build_maxcut_template(
-    lang: &Language,
-    n: usize,
-    coupling: CouplingKind,
-) -> Result<ParametricGraph, FuncError> {
-    let mut b = GraphBuilder::new_parametric(lang);
-    for i in 0..n {
-        let name = format!("osc{i}");
-        b.node(&name, "Osc")?;
-        b.set_init_param(&name, 0, 0.0)?;
-        b.edge(&format!("shil{i}"), "Cpl", &name, &name)?;
-    }
-    for u in 0..n {
-        for v in (u + 1)..n {
-            let ename = format!("cpl_{u}_{v}");
-            b.edge(
-                &ename,
-                coupling.edge_ty(),
-                &format!("osc{u}"),
-                &format!("osc{v}"),
-            )?;
-            b.set_attr_param(&ename, "k", 0.0)?;
-        }
-    }
-    b.finish_parametric()
-}
-
 /// Build the *sparse* parametric solver template for one **topology
 /// class** — a fixed edge set over `n` oscillators. Only the class's edges
 /// exist (couplings baked in at `k = -1`, so they constant-fold like a
@@ -312,25 +267,7 @@ pub fn solve(
     let sys = CompiledSystem::compile(lang, &graph)?;
     let y0 = sys.initial_state();
     let tr = integrate(&Rk4 { dt: SOLVE_DT }, &sys.bind(), 0.0, &y0, SOLVE_TIME, 50)?;
-    let yf = tr.last().expect("nonempty trajectory").1;
-    let phases: Vec<f64> = (0..problem.n)
-        .map(|i| {
-            wrap_phase(
-                yf[sys
-                    .state_index(&format!("osc{i}"))
-                    .expect("oscillator state")],
-            )
-        })
-        .collect();
-    let partition = classify_phases(&phases, d);
-    let optimum = problem.max_cut_value();
-    let cut = partition.map(|p| problem.cut_value(p));
-    Ok(MaxCutOutcome {
-        phases,
-        partition,
-        cut,
-        optimum,
-    })
+    Ok(read_outcome(&sys, problem, d, &tr))
 }
 
 /// One row of Table 1: synchronization and solve probabilities over
@@ -375,8 +312,8 @@ pub fn table1_cell(
 /// ([`build_maxcut_sparse_template`]) is compiled and memoized per distinct
 /// class (at most `min(trials, 2^(n(n-1)/2))` compiles for a whole Monte
 /// Carlo), and each class's trials run as a lane-batched compile-once
-/// sub-ensemble. Absent edges therefore cost no instructions — closing the
-/// dense-`K_n` 0.74× gap — and every trial is **bit-identical to the
+/// sub-ensemble. Absent edges therefore cost no instructions, and every
+/// trial is **bit-identical to the
 /// rebuild-per-seed [`solve`] path** (same mismatch draws, same initial
 /// phases, same folded couplings).
 ///

@@ -7,10 +7,16 @@
 //! respond differently — the property a PUF exploits.
 
 use ark_core::func::{GraphBuilder, ParametricGraph};
-use ark_core::{CompiledSystem, EvalScratch, FuncError, Graph, Language};
-use ark_ode::{integrate, OdeWorkspace, Rk4, SolveError, Solver, Strided, Trajectory};
+use ark_core::{CompiledSystem, FuncError, Graph, Language};
+use ark_ode::{integrate, Rk4, SolveError, Trajectory};
 use ark_paradigms::tln::{pulse_fn, MismatchKind, TlineConfig};
+use ark_sim::EnsembleError;
 use std::fmt;
+
+/// Fixed RK4 step of every PUF simulation (seconds).
+pub(crate) const DT: f64 = 5e-11;
+/// Every `STRIDE`-th step of a PUF simulation is recorded.
+pub(crate) const STRIDE: usize = 4;
 
 /// A challenge: one bit per switchable branch stub.
 pub type Challenge = Vec<bool>;
@@ -106,6 +112,12 @@ impl From<SolveError> for PufError {
     }
 }
 
+impl From<EnsembleError> for PufError {
+    fn from(e: EnsembleError) -> Self {
+        PufError::Sim(e.source)
+    }
+}
+
 impl PufDesign {
     /// Total trunk segments (sites × spacing plus a tail to `OUT_V`).
     fn trunk_segments(&self) -> usize {
@@ -133,10 +145,10 @@ impl PufDesign {
     /// [`PufDesign::build`] as a *parametric* graph: fabrication mismatch
     /// (the PUF's entropy source) becomes parameter slots, so one
     /// [`CompiledSystem::compile_parametric`] per challenge serves every
-    /// fabricated instance — the compile-once fast path behind
-    /// [`crate::metrics::evaluate_with`]. Instance `i`'s parameter vector is
-    /// [`CompiledSystem::sample_params`]`(i)`, bit-identical to building
-    /// with seed `i`.
+    /// fabricated instance as one seed of an [`ark_sim::Ensemble::run`] —
+    /// how [`crate::metrics::evaluate_with`] simulates its chips. Instance
+    /// `i`'s parameter vector is [`CompiledSystem::sample_params`]`(i)`,
+    /// bit-identical to building with seed `i`.
     ///
     /// # Errors
     ///
@@ -227,6 +239,36 @@ impl PufDesign {
         format!("V_{}", self.trunk_segments() - 1)
     }
 
+    /// State index of the observation node in a compiled system of this
+    /// design.
+    pub(crate) fn out_index(&self, sys: &CompiledSystem) -> usize {
+        sys.state_index(&self.out_node())
+            .expect("OUT_V is stateful")
+    }
+
+    /// End of every simulation: a margin past the observation window.
+    pub(crate) fn t_end(&self) -> f64 {
+        self.window_end * 1.05
+    }
+
+    /// This design without fabrication mismatch — the reference chip.
+    pub(crate) fn nominal(&self) -> PufDesign {
+        PufDesign {
+            cfg: TlineConfig {
+                mismatch: MismatchKind::None,
+                ..self.cfg
+            },
+            ..self.clone()
+        }
+    }
+
+    /// Integrate a compiled, non-parametric system of this design over
+    /// `[0, t_end]`.
+    pub(crate) fn simulate(&self, sys: &CompiledSystem) -> Result<Trajectory, SolveError> {
+        let y0 = sys.initial_state();
+        integrate(&Rk4 { dt: DT }, &sys.bind(), 0.0, &y0, self.t_end(), STRIDE)
+    }
+
     /// Simulate one (instance, challenge) pair and return the `OUT_V`
     /// trajectory.
     ///
@@ -241,64 +283,22 @@ impl PufDesign {
     ) -> Result<(CompiledSystem, Trajectory), PufError> {
         let graph = self.build(lang, challenge, instance)?;
         let sys = CompiledSystem::compile(lang, &graph)?;
-        let y0 = sys.initial_state();
-        let tr = integrate(
-            &Rk4 { dt: 5e-11 },
-            &sys.bind(),
-            0.0,
-            &y0,
-            self.window_end * 1.05,
-            4,
-        )?;
+        let tr = self.simulate(&sys)?;
         Ok((sys, tr))
     }
 
-    /// Integrate one fabricated instance of an already-compiled
-    /// (per-challenge) system — the compile-once sibling of
-    /// [`PufDesign::observe`]. `params` is the instance's parameter vector
-    /// (empty for nominal systems); scratch and workspace are reused across
-    /// instances by the ensemble engine.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation failures.
-    pub fn observe_compiled(
+    /// Sample `OUT_V` (state `out` of `tr`) at `response_bits` points in
+    /// the observation window, add measurement noise, and compare against
+    /// the reference — the bit semantics of [`PufDesign::respond`].
+    pub(crate) fn read_response(
         &self,
-        sys: &CompiledSystem,
-        params: &[f64],
-        scratch: &mut EvalScratch,
-        ws: &mut OdeWorkspace,
-    ) -> Result<Trajectory, PufError> {
-        let y0 = sys.initial_state_for(params);
-        let bound = sys.bind_ref(params, scratch);
-        let mut rec = Strided::every(4);
-        Rk4 { dt: 5e-11 }.solve(&bound, 0.0, &y0, self.window_end * 1.05, &mut rec, ws)?;
-        Ok(rec.into_trajectory())
-    }
-
-    /// Extract a response from an already-compiled (per-challenge) system —
-    /// the compile-once sibling of [`PufDesign::respond`]. Bit semantics are
-    /// identical; only the compilation strategy differs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation failures.
-    #[allow(clippy::too_many_arguments)]
-    pub fn respond_compiled(
-        &self,
-        sys: &CompiledSystem,
-        params: &[f64],
+        tr: &Trajectory,
+        out: usize,
         reference: &Trajectory,
         ref_out_idx: usize,
         noise_sigma: f64,
         noise_seed: u64,
-        scratch: &mut EvalScratch,
-        ws: &mut OdeWorkspace,
-    ) -> Result<Response, PufError> {
-        let tr = self.observe_compiled(sys, params, scratch, ws)?;
-        let out = sys
-            .state_index(&self.out_node())
-            .expect("OUT_V is stateful");
+    ) -> Response {
         let mut noise = ark_core::MismatchSampler::new(noise_seed);
         let mut bits = Vec::with_capacity(self.response_bits);
         for i in 0..self.response_bits {
@@ -309,7 +309,7 @@ impl PufDesign {
             let r = reference.value_at(t, ref_out_idx);
             bits.push(v > r);
         }
-        Ok(bits)
+        bits
     }
 
     /// Extract the response: sample `OUT_V` at `response_bits` points in the
@@ -335,20 +335,8 @@ impl PufDesign {
         noise_seed: u64,
     ) -> Result<Response, PufError> {
         let (sys, tr) = self.observe(lang, challenge, instance)?;
-        let out = sys
-            .state_index(&self.out_node())
-            .expect("OUT_V is stateful");
-        let mut noise = ark_core::MismatchSampler::new(noise_seed);
-        let mut bits = Vec::with_capacity(self.response_bits);
-        for i in 0..self.response_bits {
-            let t = self.window_start
-                + (self.window_end - self.window_start) * (i as f64)
-                    / (self.response_bits.max(2) - 1) as f64;
-            let v = tr.value_at(t, out) + noise_sigma * noise.standard_normal();
-            let r = reference.value_at(t, ref_out_idx);
-            bits.push(v > r);
-        }
-        Ok(bits)
+        let out = self.out_index(&sys);
+        Ok(self.read_response(&tr, out, reference, ref_out_idx, noise_sigma, noise_seed))
     }
 
     /// Simulate the nominal (mismatch-free) reference for a challenge.
@@ -361,18 +349,9 @@ impl PufDesign {
         lang: &Language,
         challenge: &Challenge,
     ) -> Result<(Trajectory, usize), PufError> {
-        let nominal = PufDesign {
-            cfg: TlineConfig {
-                mismatch: MismatchKind::None,
-                ..self.cfg
-            },
-            ..self.clone()
-        };
+        let nominal = self.nominal();
         let (sys, tr) = nominal.observe(lang, challenge, 0)?;
-        let idx = sys
-            .state_index(&nominal.out_node())
-            .expect("OUT_V is stateful");
-        Ok((tr, idx))
+        Ok((tr, nominal.out_index(&sys)))
     }
 }
 
@@ -386,9 +365,17 @@ pub fn hamming(a: &Response, b: &Response) -> usize {
     a.iter().zip(b).filter(|(x, y)| x != y).count()
 }
 
-/// Integer challenge → bitvector of the given width.
+/// Integer challenge → bitvector of the given width (bit `i` of `value`
+/// at position `i`). Positions 64 and above read 0.
 pub fn challenge_bits(value: u64, width: usize) -> Challenge {
-    (0..width).map(|i| value >> i & 1 == 1).collect()
+    (0..width)
+        .map(|i| {
+            u32::try_from(i)
+                .ok()
+                .and_then(|i| value.checked_shr(i))
+                .is_some_and(|v| v & 1 == 1)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -471,5 +458,18 @@ mod tests {
     fn hamming_and_challenge_bits() {
         assert_eq!(hamming(&vec![true, false], &vec![true, true]), 1);
         assert_eq!(challenge_bits(0b101, 3), vec![true, false, true]);
+    }
+
+    /// Widths past 64 pad with zeros instead of overflowing the shift
+    /// (a debug panic, a wrapped shift in release).
+    #[test]
+    fn challenge_bits_past_64_read_zero() {
+        let one = challenge_bits(1, 70);
+        assert_eq!(one.len(), 70);
+        assert_eq!(one.iter().filter(|&&b| b).count(), 1);
+        assert!(one[0]);
+        let all = challenge_bits(u64::MAX, 70);
+        assert_eq!(all.iter().filter(|&&b| b).count(), 64);
+        assert!(all[..64].iter().all(|&b| b));
     }
 }

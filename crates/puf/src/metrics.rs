@@ -7,10 +7,11 @@
 //!   noisy re-measurements (ideal 0.0; often reported as 1 − this);
 //! * **uniformity** — fraction of 1-bits in responses (ideal 0.5).
 
-use crate::design::{challenge_bits, hamming, Challenge, PufDesign, PufError, Response};
-use ark_core::{CompiledSystem, EvalScratch, Language};
-use ark_ode::{OdeWorkspace, Trajectory};
-use ark_paradigms::tln::{MismatchKind, TlineConfig};
+use crate::design::{
+    challenge_bits, hamming, Challenge, PufDesign, PufError, Response, DT, STRIDE,
+};
+use ark_core::{CompiledSystem, Language};
+use ark_ode::{Rk4, Trajectory};
 use ark_sim::{seed_range, Ensemble};
 
 /// Aggregate quality metrics of a PUF design.
@@ -48,9 +49,10 @@ impl Default for EvalConfig {
     }
 }
 
-/// Evaluate a PUF design: simulate `instances × challenges` responses (plus
-/// noisy re-measurements) and compute the aggregate metrics. Runs on the
-/// default (all-cores) ensemble engine; see [`evaluate_with`].
+/// Evaluate a PUF design: simulate `instances × challenges` chips, read
+/// each one's clean response and noisy re-measurements, and compute the
+/// aggregate metrics. Runs on the default (all-cores) ensemble engine; see
+/// [`evaluate_with`].
 ///
 /// # Errors
 ///
@@ -63,123 +65,87 @@ pub fn evaluate(
     evaluate_with(lang, design, cfg, &Ensemble::default())
 }
 
-/// [`evaluate`] on an explicit `ark-sim` [`Ensemble`]: every
-/// (challenge, instance[, re-measurement]) simulation is an independent
-/// seeded job fanned across the worker pool, and the metrics are aggregated
-/// in a fixed order afterwards — so the result is bit-identical for any
-/// worker count, including the serial engine.
+/// [`evaluate`] on an explicit `ark-sim` [`Ensemble`]: each challenge's
+/// fabricated chips (mismatch seeds `1..=instances`) run through one
+/// [`Ensemble::run`], and every chip's clean response and all of its noisy
+/// re-measurements are read off its one trajectory. The metrics are
+/// aggregated in a fixed order afterwards, so the result is bit-identical
+/// for any worker count and lane width, including the serial engine.
 ///
-/// Compilation is **per challenge, not per job**: each challenge's
+/// Compilation is **per challenge, not per chip**: each challenge's
 /// fabricated design is compiled once parametrically
 /// ([`PufDesign::build_parametric`]) and its nominal reference once plainly
-/// (2 × `challenges` compiles total); every instance and re-measurement is
-/// then just a sampled parameter vector on a shared compiled system.
+/// (2 × `challenges` compiles total); every chip is then just a sampled
+/// parameter vector on a shared compiled system.
 ///
 /// # Errors
 ///
-/// The first (by job order) simulation failure.
+/// The first simulation failure: the nominal references first, then the
+/// chips by challenge and seed.
 pub fn evaluate_with(
     lang: &Language,
     design: &PufDesign,
     cfg: &EvalConfig,
     ens: &Ensemble,
 ) -> Result<PufMetrics, PufError> {
-    let challenges: Vec<Challenge> = (0..cfg.challenges as u64)
-        .map(|ch| challenge_bits(ch, design.sites))
-        .collect();
-    let nominal = PufDesign {
-        cfg: TlineConfig {
-            mismatch: MismatchKind::None,
-            ..design.cfg
-        },
-        ..design.clone()
-    };
-    let mut fab_sys: Vec<CompiledSystem> = Vec::with_capacity(challenges.len());
-    let mut ref_sys: Vec<CompiledSystem> = Vec::with_capacity(challenges.len());
-    for ch in &challenges {
-        let pg = design.build_parametric(lang, ch)?;
+    let nominal = design.nominal();
+    let mut fab_sys: Vec<CompiledSystem> = Vec::with_capacity(cfg.challenges);
+    let mut ref_sys: Vec<CompiledSystem> = Vec::with_capacity(cfg.challenges);
+    for ch in 0..cfg.challenges as u64 {
+        let challenge = challenge_bits(ch, design.sites);
+        let pg = design.build_parametric(lang, &challenge)?;
         fab_sys.push(CompiledSystem::compile_parametric(lang, &pg)?);
-        let rg = nominal.build(lang, ch, 0)?;
+        let rg = nominal.build(lang, &challenge, 0)?;
         ref_sys.push(CompiledSystem::compile(lang, &rg)?);
     }
-    let worker_state = || (EvalScratch::default(), OdeWorkspace::default());
-    // Phase 1: nominal reference trajectories, one per challenge.
-    let refs: Vec<(Trajectory, usize)> = ens.try_map_init(
-        &seed_range(0, cfg.challenges),
-        worker_state,
-        |(s, ws), ch| {
-            let sys = &ref_sys[ch as usize];
-            let tr = nominal.observe_compiled(sys, &[], s, ws)?;
-            let idx = sys
-                .state_index(&nominal.out_node())
-                .expect("OUT_V is stateful");
-            Ok::<_, PufError>((tr, idx))
-        },
-    )?;
-    // Phase 2: clean responses, one per (challenge, instance).
-    let clean: Vec<Response> = ens.try_map_init(
-        &seed_range(0, cfg.challenges * cfg.instances),
-        worker_state,
-        |(s, ws), job| {
-            let (ch, inst) = (
-                job as usize / cfg.instances,
-                (job as usize % cfg.instances) as u64,
-            );
-            let sys = &fab_sys[ch];
-            let params = sys.sample_params(inst + 1);
-            let (reference, ref_idx) = &refs[ch];
-            design.respond_compiled(sys, &params, reference, *ref_idx, 0.0, 0, s, ws)
-        },
-    )?;
-    // Phase 3: noisy re-measurements, one per (challenge, instance, m).
-    let per_ch = cfg.instances * cfg.remeasures;
-    let noisy: Vec<Response> = ens.try_map_init(
-        &seed_range(0, cfg.challenges * per_ch),
-        worker_state,
-        |(s, ws), job| {
-            let job = job as usize;
-            let ch = job / per_ch;
-            let inst = (job % per_ch) / cfg.remeasures;
-            let m = (job % cfg.remeasures) as u64;
-            let sys = &fab_sys[ch];
-            let params = sys.sample_params(inst as u64 + 1);
-            let (reference, ref_idx) = &refs[ch];
-            design.respond_compiled(
-                sys,
-                &params,
-                reference,
-                *ref_idx,
-                cfg.noise_sigma,
-                1 + m,
-                s,
-                ws,
-            )
-        },
-    )?;
-    // Aggregate in the same nested order as the historical serial loop, so
-    // floating-point sums match it exactly.
+    // Nominal reference trajectories, one per challenge.
+    let refs: Vec<(Trajectory, usize)> = ens.try_map(&seed_range(0, cfg.challenges), |ch| {
+        let sys = &ref_sys[ch as usize];
+        Ok::<_, PufError>((nominal.simulate(sys)?, nominal.out_index(sys)))
+    })?;
+    // Aggregate in a fixed nested order (challenge, chip, re-measurement),
+    // the order of a serial loop over the rebuild path, so floating-point
+    // sums match it exactly.
     let mut inter_sum = 0.0;
     let mut inter_n = 0usize;
     let mut intra_sum = 0.0;
     let mut intra_n = 0usize;
     let mut ones = 0usize;
     let mut bits_total = 0usize;
-    for ch in 0..cfg.challenges {
-        let clean = &clean[ch * cfg.instances..(ch + 1) * cfg.instances];
-        for r in clean {
-            ones += r.iter().filter(|&&b| b).count();
-            bits_total += r.len();
+    for (sys, (reference, ref_idx)) in fab_sys.iter().zip(&refs) {
+        let out = design.out_index(sys);
+        // Per chip: the clean response, then its noisy re-measurements.
+        let chips: Vec<(Response, Vec<Response>)> = ens
+            .run(
+                sys,
+                &Rk4 { dt: DT },
+                &seed_range(1, cfg.instances),
+                0.0,
+                design.t_end(),
+            )
+            .stride(STRIDE)
+            .map(|_seed, _params, tr, _scratch| {
+                let read = |sigma, noise_seed| {
+                    design.read_response(&tr, out, reference, *ref_idx, sigma, noise_seed)
+                };
+                let noisy = (0..cfg.remeasures as u64)
+                    .map(|m| read(cfg.noise_sigma, 1 + m))
+                    .collect();
+                Ok::<_, PufError>((read(0.0, 0), noisy))
+            })?;
+        for (clean, _) in &chips {
+            ones += clean.iter().filter(|&&b| b).count();
+            bits_total += clean.len();
         }
-        for i in 0..clean.len() {
-            for j in (i + 1)..clean.len() {
-                inter_sum += hamming(&clean[i], &clean[j]) as f64 / clean[i].len() as f64;
+        for (i, (a, _)) in chips.iter().enumerate() {
+            for (b, _) in &chips[i + 1..] {
+                inter_sum += hamming(a, b) as f64 / a.len() as f64;
                 inter_n += 1;
             }
         }
-        for (inst, base) in clean.iter().enumerate() {
-            for m in 0..cfg.remeasures {
-                let noisy = &noisy[ch * per_ch + inst * cfg.remeasures + m];
-                intra_sum += hamming(base, noisy) as f64 / base.len() as f64;
+        for (clean, noisy) in &chips {
+            for r in noisy {
+                intra_sum += hamming(clean, r) as f64 / clean.len() as f64;
                 intra_n += 1;
             }
         }

@@ -32,9 +32,9 @@
 //!   false, i.e. the PI-adaptive `DormandPrince`) automatically dispatch
 //!   through the scalar path;
 //! * [`LaneReadout`] / [`EnsembleRun::map_grouped`] — readout that sees a
-//!   whole *lane group* at once, so observation programs (CNN snapshot
-//!   images, convergence probes) evaluate through the laned interpreter
-//!   instead of once per instance.
+//!   whole *lane group* at once (a scalar run is the one-lane group), so
+//!   observation programs (CNN snapshot images, convergence probes)
+//!   evaluate through the laned interpreter instead of once per instance.
 //!
 //! # Determinism guarantee
 //!
@@ -186,35 +186,21 @@ fn lanes_from_env() -> usize {
 /// Group-aware ensemble readout: how integrated trajectories become
 /// results.
 ///
-/// The engine integrates instances in lane groups; a `LaneReadout` decides
-/// what happens *after* a group finishes. The scalar [`LaneReadout::finish`]
-/// is required (it also serves the `N % L` tail and lane-incapable
-/// solvers); [`LaneReadout::finish_group`] defaults to calling `finish` per
-/// lane, and implementations override it to evaluate their observation
-/// programs through the laned interpreter — `L` instances per interpreted
+/// The engine integrates instances in lane groups and hands every finished
+/// group to [`LaneReadout::finish_group`]; a scalar run (the `N % L` tail,
+/// a demoted group, a lane-incapable solver, `lanes = 1`) is the one-lane
+/// group `L = 1`. Implementations evaluate their observation programs
+/// through the laned interpreter — `L` instances per interpreted
 /// instruction — which is what lifts the per-instance readout tail off
 /// ensembles like the CNN Monte Carlo. Group trajectories come from
 /// lockstep fixed-step (or voting-adaptive) runs, so all lanes share one
 /// time grid.
 ///
-/// Overrides must keep per-lane results bit-identical to `finish` — the
-/// engine's "results never depend on worker count or lane width" guarantee
-/// extends through the readout.
+/// Per-lane results must not depend on `L` — the engine's "results never
+/// depend on worker count or lane width" guarantee extends through the
+/// readout.
 pub trait LaneReadout<T, E>: Sync {
-    /// Readout for one instance integrated on the scalar path.
-    ///
-    /// # Errors
-    ///
-    /// Implementation-defined.
-    fn finish(
-        &self,
-        seed: u64,
-        params: &[f64],
-        tr: Trajectory,
-        scratch: &mut EvalScratch,
-    ) -> Result<T, E>;
-
-    /// Readout for a full lane group: `trs[l]` is lane `l`'s trajectory,
+    /// Readout for a lane group: `trs[l]` is lane `l`'s trajectory,
     /// `params[l]` its parameter vector. Push one result per lane (in lane
     /// order) onto `out`. `lscratch` is a worker-private lane scratch
     /// dedicated to observation programs.
@@ -230,31 +216,30 @@ pub trait LaneReadout<T, E>: Sync {
         lscratch: &mut LaneScratch<L>,
         scratch: &mut EvalScratch,
         out: &mut Vec<T>,
-    ) -> Result<(), E> {
-        let _ = lscratch;
-        for ((&seed, p), tr) in seeds.iter().zip(params).zip(trs) {
-            out.push(self.finish(seed, p, tr, scratch)?);
-        }
-        Ok(())
-    }
+    ) -> Result<(), E>;
 }
 
-/// A [`LaneReadout`] from a plain per-instance closure (scalar readout on
-/// every path) — the adapter behind [`EnsembleRun::map`].
+/// A [`LaneReadout`] from a plain per-instance closure, run once per lane —
+/// the adapter behind [`EnsembleRun::map`].
 struct ClosureReadout<G>(G);
 
 impl<T, E, G> LaneReadout<T, E> for ClosureReadout<G>
 where
     G: Fn(u64, &[f64], Trajectory, &mut EvalScratch) -> Result<T, E> + Sync,
 {
-    fn finish(
+    fn finish_group<const L: usize>(
         &self,
-        seed: u64,
-        params: &[f64],
-        tr: Trajectory,
+        seeds: &[u64],
+        params: &[&[f64]],
+        trs: Vec<Trajectory>,
+        _lscratch: &mut LaneScratch<L>,
         scratch: &mut EvalScratch,
-    ) -> Result<T, E> {
-        (self.0)(seed, params, tr, scratch)
+        out: &mut Vec<T>,
+    ) -> Result<(), E> {
+        for ((&seed, p), tr) in seeds.iter().zip(params).zip(trs) {
+            out.push((self.0)(seed, p, tr, scratch)?);
+        }
+        Ok(())
     }
 }
 
@@ -391,10 +376,9 @@ impl Ensemble {
     }
 
     /// Like [`Ensemble::try_map`], but each worker first builds a private
-    /// state with `init` and threads it through its jobs — the hook for
-    /// reusing expensive per-worker resources (an
-    /// [`EvalScratch`], an [`OdeWorkspace`](ark_ode::OdeWorkspace), a
-    /// bound system) across many instances.
+    /// state with `init` and threads it through its jobs — the hook the
+    /// group runner uses to reuse its per-worker scratches and workspaces
+    /// across many instances.
     ///
     /// Worker state must not influence results (buffers, caches): the
     /// engine's determinism guarantee assumes `job(state, seed)` depends
@@ -403,7 +387,12 @@ impl Ensemble {
     /// # Errors
     ///
     /// The first (by seed order) job error.
-    pub fn try_map_init<S, T, E, I, F>(&self, seeds: &[u64], init: I, job: F) -> Result<Vec<T>, E>
+    pub(crate) fn try_map_init<S, T, E, I, F>(
+        &self,
+        seeds: &[u64],
+        init: I,
+        job: F,
+    ) -> Result<Vec<T>, E>
     where
         T: Send,
         E: Send,
@@ -775,7 +764,7 @@ mod tests {
         }
     }
 
-    /// `map` runs the readout (`finish`) per lane with results in seed
+    /// `map` runs the readout closure once per lane with results in seed
     /// order.
     #[test]
     fn map_preserves_seed_order_and_params() {
@@ -800,21 +789,12 @@ mod tests {
     }
 
     /// A group-aware readout sees full groups as groups and the tail as
-    /// scalars, and produces the same results as the per-instance path.
+    /// one-lane groups, and produces the same results as the per-instance
+    /// path.
     #[test]
     fn map_readout_group_override_matches_scalar_readout() {
         struct EndState;
         impl LaneReadout<f64, SolveError> for EndState {
-            fn finish(
-                &self,
-                _seed: u64,
-                _params: &[f64],
-                tr: Trajectory,
-                _scratch: &mut EvalScratch,
-            ) -> Result<f64, SolveError> {
-                Ok(tr.last().unwrap().1[0])
-            }
-
             fn finish_group<const L: usize>(
                 &self,
                 _seeds: &[u64],

@@ -188,8 +188,8 @@ where
     }
 
     /// Materialize one readout per instance, in seed order:
-    /// `finish(seed, params, trajectory, scratch)` runs scalar on the
-    /// worker that integrated the instance, with a worker-private
+    /// `finish(seed, params, trajectory, scratch)` runs once per lane on
+    /// the worker that integrated the instance, with a worker-private
     /// [`EvalScratch`] for observation-program evaluation.
     ///
     /// # Errors
@@ -208,11 +208,11 @@ where
     }
 
     /// Materialize through a group-aware [`LaneReadout`], in seed order:
-    /// full lane groups are handed to [`LaneReadout::finish_group`], which
-    /// can evaluate observation programs through the laned interpreter —
-    /// amortizing readout the same way integration already is. Scalar
-    /// tails, lane-incapable solvers, and `lanes = 1` engines go through
-    /// [`LaneReadout::finish`].
+    /// every finished group is handed to [`LaneReadout::finish_group`],
+    /// which can evaluate observation programs through the laned
+    /// interpreter — amortizing readout the same way integration already
+    /// is. Scalar runs (tails, lane-incapable solvers, `lanes = 1`
+    /// engines) arrive as one-lane groups.
     ///
     /// # Errors
     ///
@@ -406,7 +406,14 @@ where
                         }
                     };
                     if !matches!(outcome, InstanceOutcome::Failed { .. }) {
-                        terminal.instance(&mut acc, seed, params, obs, &mut bufs.scratch)?;
+                        terminal.group::<1>(
+                            &mut acc,
+                            &[seed],
+                            &[params],
+                            obs,
+                            &mut bufs.scalar_obs_lscratch,
+                            &mut bufs.scratch,
+                        )?;
                     }
                     FailureLog.push(&mut report, outcome);
                 }
@@ -562,8 +569,8 @@ trait Terminal: Sync {
     /// A fresh, empty job accumulator.
     fn new_acc(&self) -> Self::Acc;
 
-    /// A full lane group finished: `seeds[l]` and `params[l]` belong to
-    /// lane `l` of `obs`.
+    /// A lane group finished: `seeds[l]` and `params[l]` belong to lane
+    /// `l` of `obs`. A scalar run is the one-lane group `L = 1`.
     fn group<const L: usize>(
         &self,
         acc: &mut Self::Acc,
@@ -571,16 +578,6 @@ trait Terminal: Sync {
         params: &[&[f64]],
         obs: Self::Obs,
         lscratch: &mut LaneScratch<L>,
-        scratch: &mut EvalScratch,
-    ) -> Result<(), Self::Err>;
-
-    /// One scalar run finished.
-    fn instance(
-        &self,
-        acc: &mut Self::Acc,
-        seed: u64,
-        params: &[f64],
-        obs: Self::Obs,
         scratch: &mut EvalScratch,
     ) -> Result<(), Self::Err>;
 }
@@ -628,19 +625,6 @@ where
         self.readout
             .finish_group::<L>(seeds, params, trs, lscratch, scratch, acc)
     }
-
-    fn instance(
-        &self,
-        acc: &mut Vec<T>,
-        seed: u64,
-        params: &[f64],
-        obs: Strided,
-        scratch: &mut EvalScratch,
-    ) -> Result<(), E> {
-        let tr = obs.into_trajectory();
-        acc.push(self.readout.finish(seed, params, tr, scratch)?);
-        Ok(())
-    }
 }
 
 /// The streaming terminals: one [`STREAM_BLOCK`] per job, each final state
@@ -648,33 +632,6 @@ where
 struct Stream<'r, X, R> {
     extract: &'r X,
     reducer: &'r R,
-}
-
-impl<I, E, X, R> Stream<'_, X, R>
-where
-    X: Fn(&FinalSnapshot<'_>, &mut EvalScratch) -> Result<I, E>,
-    R: Reducer<I>,
-{
-    /// Extract lane `lane` of a finished run and fold it into `acc`.
-    fn push(
-        &self,
-        acc: &mut R::Acc,
-        seed: u64,
-        params: &[f64],
-        obs: &FinalState,
-        lane: usize,
-        scratch: &mut EvalScratch,
-    ) -> Result<(), E> {
-        let snap = FinalSnapshot {
-            seed,
-            params,
-            t: obs.time(),
-            state: obs.lane_state(lane),
-            stats: obs.stats(),
-        };
-        self.reducer.push(acc, (self.extract)(&snap, scratch)?);
-        Ok(())
-    }
 }
 
 impl<I, E, X, R> Terminal for Stream<'_, X, R>
@@ -708,34 +665,32 @@ where
         _lscratch: &mut LaneScratch<L>,
         scratch: &mut EvalScratch,
     ) -> Result<(), E> {
-        for (l, &seed) in seeds.iter().enumerate() {
-            self.push(acc, seed, params[l], &obs, l, scratch)?;
+        for (l, (&seed, &params)) in seeds.iter().zip(params).enumerate() {
+            let snap = FinalSnapshot {
+                seed,
+                params,
+                t: obs.time(),
+                state: obs.lane_state(l),
+                stats: obs.stats(),
+            };
+            self.reducer.push(acc, (self.extract)(&snap, scratch)?);
         }
         Ok(())
-    }
-
-    fn instance(
-        &self,
-        acc: &mut R::Acc,
-        seed: u64,
-        params: &[f64],
-        obs: FinalState,
-        scratch: &mut EvalScratch,
-    ) -> Result<(), E> {
-        self.push(acc, seed, params, &obs, 0, scratch)
     }
 }
 
 /// Per-worker buffers of the group runner: scalar scratches for the
 /// scalar path and readout, plus the lane scratch and workspace for full
-/// groups. The observation programs get a lane scratch of their own
-/// (`obs_lscratch`) so the RHS and observation constant pools both stay
-/// primed across a worker's groups. All grow on demand.
+/// groups. The observation programs get lane scratches of their own
+/// (`obs_lscratch` for full groups, `scalar_obs_lscratch` for one-lane
+/// readouts) so the RHS and observation constant pools all stay primed
+/// across a worker's groups. All grow on demand.
 struct LaneBufs<const L: usize> {
     scratch: EvalScratch,
     ws: OdeWorkspace,
     lscratch: LaneScratch<L>,
     obs_lscratch: LaneScratch<L>,
+    scalar_obs_lscratch: LaneScratch<1>,
     lws: Workspace<[f64; L]>,
     /// Struct-of-arrays staging for the group's initial states.
     y0: Vec<[f64; L]>,
@@ -748,6 +703,7 @@ impl<const L: usize> Default for LaneBufs<L> {
             ws: OdeWorkspace::default(),
             lscratch: LaneScratch::default(),
             obs_lscratch: LaneScratch::default(),
+            scalar_obs_lscratch: LaneScratch::default(),
             lws: Workspace::default(),
             y0: Vec::new(),
         }

@@ -5,7 +5,6 @@
 //! dynamics match the DG simulation within 1% RMSE. The authors used a
 //! commercial SPICE; this crate provides the equivalent substrate:
 //!
-//! * [`linalg`] — dense LU factorization;
 //! * [`netlist`] — GmC-class netlists (grounded capacitors, conductances,
 //!   VCCS transconductors, current sources) with trapezoidal MNA transient
 //!   simulation, the discretization SPICE applies to linear circuits;
@@ -32,7 +31,6 @@
 // Unsafe code lives only in ark-expr.
 #![forbid(unsafe_code)]
 
-pub mod linalg;
 pub mod netlist;
 pub mod synth;
 pub mod validate;

@@ -10,8 +10,8 @@
 //! one-time LU factorization — the same discretization SPICE applies to
 //! linear circuits.
 
-use crate::linalg::{Lu, Matrix, SingularMatrix};
 use ark_expr::{eval, Expr, LowerError, MapContext, ProgramBuilder, SlotResolver};
+use ark_ode::linalg::{Lu, Matrix, SingularMatrix};
 use ark_ode::Trajectory;
 use std::collections::BTreeMap;
 use std::fmt;

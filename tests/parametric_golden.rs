@@ -14,6 +14,7 @@ use ark::paradigms::tln::{
     gmc_tln_language, linear_tline, tline_mismatch_ensemble, tln_language, MismatchKind,
     TlineConfig,
 };
+use ark::puf::{challenge_bits, evaluate_with, hamming, EvalConfig, PufDesign};
 use ark::sim::{seed_range, Ensemble};
 
 fn cnn_input() -> Image {
@@ -118,6 +119,89 @@ fn parametric_tline_ensemble_matches_recompile_path_exactly() {
             let y0 = sys.initial_state();
             let reference = integrate(&Rk4 { dt }, &sys.bind(), 0.0, &y0, t_end, stride).unwrap();
             assert_eq!(&reference, tr, "seed {seed} ({kind:?})");
+        }
+    }
+}
+
+/// The compile-once PUF metrics reproduce a serial loop over the
+/// rebuild-per-instance path (`PufDesign::reference` + `respond`) bit for
+/// bit — clean responses and noisy re-measurements alike — for every
+/// worker count and lane width.
+#[test]
+fn puf_metrics_match_rebuild_path_exactly() {
+    let base = tln_language();
+    let gmc = gmc_tln_language(&base);
+    let design = PufDesign {
+        spacing: 1,
+        sites: 2,
+        stub_len: 2,
+        window_start: 0.5e-8,
+        window_end: 3e-8,
+        response_bits: 16,
+        ..PufDesign::default()
+    };
+    let cfg = EvalConfig {
+        instances: 5,
+        challenges: 2,
+        remeasures: 2,
+        noise_sigma: 2e-2,
+    };
+    // Serial reference, aggregated in `evaluate_with`'s order: instance
+    // `k` is mismatch seed `k + 1`, clean responses use noise seed 0 at
+    // σ = 0, re-measurement `m` uses noise seed `1 + m`.
+    let (mut inter_sum, mut inter_n, mut intra_sum, mut intra_n) = (0.0, 0usize, 0.0, 0usize);
+    let (mut ones, mut bits_total) = (0usize, 0usize);
+    for ch in 0..cfg.challenges as u64 {
+        let challenge = challenge_bits(ch, design.sites);
+        let (reference, idx) = design.reference(&gmc, &challenge).unwrap();
+        let respond = |inst: usize, sigma: f64, noise_seed: u64| {
+            design
+                .respond(
+                    &gmc,
+                    &reference,
+                    idx,
+                    &challenge,
+                    inst as u64 + 1,
+                    sigma,
+                    noise_seed,
+                )
+                .unwrap()
+        };
+        let clean: Vec<Vec<bool>> = (0..cfg.instances).map(|k| respond(k, 0.0, 0)).collect();
+        for r in &clean {
+            ones += r.iter().filter(|&&b| b).count();
+            bits_total += r.len();
+        }
+        for i in 0..clean.len() {
+            for j in (i + 1)..clean.len() {
+                inter_sum += hamming(&clean[i], &clean[j]) as f64 / clean[i].len() as f64;
+                inter_n += 1;
+            }
+        }
+        for (k, r) in clean.iter().enumerate() {
+            for m in 0..cfg.remeasures as u64 {
+                let noisy = respond(k, cfg.noise_sigma, 1 + m);
+                intra_sum += hamming(r, &noisy) as f64 / r.len() as f64;
+                intra_n += 1;
+            }
+        }
+    }
+    let uniqueness = inter_sum / inter_n as f64;
+    let intra_distance = intra_sum / intra_n as f64;
+    let uniformity = ones as f64 / bits_total as f64;
+    assert!(intra_distance > 0.0, "noise must flip some bits");
+    for workers in [1usize, 2] {
+        for lanes in [1usize, 4] {
+            let ens = Ensemble::new(workers).with_lanes(lanes);
+            let m = evaluate_with(&gmc, &design, &cfg, &ens).unwrap();
+            let ctx = format!("workers {workers} lanes {lanes}: {m:?}");
+            assert_eq!(m.uniqueness.to_bits(), uniqueness.to_bits(), "{ctx}");
+            assert_eq!(
+                m.intra_distance.to_bits(),
+                intra_distance.to_bits(),
+                "{ctx}"
+            );
+            assert_eq!(m.uniformity.to_bits(), uniformity.to_bits(), "{ctx}");
         }
     }
 }
