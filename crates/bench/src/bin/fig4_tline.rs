@@ -5,16 +5,13 @@
 //!
 //! Run: `cargo run --release -p ark-bench --bin fig4_tline [trials]`
 
-use ark_bench::{print_series, sparkline, trials_arg};
+use ark_bench::{print_series, sparkline, trials_arg, TLINE_DT as DT, TLINE_T_END as T_END};
 use ark_core::CompiledSystem;
 use ark_ode::{ensemble_stats, integrate, Rk4, Trajectory};
 use ark_paradigms::tln::{
     branched_out_v, branched_tline, gmc_tln_language, linear_out_v, linear_tline, tln_language,
     MismatchKind, TlineConfig,
 };
-
-const T_END: f64 = 8e-8;
-const DT: f64 = 2e-11;
 
 fn simulate(
     lang: &ark_core::Language,

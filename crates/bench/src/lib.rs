@@ -31,6 +31,13 @@ use ark_paradigms::maxcut::{build_maxcut_network, CouplingKind, MaxCutProblem};
 use ark_paradigms::obc::{obc_language, ofs_obc_language};
 use ark_paradigms::tln::{gmc_tln_language, linear_tline, tln_language, MismatchKind, TlineConfig};
 
+/// Simulated time of every Figure 4 transient (seconds).
+pub const TLINE_T_END: f64 = 8e-8;
+/// Fixed RK4 step of every Figure 4 transient (seconds). The
+/// step-convergence tier (`tests/step_convergence.rs`) pins it against a
+/// Dormand–Prince reference.
+pub const TLINE_DT: f64 = 2e-11;
+
 /// Parse an optional non-negative count argument. An absent argument is
 /// `default`; one that does not parse as a `usize` is an error naming the
 /// argument, never a silent fallback to the default.

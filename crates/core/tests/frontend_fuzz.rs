@@ -3,12 +3,14 @@
 //! [`Program::build`]. Every edit may make the program invalid, and a
 //! typed error is the expected answer; a panic anywhere in parse, invoke,
 //! validate or compile fails the test and prints the offending source.
-//! One directed edit pins the typed error of a call that parses and
+//! A second property prints every language of each edited program that
+//! parses, parses the printout again and prints that: both printouts must
+//! agree. One directed edit pins the typed error of a call that parses and
 //! validates but has no program opcode.
 
 use ark_core::program::{Program, ProgramError};
 use ark_core::validate::ExternRegistry;
-use ark_core::{CompileError, Value};
+use ark_core::{language_to_source, CompileError, Value};
 use proptest::prelude::*;
 use std::panic;
 
@@ -88,6 +90,30 @@ fn apply(src: &mut Vec<u8>, (kind, pos, len, pick): Edit) {
     }
 }
 
+/// The quickstart program with `edits` applied in order.
+fn edited_quickstart(edits: &[Edit]) -> String {
+    let mut bytes = quickstart_source().as_bytes().to_vec();
+    for &edit in edits {
+        apply(&mut bytes, edit);
+    }
+    String::from_utf8(bytes).expect("edits insert ASCII only")
+}
+
+/// `lang`'s printout after a print → parse round trip. A derived language
+/// is printed after its parents (root first), so the printout parses on
+/// its own.
+fn reprint(program: &Program, lang: &str) -> Result<String, ProgramError> {
+    let chain = program.language(lang).expect("listed language").chain();
+    let src: Vec<String> = chain
+        .iter()
+        .map(|name| language_to_source(program.language(name).expect("parent is defined")))
+        .collect();
+    let back = Program::parse(&src.join("\n"))?;
+    Ok(language_to_source(
+        back.language(lang).expect("reparsed language"),
+    ))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20_000))]
 
@@ -95,17 +121,31 @@ proptest! {
     fn edited_quickstart_never_panics(
         edits in proptest::collection::vec((0u8..5, 0usize..4096, 1usize..16, 0usize..4096), 1..=4),
     ) {
-        let mut bytes = quickstart_source().as_bytes().to_vec();
-        for &edit in &edits {
-            apply(&mut bytes, edit);
-        }
-        let src = String::from_utf8(bytes).expect("edits insert ASCII only");
+        let src = edited_quickstart(&edits);
         let outcome = panic::catch_unwind(|| {
             Program::parse(&src).and_then(|program| {
                 program.build("chain", &[Value::Real(2.0)], 0, &ExternRegistry::new())
             })
         });
         prop_assert!(outcome.is_ok(), "frontend panicked on edits {:?}:\n{}", edits, src);
+    }
+
+    #[test]
+    fn edited_quickstart_prints_and_reparses_identically(
+        edits in proptest::collection::vec((0u8..5, 0usize..4096, 1usize..16, 0usize..4096), 1..=4),
+    ) {
+        let src = edited_quickstart(&edits);
+        if let Ok(program) = Program::parse(&src) {
+            for lang in program.lang_names() {
+                let printed = language_to_source(program.language(lang).expect("listed language"));
+                let reprinted = reprint(&program, lang);
+                prop_assert!(
+                    matches!(&reprinted, Ok(r) if *r == printed),
+                    "language {} of edits {:?} does not round-trip:\n{}\nprinted:\n{}\nreprinted: {:?}",
+                    lang, edits, src, printed, reprinted
+                );
+            }
+        }
     }
 }
 

@@ -249,6 +249,14 @@ pub fn classify_phases(phases: &[f64], d: f64) -> Option<u64> {
 pub const SOLVE_TIME: f64 = 5e-8;
 /// Fixed integration step (stable for the `C1`, `C2` constants and small
 /// degrees).
+///
+/// Its margin is only 2×, so do not coarsen it. Table 1 at 1000 trials is
+/// identical at `SOLVE_DT / 2`, `SOLVE_DT` and `2 · SOLVE_DT`, and the
+/// step-convergence unit test in this module sees no outcome move on its
+/// 32 graphs up to `2 · SOLVE_DT` (final phases converge at order ≈ 4).
+/// At `4 · SOLVE_DT` the phases no longer settle: the offset solver's loss
+/// at d = 0.01π shrinks from 28.6 to 6.0 points and `table1_maxcut`
+/// prints "NOT reproduced".
 pub const SOLVE_DT: f64 = 1e-10;
 
 /// Solve one instance: build, simulate, and read out at tolerance `d`.
@@ -537,6 +545,70 @@ mod tests {
             )
             .unwrap();
             assert_eq!(serial, par, "workers {workers}");
+        }
+    }
+
+    /// Max-cut row of the step-convergence tier (`tests/step_convergence.rs`
+    /// holds the CNN and Figure 4 rows): Table 1's discrete outcomes on a
+    /// fixed seed subset must not move between [`SOLVE_DT`] and
+    /// `SOLVE_DT / 2`. Also prints the outcome flips at 2× and 4× the step
+    /// and the observed order of the final phases (self-convergence
+    /// between successive rungs). The cliff sits at 2 · `SOLVE_DT`; see
+    /// [`SOLVE_DT`] for the 1000-trial margin.
+    #[test]
+    fn outcomes_are_converged_at_the_solve_step() {
+        let base = obc_language();
+        let ofs = ofs_obc_language(&base);
+        let ds = [0.01 * PI, 0.1 * PI];
+        let steps = [SOLVE_DT / 2.0, SOLVE_DT, 2.0 * SOLVE_DT, 4.0 * SOLVE_DT];
+        for coupling in [CouplingKind::Ideal, CouplingKind::Offset] {
+            let mut flips = [0usize; 4];
+            let mut phase_diff = [0.0f64; 4];
+            for seed in 0..32 {
+                let problem = MaxCutProblem::random(4, seed);
+                let graph = build_maxcut_network(&ofs, &problem, coupling, seed).unwrap();
+                let sys = CompiledSystem::compile(&ofs, &graph).unwrap();
+                let y0 = sys.initial_state();
+                let rungs: Vec<[MaxCutOutcome; 2]> = steps
+                    .iter()
+                    .map(|&dt| {
+                        let tr =
+                            integrate(&Rk4 { dt }, &sys.bind(), 0.0, &y0, SOLVE_TIME, 50).unwrap();
+                        ds.map(|d| read_outcome(&sys, &problem, d, &tr))
+                    })
+                    .collect();
+                for k in 1..steps.len() {
+                    for (a, b) in rungs[k - 1][0].phases.iter().zip(&rungs[k][0].phases) {
+                        phase_diff[k] = phase_diff[k].max(phase_distance(*a, *b));
+                    }
+                    for (fine, coarse) in rungs[0].iter().zip(&rungs[k]) {
+                        let same = (fine.synchronized(), fine.solved())
+                            == (coarse.synchronized(), coarse.solved());
+                        flips[k] += usize::from(!same);
+                    }
+                }
+                for (d, (fine, shipped)) in ds.iter().zip(rungs[0].iter().zip(&rungs[1])) {
+                    assert_eq!(
+                        (fine.synchronized(), fine.solved()),
+                        (shipped.synchronized(), shipped.solved()),
+                        "{coupling:?} seed {seed} d {d}: outcome moves between SOLVE_DT/2 and SOLVE_DT"
+                    );
+                }
+            }
+            println!("max-cut {coupling:?} (32 graphs x 2 tolerances, against SOLVE_DT/2):");
+            for k in 1..steps.len() {
+                let order = if k > 1 {
+                    format!("{:.2}", (phase_diff[k] / phase_diff[k - 1]).log2())
+                } else {
+                    "-".to_string()
+                };
+                println!(
+                    "  dt {:.1e}  outcome flips {}  phase change {:.2e}  order {order}",
+                    steps[k], flips[k], phase_diff[k]
+                );
+            }
+            let cliff = (1..steps.len()).take_while(|&k| flips[k] == 0).last();
+            println!("  cliff: dt {:.1e}", cliff.map_or(steps[0], |k| steps[k]));
         }
     }
 

@@ -303,6 +303,101 @@ mod tests {
         );
     }
 
+    /// PUF row of the step-convergence tier (`tests/step_convergence.rs`
+    /// holds the CNN and Figure 4 rows): every clean response bit of a
+    /// small evaluation must be the same at `DT / 2` and `DT`. Each rung
+    /// keeps the shipped sample spacing (`STRIDE · DT`), so only the step
+    /// moves. Also prints the bit flips at 2× and 4× the step and the
+    /// observed order of `OUT_V` at the response times (self-convergence
+    /// between successive rungs). Measured: no bit flips up to 4 · `DT`;
+    /// `OUT_V` moves 1.0e-6 V from `DT` to 2 · `DT` (order ≈ 4) but 3.2e-4 V
+    /// from 2 · `DT` to 4 · `DT` (order ≈ 8, the edge of RK4's stability),
+    /// so the bit cliff is at or beyond 4 · `DT` = 2e-10. `DT` stays.
+    #[test]
+    fn responses_are_converged_at_the_puf_step() {
+        let base = tln_language();
+        let gmc = gmc_tln_language(&base);
+        let d = design();
+        let cfg = EvalConfig {
+            instances: 4,
+            challenges: 2,
+            remeasures: 0,
+            noise_sigma: 0.0,
+        };
+        let steps = [DT / 2.0, DT, 2.0 * DT, 4.0 * DT];
+        let run = |sys: &CompiledSystem, k: usize| {
+            // Rung k records every (2 · STRIDE) >> k steps: STRIDE · DT apart.
+            let stride = (2 * STRIDE) >> k;
+            let y0 = sys.initial_state();
+            ark_ode::integrate(
+                &Rk4 { dt: steps[k] },
+                &sys.bind(),
+                0.0,
+                &y0,
+                d.t_end(),
+                stride,
+            )
+            .unwrap()
+        };
+        let times: Vec<f64> = (0..d.response_bits)
+            .map(|i| {
+                d.window_start
+                    + (d.window_end - d.window_start) * i as f64 / (d.response_bits - 1) as f64
+            })
+            .collect();
+        let nominal = d.nominal();
+        let mut flips = [0usize; 4];
+        let mut v_diff = [0.0f64; 4];
+        for ch in 0..cfg.challenges as u64 {
+            let challenge = challenge_bits(ch, d.sites);
+            let ref_sys =
+                CompiledSystem::compile(&gmc, &nominal.build(&gmc, &challenge, 0).unwrap())
+                    .unwrap();
+            let ref_idx = nominal.out_index(&ref_sys);
+            let refs: Vec<Trajectory> = (0..steps.len()).map(|k| run(&ref_sys, k)).collect();
+            for instance in 1..=cfg.instances as u64 {
+                let sys =
+                    CompiledSystem::compile(&gmc, &d.build(&gmc, &challenge, instance).unwrap())
+                        .unwrap();
+                let out = d.out_index(&sys);
+                let trs: Vec<Trajectory> = (0..steps.len()).map(|k| run(&sys, k)).collect();
+                let bits: Vec<Response> = trs
+                    .iter()
+                    .zip(&refs)
+                    .map(|(tr, reference)| d.read_response(tr, out, reference, ref_idx, 0.0, 0))
+                    .collect();
+                assert_eq!(
+                    bits[0], bits[1],
+                    "challenge {ch}, instance {instance}: response moves between DT/2 and DT"
+                );
+                for k in 1..steps.len() {
+                    flips[k] += hamming(&bits[0], &bits[k]);
+                    for &t in &times {
+                        let change = (trs[k].value_at(t, out) - trs[k - 1].value_at(t, out)).abs();
+                        v_diff[k] = v_diff[k].max(change);
+                    }
+                }
+            }
+        }
+        println!(
+            "PUF ({} chips x {} challenges x {} bits, against DT/2):",
+            cfg.instances, cfg.challenges, d.response_bits
+        );
+        for k in 1..steps.len() {
+            let order = if k > 1 {
+                format!("{:.2}", (v_diff[k] / v_diff[k - 1]).log2())
+            } else {
+                "-".to_string()
+            };
+            println!(
+                "  dt {:.1e}  bit flips {}  OUT_V change {:.2e} V  order {order}",
+                steps[k], flips[k], v_diff[k]
+            );
+        }
+        let cliff = (1..steps.len()).take_while(|&k| flips[k] == 0).last();
+        println!("  cliff: dt {:.1e}", cliff.map_or(steps[0], |k| steps[k]));
+    }
+
     #[test]
     fn challenge_sensitivity_is_nonzero() {
         let base = tln_language();
