@@ -1,6 +1,7 @@
 //! Right-hand-side microbenchmark: the fused `SystemProgram` path, on the
 //! interpreter (one lane, `fused`, and four lanes per call, `fused4`) and
-//! as a native kernel, on the three paper workloads
+//! as a native kernel (`native`, and its four-lane twin `native4`), on the
+//! three paper workloads
 //! (`ark_bench::rhs_workloads`: Figure 11 CNN, Figure 4 GmC-TLN, Table 1
 //! OBC max-cut).
 //!
@@ -78,16 +79,18 @@ fn bench_rhs(c: &mut Criterion) {
                 })
             });
         }
-        group.bench_function("fused4", |b| {
-            let y: Vec<[f64; 4]> = w.sys.initial_state().iter().map(|&v| [v; 4]).collect();
-            let mut dydt = vec![[0.0; 4]; w.sys.num_states()];
-            let mut scratch = LaneScratch::<4>::default();
-            let bound = w.sys.bind_lanes::<4>(&[&[][..]; 4], &mut scratch);
-            b.iter(|| {
-                bound.rhs(black_box(0.5), &y, &mut dydt);
-                black_box(dydt[0])
-            })
-        });
+        for (label, sys) in [("fused4", &w.sys), ("native4", &native)] {
+            group.bench_function(label, |b| {
+                let y: Vec<[f64; 4]> = sys.initial_state().iter().map(|&v| [v; 4]).collect();
+                let mut dydt = vec![[0.0; 4]; sys.num_states()];
+                let mut scratch = LaneScratch::<4>::default();
+                let bound = sys.bind_lanes::<4>(&[&[][..]; 4], &mut scratch);
+                b.iter(|| {
+                    bound.rhs(black_box(0.5), &y, &mut dydt);
+                    black_box(dydt[0])
+                })
+            });
+        }
         group.finish();
     }
 }

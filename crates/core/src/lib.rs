@@ -81,6 +81,9 @@ pub use compile::{
 // Re-exported so `CompiledSystem::bind_lanes` callers (notably `ark-sim`)
 // can name the lane scratch without depending on `ark-expr` directly.
 pub use ark_expr::LaneScratch;
+// Re-exported so `ark-sim` checks and defaults its lane width against the
+// one set the interpreter and the native kernels are built for.
+pub use ark_expr::{default_lanes, DEFAULT_LANES, SUPPORTED_LANES};
 // Re-exported so `CompiledSystem::with_backend` callers can pick the
 // execution engine without depending on `ark-expr` directly.
 pub use ark_expr::Backend;

@@ -453,15 +453,16 @@ impl SystemProgram {
         verify_program(self)
     }
 
-    /// The Rust source the native-codegen backend emits for this program
-    /// (each segment once, generic over the lane width, plus the exported
-    /// scalar and laned wrappers). Emission is pure string
+    /// The Rust source the native-codegen backend emits for this program's
+    /// default-width-set library (each segment once, generic over the lane
+    /// width, plus the exported wrappers at width `1` and
+    /// [`default_lanes`](crate::default_lanes)). Emission is pure string
     /// generation — no toolchain, cache, or dlopen involved — so this is
     /// always available; [`determinism_lint`] and the `ark-lint` CLI use
     /// it to cross-check the emitted kernels against the interpreter
     /// contract.
     pub fn codegen_source(&self) -> String {
-        codegen::emit(self).source
+        codegen::emit(self, &codegen::default_widths()).source
     }
 }
 
@@ -921,9 +922,11 @@ fn transfer_cmp(op: CmpOp, a: Interval, b: Interval) -> Interval {
 ///   interpreter rounds twice, so a single contraction breaks bit
 ///   identity;
 /// - every segment must be lowered exactly once — the chunks its driver
-///   calls hold one store per IR instruction between them — and every
-///   exported width wrapper must call that driver at its own width, so the
-///   scalar and laned kernels run the same statement sequence;
+///   calls hold one store per IR instruction between them — and the
+///   exported wrapper for each width of the default set (`1` and
+///   [`default_lanes`](crate::default_lanes)) must exist and call that
+///   driver at its own width, so the scalar and laned kernels run the same
+///   statement sequence;
 /// - long fully-skewed additive chains are reported (informational): a
 ///   left-leaning sum of `n` terms has depth `n - 1`, which both engines
 ///   evaluate in the same order (so determinism holds), but rebalancing
@@ -942,6 +945,7 @@ pub fn determinism_lint(prog: &SystemProgram) -> Vec<String> {
     issues.extend(kernel_parity_issues(
         &source,
         [prog.pprologue.len(), prog.tprologue.len(), prog.body.len()],
+        &codegen::default_widths(),
     ));
     // Additive-chain shape: count terms and depth per register through the
     // additive slots of Add/MulAdd/AddMul. A fully-skewed chain of >= 8
@@ -997,11 +1001,11 @@ pub fn determinism_lint(prog: &SystemProgram) -> Vec<String> {
 }
 
 /// Check that emitted kernel source lowers each segment exactly once and
-/// exports it at every width: the chunks a segment's driver calls hold one
-/// register store per IR instruction between them (`seg_lens`, in
-/// [`Segment`] order), and each exported wrapper calls its segment's driver
-/// at its own width.
-fn kernel_parity_issues(source: &str, seg_lens: [usize; 3]) -> Vec<String> {
+/// exports it at every width it was emitted for: the chunks a segment's
+/// driver calls hold one register store per IR instruction between them
+/// (`seg_lens`, in [`Segment`] order), and each exported wrapper, one per
+/// width of `widths`, calls its segment's driver at its own width.
+fn kernel_parity_issues(source: &str, seg_lens: [usize; 3], widths: &[usize]) -> Vec<String> {
     let mut issues = Vec::new();
     for (seg, expect) in codegen::SEGMENT_NAMES.into_iter().zip(seg_lens) {
         match segment_store_count(source, seg) {
@@ -1014,7 +1018,7 @@ fn kernel_parity_issues(source: &str, seg_lens: [usize; 3]) -> Vec<String> {
                 "segment `{seg}`: driver or a called chunk missing from emitted source"
             )),
         }
-        for width in codegen::KERNEL_WIDTHS {
+        for &width in widths {
             let name = codegen::export_name(seg, width);
             let call = format!("{{ {seg}::<{width}>(r, s, t) }}");
             match source.lines().find(|l| l.contains(&format!("fn {name}("))) {
@@ -1329,9 +1333,22 @@ mod tests {
         let terms: Vec<String> = (1..=150).map(|k| format!("sin(var(x) * {k}.5)")).collect();
         let prog = build(&terms.join(" + "));
         let lens = [prog.pprologue.len(), prog.tprologue.len(), prog.body.len()];
-        let source = prog.codegen_source();
-        assert!(kernel_parity_issues(&source, lens).is_empty());
+        let source = codegen::emit(&prog, &[1, 4]).source;
+        assert!(kernel_parity_issues(&source, lens, &[1, 4]).is_empty());
         assert!(source.contains("\nmod body_2 {"), "body spans 3+ chunks");
+        let wide = codegen::emit(&prog, &[8]).source;
+        assert!(kernel_parity_issues(&wide, lens, &[8]).is_empty());
+
+        // A width the source was not emitted for: its wrappers are missing.
+        let issues = kernel_parity_issues(&source, lens, &[1, 4, 8]);
+        assert_eq!(issues.len(), 3, "got {issues:?}");
+        for seg in ["pp", "tp", "body"] {
+            let missing = format!("exported fn `ark_{seg}8` missing");
+            assert!(
+                issues.iter().any(|l| l.starts_with(&missing)),
+                "got {issues:?}"
+            );
+        }
 
         // A store dropped from a middle chunk.
         let mut dropped = source.clone();
@@ -1343,13 +1360,13 @@ mod tests {
             segment_store_count(&dropped, "body"),
             Some(prog.body_len() - 1)
         );
-        let issues = kernel_parity_issues(&dropped, lens);
+        let issues = kernel_parity_issues(&dropped, lens, &[1, 4]);
         assert_eq!(issues.len(), 1, "got {issues:?}");
         assert!(issues[0].starts_with("segment `body`"), "got {issues:?}");
 
         // A laned wrapper bound to the wrong width.
         let rebound = source.replace("{ body::<4>(r, s, t) }", "{ body::<8>(r, s, t) }");
-        let issues = kernel_parity_issues(&rebound, lens);
+        let issues = kernel_parity_issues(&rebound, lens, &[1, 4]);
         assert_eq!(issues.len(), 1, "got {issues:?}");
         assert!(issues[0].contains("`ark_body4`"), "got {issues:?}");
     }

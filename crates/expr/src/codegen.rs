@@ -22,18 +22,32 @@
 //! module, called in order by a generic per-segment driver. Bounded chunks
 //! keep LLVM's superlinear per-function passes cheap, and separate modules
 //! let `rustc` build chunks in parallel codegen units. The exported
-//! `unsafe extern "C" fn(regs, slots, time)` symbols — `ark_pp`, `ark_tp`,
-//! `ark_body` and their `4`/`8` laned variants — are one-line wrappers that
-//! instantiate the driver at their width. The Figure 11 CNN's two kernels
-//! (the 777-instruction RHS and the observables) emit ~108 KiB of source
-//! and build cold in ~3 s on two cores.
+//! `unsafe extern "C" fn(regs, slots, time)` symbols are one-line wrappers
+//! that instantiate the driver at their width: `ark_pp`, `ark_tp`,
+//! `ark_body` at width 1, and `ark_pp<L>`, `ark_tp<L>`, `ark_body<L>` at a
+//! laned width `L`.
+//!
+//! # One library per width set
+//!
+//! Each instantiated width costs a full monomorphization of every chunk,
+//! so a library holds only the widths a run uses. The library
+//! [`CodegenCache::prepare`] builds holds the *default set*: width 1
+//! (scalar evaluation, ensemble tails, demoted groups, scalar readouts) and
+//! the process's default lane width [`default_lanes`] (full lane groups).
+//! An evaluation at any other width of [`SUPPORTED_LANES`] builds and
+//! loads a one-width library for it the first time that width runs. The
+//! Figure 11 CNN's two kernels (the 777-instruction RHS and the
+//! observables) emit ~108 KiB of source; at widths 1 and 4 they build cold
+//! in ~1.7 s on two cores, against ~3.1 s with width 8 as well.
 //!
 //! # Cache layout and concurrency
 //!
 //! Kernels are keyed by a content hash of the generated source plus the
-//! `rustc` version (so toolchain upgrades rebuild). The on-disk cache —
-//! `$ARK_CODEGEN_DIR`, defaulting to `<tmp>/ark-codegen` — holds
-//! `<hash>.rs` (the generated source, kept for inspection) and `<hash>.so`.
+//! `rustc` version (so toolchain upgrades rebuild). The source names the
+//! widths it exports, so each width set of a program is its own entry.
+//! The on-disk cache — `$ARK_CODEGEN_DIR`, defaulting to
+//! `<tmp>/ark-codegen` — holds `<hash>.rs` (the generated source, kept for
+//! inspection) and `<hash>.so`.
 //! Artifacts are published with a write-to-temp-then-rename so readers never
 //! observe partial files, and concurrent builders (two processes compiling
 //! the same design) serialize on a `<hash>.lock` sentinel: one compiles,
@@ -56,7 +70,7 @@
 use crate::analysis::Segment;
 use crate::ast::{BinaryOp, CmpOp, UnaryOp};
 use crate::builtins::Builtin3;
-use crate::program::{PInstr, POp, SystemProgram};
+use crate::program::{default_lanes, PInstr, POp, SystemProgram, SUPPORTED_LANES};
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -183,11 +197,16 @@ impl fmt::Display for NativeStatus {
 // Source emission
 // ---------------------------------------------------------------------------
 
-/// Lane widths with an exported kernel per segment, `1` being the scalar
-/// kernel. Other widths run on the interpreter (still bit-identical —
-/// that is the whole spec). Also the row order of [`NativeKernel`]'s
-/// function table.
-pub(crate) const KERNEL_WIDTHS: [usize; 3] = [1, 4, 8];
+/// The width set a program's kernel library is built for: `1` (scalar
+/// evaluation, ensemble tails, demoted groups, scalar readouts) and the
+/// process's default lane width [`default_lanes`] (full lane groups).
+/// Every other width of [`SUPPORTED_LANES`] gets a one-width library of
+/// its own the first time it runs.
+pub(crate) fn default_widths() -> Vec<usize> {
+    let mut widths = vec![1, default_lanes()];
+    widths.dedup();
+    widths
+}
 
 /// Each segment's name in the emitted source, in [`Segment`] order: the
 /// generic driver is `<name>::<L>`, its chunks are modules `<name>_<k>`.
@@ -207,6 +226,8 @@ pub(crate) fn export_name(seg: &str, width: usize) -> String {
 /// safety checks before handing it raw pointers.
 pub(crate) struct Emitted {
     pub(crate) source: String,
+    /// The lane widths the source exports wrappers for.
+    widths: Vec<usize>,
     /// Exclusive upper bound on register indices read or written.
     min_regs: usize,
     /// Exclusive upper bound on input-slot indices read.
@@ -320,8 +341,8 @@ const CHUNK: usize = 128;
 /// Emit one segment, lowering each instruction once: `const L: usize`
 /// generic chunk functions (each `#[inline(never)]`, in its own module), a
 /// generic driver calling them in order, and one exported `extern "C"`
-/// wrapper per width in [`KERNEL_WIDTHS`]. `L = 1` is the scalar kernel.
-fn emit_segment(out: &mut String, seg: &str, instrs: &[PInstr]) {
+/// wrapper per width in `widths`. `L = 1` is the scalar kernel.
+fn emit_segment(out: &mut String, seg: &str, instrs: &[PInstr], widths: &[usize]) {
     let sig = "(r: *mut f64, s: *const f64, t: f64)";
     for (k, chunk) in instrs.chunks(CHUNK).enumerate() {
         let _ = writeln!(out, "mod {seg}_{k} {{");
@@ -349,7 +370,7 @@ fn emit_segment(out: &mut String, seg: &str, instrs: &[PInstr]) {
         let _ = writeln!(out, "    {seg}_{k}::run::<L>(r, s, t);");
     }
     let _ = writeln!(out, "}}");
-    for width in KERNEL_WIDTHS {
+    for &width in widths {
         let _ = writeln!(out, "#[no_mangle]");
         let _ = writeln!(
             out,
@@ -421,15 +442,16 @@ fn ark_smoothstep(t: f64, t0: f64, tau: f64) -> f64 {
 "#;
 
 /// Lower a program's three instruction segments to Rust source, each
-/// segment once for every kernel width. Only the instruction stream
-/// matters: the constant pool, parameter segment, and output map stay on
-/// the interpreter side, so two programs with identical streams share one
-/// kernel.
-pub(crate) fn emit(prog: &SystemProgram) -> Emitted {
+/// segment once, exported at every width of `widths` (each one of
+/// [`SUPPORTED_LANES`], no repeats). Only the instruction stream and the
+/// widths matter: the constant pool, parameter segment, and output map
+/// stay on the interpreter side, so two programs with identical streams
+/// share one kernel per width set.
+pub(crate) fn emit(prog: &SystemProgram, widths: &[usize]) -> Emitted {
     let mut source = String::from(PRELUDE);
     let segs: [&[PInstr]; 3] = [&prog.pprologue, &prog.tprologue, &prog.body];
     for (name, instrs) in SEGMENT_NAMES.into_iter().zip(segs) {
-        emit_segment(&mut source, name, instrs);
+        emit_segment(&mut source, name, instrs, widths);
     }
     let mut min_regs = 0usize;
     let mut min_slots = 0usize;
@@ -458,6 +480,7 @@ pub(crate) fn emit(prog: &SystemProgram) -> Emitted {
     }
     Emitted {
         source,
+        widths: widths.to_vec(),
         min_regs,
         min_slots,
     }
@@ -573,18 +596,19 @@ mod dl {
 
 type SegFn = unsafe extern "C" fn(*mut f64, *const f64, f64);
 
-/// A loaded native kernel: one function pointer per program segment and
-/// kernel width, with the register and slot bounds the generated code may
-/// touch.
+/// A loaded native kernel library: one function pointer per program
+/// segment at each lane width it was built for, with the register and slot
+/// bounds the generated code may touch.
 ///
 /// Obtained from [`CodegenCache::prepare`]; consumed internally by
 /// [`SystemProgram`] evaluation. The backing library stays mapped for the
 /// process lifetime (function pointers into it are cached), so kernels are
 /// deliberately leaked, never unloaded.
 pub struct NativeKernel {
-    /// `fns[w][seg]`: width index `w` into [`KERNEL_WIDTHS`], segment in
-    /// [`Segment`] order.
-    fns: [[SegFn; 3]; 3],
+    /// `fns[w][seg]`: width index `w` into [`SUPPORTED_LANES`] (`None` for
+    /// a width the library was not built for), segment in [`Segment`]
+    /// order.
+    fns: [Option<[SegFn; 3]>; SUPPORTED_LANES.len()],
     min_regs: usize,
     min_slots: usize,
 }
@@ -612,8 +636,20 @@ impl NativeKernel {
         self.min_slots
     }
 
-    /// Run `seg` over a width-`L` register file; `L` must be one of
-    /// [`KERNEL_WIDTHS`] (`L = 1` is the scalar kernel).
+    /// The library's segment functions at `width`, if it was built for it.
+    fn segs(&self, width: usize) -> Option<&[SegFn; 3]> {
+        let w = SUPPORTED_LANES.iter().position(|&s| s == width)?;
+        self.fns[w].as_ref()
+    }
+
+    /// Whether the library exports kernels at lane width `width`.
+    pub(crate) fn has_width(&self, width: usize) -> bool {
+        self.segs(width).is_some()
+    }
+
+    /// Run `seg` over a width-`L` register file; the library must have been
+    /// built for `L` ([`NativeKernel::has_width`]; `L = 1` is the scalar
+    /// kernel).
     pub(crate) fn run_lanes<const L: usize>(
         &self,
         seg: Segment,
@@ -625,11 +661,10 @@ impl NativeKernel {
             regs.len() >= self.min_regs && slots.len() >= self.min_slots,
             "native kernel bounds exceed caller buffers"
         );
-        let w = KERNEL_WIDTHS
-            .iter()
-            .position(|&w| w == L)
-            .unwrap_or_else(|| unreachable!("unsupported native lane width {L}"));
-        let f = self.fns[w][seg as usize];
+        let f = self
+            .segs(L)
+            .unwrap_or_else(|| panic!("native kernel library has no width-{L} kernels"))
+            [seg as usize];
         // SAFETY: `[[f64; L]]` is a contiguous lane-major f64 buffer of
         // len()*L elements, the layout the width-`L` kernel indexes; bounds
         // checked in lane units above.
@@ -691,8 +726,10 @@ impl CodegenCache {
         })
     }
 
-    /// Compile (or fetch) the native kernel for `prog`'s instruction
-    /// stream. Returns the kernel plus where it came from.
+    /// Compile (or fetch) the native kernel library for `prog`'s
+    /// instruction stream at the default width set: `1` and the process's
+    /// default lane width ([`default_lanes`]). Returns the library plus
+    /// where it came from.
     ///
     /// Concurrent calls — across threads or processes — for the same
     /// content hash produce a single compilation; the rest load the
@@ -707,6 +744,17 @@ impl CodegenCache {
         &self,
         prog: &SystemProgram,
     ) -> Result<(Arc<NativeKernel>, Provenance), CodegenError> {
+        self.prepare_widths(prog, &default_widths())
+    }
+
+    /// [`CodegenCache::prepare`] for an explicit width set (each one of
+    /// [`SUPPORTED_LANES`], no repeats). Each width set is its own library
+    /// and cache entry.
+    pub(crate) fn prepare_widths(
+        &self,
+        prog: &SystemProgram,
+        widths: &[usize],
+    ) -> Result<(Arc<NativeKernel>, Provenance), CodegenError> {
         if !cfg!(unix) {
             return Err(CodegenError::Toolchain(
                 "native codegen requires a unix dynamic loader".into(),
@@ -715,7 +763,7 @@ impl CodegenCache {
         let ver = rustc_version().ok_or_else(|| {
             CodegenError::Toolchain(format!("`{} --version` failed", rustc_path()))
         })?;
-        let emitted = emit(prog);
+        let emitted = emit(prog, widths);
         let sig = fnv1a(fnv1a(0, ver.as_bytes()), emitted.source.as_bytes());
         if let Some(k) = self.registry.lock().unwrap().get(&sig) {
             return Ok((k.clone(), Provenance::MemoryCache));
@@ -865,13 +913,15 @@ fn load_kernel(so: &Path, sig: u64, emitted: &Emitted) -> Result<Arc<NativeKerne
         // the SegFn ABI (unsafe extern "C" fn(*mut f64, *const f64, f64)).
         Ok(unsafe { std::mem::transmute::<*mut std::ffi::c_void, SegFn>(p) })
     };
-    let row = |width: usize| -> Result<[SegFn; 3], CodegenError> {
-        let [pp, tp, body] = SEGMENT_NAMES;
-        Ok([f(pp, width)?, f(tp, width)?, f(body, width)?])
-    };
-    let [w1, w4, w8] = KERNEL_WIDTHS;
+    let mut fns = [None; SUPPORTED_LANES.len()];
+    for (slot, width) in fns.iter_mut().zip(SUPPORTED_LANES) {
+        if emitted.widths.contains(&width) {
+            let [pp, tp, body] = SEGMENT_NAMES;
+            *slot = Some([f(pp, width)?, f(tp, width)?, f(body, width)?]);
+        }
+    }
     Ok(Arc::new(NativeKernel {
-        fns: [row(w1)?, row(w4)?, row(w8)?],
+        fns,
         min_regs: emitted.min_regs,
         min_slots: emitted.min_slots,
     }))
@@ -910,11 +960,20 @@ mod tests {
             .count()
     }
 
+    /// The exported wrappers in emitted source, in order.
+    fn exports(source: &str) -> Vec<&str> {
+        source
+            .lines()
+            .filter_map(|l| l.strip_prefix("pub unsafe extern \"C\" fn "))
+            .map(|l| &l[..l.find('(').expect("signature")])
+            .collect()
+    }
+
     #[test]
     fn emission_is_deterministic_and_covers_all_segments() {
         let prog = sample_program();
-        let a = emit(&prog);
-        let b = emit(&prog);
+        let a = emit(&prog, &SUPPORTED_LANES);
+        let b = emit(&prog, &SUPPORTED_LANES);
         assert_eq!(a.source, b.source);
         for name in [
             "ark_pp",
@@ -932,6 +991,24 @@ mod tests {
                 "missing segment {name}"
             );
         }
+        // A width set exports its widths and no others.
+        let narrow = emit(&prog, &[1, 4]).source;
+        assert_eq!(
+            exports(&narrow),
+            [
+                "ark_pp",
+                "ark_pp4",
+                "ark_tp",
+                "ark_tp4",
+                "ark_body",
+                "ark_body4"
+            ]
+        );
+        for name in ["ark_pp8", "ark_tp8", "ark_body8"] {
+            assert!(!narrow.contains(name), "{{1, 4}} emits no {name}");
+        }
+        let wide = emit(&prog, &[8]).source;
+        assert_eq!(exports(&wide), ["ark_pp8", "ark_tp8", "ark_body8"]);
         assert!(a.min_slots >= 1, "program loads slot 0");
         assert!(a.min_regs >= prog.body_len());
 
@@ -945,7 +1022,7 @@ mod tests {
             .unwrap();
         let long = pb.finish(&[v], 0);
         assert!(long.body_len() > 2 * CHUNK, "body spans 3+ chunks");
-        let e = emit(&long);
+        let e = emit(&long, &SUPPORTED_LANES);
         assert_eq!(stores(&a.source), prog.len());
         assert_eq!(stores(&e.source), long.len());
         // Every module after the prelude's `lm` is a chunk.
@@ -961,15 +1038,21 @@ mod tests {
 
     #[test]
     fn identical_streams_share_a_hash_and_different_streams_do_not() {
-        let a = emit(&sample_program());
-        let b = emit(&sample_program());
+        let a = emit(&sample_program(), &[1, 4]);
+        let b = emit(&sample_program(), &[1, 4]);
         assert_eq!(fnv1a(0, a.source.as_bytes()), fnv1a(0, b.source.as_bytes()));
+        // Each width set is its own library.
+        let wide = emit(&sample_program(), &[1, 8]);
+        assert_ne!(
+            fnv1a(0, a.source.as_bytes()),
+            fnv1a(0, wide.source.as_bytes())
+        );
         let mut pb = ProgramBuilder::new();
         let resolve = SlotResolver(|_: &str| Some(0));
         let v = pb
             .add_expr(&parse_expr("tanh(var(x))").unwrap(), &resolve)
             .unwrap();
-        let other = emit(&pb.finish(&[v], 0));
+        let other = emit(&pb.finish(&[v], 0), &[1, 4]);
         assert_ne!(
             fnv1a(0, a.source.as_bytes()),
             fnv1a(0, other.source.as_bytes())

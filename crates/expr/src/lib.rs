@@ -60,6 +60,6 @@ pub use error::{EvalError, ParseError};
 pub use eval::{eval, eval_bool, EvalContext, MapContext};
 pub use parse::{parse_bool_expr, parse_expr, parse_lambda};
 pub use program::{
-    LaneScratch, LowerError, ProgramBuilder, ProgramResolver, SlotResolver, SystemProgram, ValueId,
-    VarRef,
+    default_lanes, LaneScratch, LowerError, ProgramBuilder, ProgramResolver, SlotResolver,
+    SystemProgram, ValueId, VarRef, DEFAULT_LANES, SUPPORTED_LANES,
 };

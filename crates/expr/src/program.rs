@@ -49,9 +49,7 @@
 use crate::analysis::Segment;
 use crate::ast::{BinaryOp, BoolExpr, CmpOp, Expr, UnaryOp};
 use crate::builtins::Builtin3;
-use crate::codegen::{
-    Backend, CodegenCache, CodegenError, NativeKernel, NativeStatus, KERNEL_WIDTHS,
-};
+use crate::codegen::{Backend, CodegenCache, CodegenError, NativeKernel, NativeStatus};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -637,6 +635,7 @@ impl ProgramBuilder {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             backend: Backend::from_env(),
             native: OnceLock::new(),
+            native_other: Default::default(),
         };
         // Every builder-emitted program must satisfy the structural
         // invariants the downstream passes (interpreter caching, codegen,
@@ -685,6 +684,44 @@ pub(crate) enum POp {
     Not(u32),
     Select(u32, u32, u32),
     Call3(Builtin3, u32, u32, u32),
+}
+
+/// The lane widths evaluation supports — **the** authoritative set: `1`
+/// (the scalar case) plus the widths lane-parallel ensembles group
+/// instances by. Every width here runs natively under
+/// [`Backend::Native`]: the default set of [`default_lanes`] is built
+/// with the program's kernel library, any other width in its own
+/// one-width library the first time it runs. `ark_sim` checks every lane
+/// width it is given against this set.
+pub const SUPPORTED_LANES: [usize; 3] = [1, 4, 8];
+
+/// The lane width lane-parallel ensembles use unless `ARK_LANES` or an
+/// explicit width says otherwise.
+pub const DEFAULT_LANES: usize = 4;
+
+/// The process's default lane width: `ARK_LANES` if set, else
+/// [`DEFAULT_LANES`]. Read once per process; `ark_sim`'s `Ensemble::new`
+/// groups by it, and native kernel libraries are built for widths `1` and
+/// this one.
+///
+/// # Panics
+///
+/// Panics when `ARK_LANES` is not one of [`SUPPORTED_LANES`] — silently
+/// coercing a typo'd width to the default would make e.g. a CI lane-matrix
+/// entry pass while testing a width it never ran.
+pub fn default_lanes() -> usize {
+    static LANES: OnceLock<usize> = OnceLock::new();
+    *LANES.get_or_init(|| match std::env::var("ARK_LANES") {
+        Err(_) => DEFAULT_LANES,
+        Ok(v) => match v.parse::<usize>() {
+            Ok(l) if SUPPORTED_LANES.contains(&l) => l,
+            Ok(l) => panic!(
+                "ARK_LANES={v:?}: unsupported lane width {l}: the laned interpreter is \
+                 compiled for widths {SUPPORTED_LANES:?}"
+            ),
+            Err(e) => panic!("ARK_LANES={v:?}: {e}"),
+        },
+    })
 }
 
 /// Per-worker struct-of-arrays register file for [`SystemProgram`]
@@ -775,12 +812,20 @@ pub struct SystemProgram {
     /// Which engine runs the instruction stream ([`Backend::Native`] falls
     /// back to the interpreter when codegen is unavailable).
     backend: Backend,
-    /// Lazily prepared native kernel: unset until first requested, then
+    /// Lazily prepared native kernel library at the default width set
+    /// (`1` and [`default_lanes`]): unset until first requested, then
     /// `Ok(kernel)` or `Err(reason)` (codegen failed — interpret forever,
     /// with the cached reason observable via
     /// [`SystemProgram::native_status`]). Clones share the prepared slot.
-    native: OnceLock<Result<Arc<NativeKernel>, CodegenError>>,
+    native: KernelSlot,
+    /// One-width libraries for the widths outside the default set, by
+    /// position in [`SUPPORTED_LANES`], each prepared the first time its
+    /// width runs.
+    native_other: [KernelSlot; SUPPORTED_LANES.len()],
 }
+
+/// A lazily prepared native kernel library, or why preparing it failed.
+type KernelSlot = OnceLock<Result<Arc<NativeKernel>, CodegenError>>;
 
 impl SystemProgram {
     /// Unique identity of this program (scratch priming key). Clones share
@@ -863,18 +908,20 @@ impl SystemProgram {
         if self.backend != backend {
             self.backend = backend;
             self.native = OnceLock::new();
+            self.native_other = Default::default();
         }
     }
 
     /// Whether evaluations actually run native code: the backend is
-    /// [`Backend::Native`] *and* a kernel could be prepared. Triggers
-    /// (and waits for) the one-time kernel preparation if needed.
+    /// [`Backend::Native`] *and* the default-width-set kernel library
+    /// could be prepared. Triggers (and waits for) its one-time
+    /// preparation if needed.
     pub fn native_active(&self) -> bool {
         self.native_kernel().is_some()
     }
 
-    /// Observable state of the native-kernel slot: not requested, active,
-    /// or fallen back to the interpreter with the cached
+    /// Observable state of the default-width-set kernel library: not
+    /// requested, active, or fallen back to the interpreter with the cached
     /// [`FallbackReason`](crate::FallbackReason). Triggers (and waits for)
     /// the one-time kernel preparation if needed, like
     /// [`SystemProgram::native_active`].
@@ -888,9 +935,9 @@ impl SystemProgram {
         }
     }
 
-    /// The kernel slot, prepared at most once per program (failure is
-    /// cached as "interpret forever" together with its reason, so a
-    /// missing toolchain costs one probe).
+    /// The default-width-set kernel library, prepared at most once per
+    /// program (failure is cached as "interpret forever" together with its
+    /// reason, so a missing toolchain costs one probe).
     fn prepared(&self) -> &Result<Arc<NativeKernel>, CodegenError> {
         self.native
             .get_or_init(|| CodegenCache::shared().prepare(self).map(|(k, _)| k))
@@ -905,16 +952,28 @@ impl SystemProgram {
         self.prepared().as_ref().ok().map(|k| &**k)
     }
 
-    /// [`SystemProgram::native_kernel`] guarded for a width-`L` evaluation
-    /// over `n_slots` input slots: only widths with generated kernels
-    /// ([`KERNEL_WIDTHS`]) qualify, and the kernel must not read input
-    /// slots past `n_slots`. Other widths interpret (still bit-identical —
-    /// that is the spec).
+    /// The native kernel library for a width-`L` evaluation over `n_slots`
+    /// input slots: the default-width-set library when it holds `L`, else
+    /// the one-width library for `L`, built the first time `L` runs. None
+    /// (interpret, still bit-identical — that is the spec) when the default
+    /// set failed to prepare, `L` is not one of [`SUPPORTED_LANES`], its
+    /// library failed, or the kernel reads input slots past `n_slots`.
     fn native_for<const L: usize>(&self, n_slots: usize) -> Option<&NativeKernel> {
-        if !KERNEL_WIDTHS.contains(&L) {
-            return None;
-        }
-        self.native_kernel().filter(|k| n_slots >= k.min_slots())
+        let lib = self.native_kernel()?;
+        let k = if lib.has_width(L) {
+            lib
+        } else {
+            let w = SUPPORTED_LANES.iter().position(|&w| w == L)?;
+            self.native_other[w]
+                .get_or_init(|| {
+                    CodegenCache::shared()
+                        .prepare_widths(self, &[L])
+                        .map(|(k, _)| k)
+                })
+                .as_ref()
+                .ok()?
+        };
+        Some(k).filter(|k| n_slots >= k.min_slots())
     }
 
     /// Prime `scratch` for this program if it is not already (constant

@@ -133,20 +133,11 @@ pub use resilience::{
 };
 pub use run::{EnsembleRun, FinalSnapshot, RecoveringRun};
 
-use ark_core::{EvalScratch, LaneScratch};
+use ark_core::{default_lanes, EvalScratch, LaneScratch};
 use ark_ode::Trajectory;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Default lane width of the laned ensemble fast path (see
-/// [`Ensemble::with_lanes`]).
-pub const DEFAULT_LANES: usize = 4;
-
-/// The lane widths the engine supports — **the** authoritative set, checked
-/// by every input path ([`Ensemble::with_lanes`],
-/// [`Ensemble::try_with_lanes`], and the `ARK_LANES` environment variable):
-/// `1` (scalar dispatch) plus the widths the laned interpreter is
-/// monomorphized for.
-pub const SUPPORTED_LANES: [usize; 3] = [1, 4, 8];
+pub use ark_core::{DEFAULT_LANES, SUPPORTED_LANES};
 
 /// Validate a lane width against [`SUPPORTED_LANES`].
 ///
@@ -161,25 +152,6 @@ fn check_lanes(lanes: usize) -> Result<usize, LaneError> {
             requested: lanes,
             supported: &SUPPORTED_LANES,
         })
-    }
-}
-
-/// Lane width from the `ARK_LANES` environment override; unset falls back
-/// to [`DEFAULT_LANES`]. Read at [`Ensemble`] construction. Any
-/// unsupported value panics with a clear message — silently coercing a
-/// typo'd width to the default would make e.g. a CI lane-matrix entry pass
-/// while testing a width it never ran, the same reason
-/// [`Ensemble::with_lanes`] rejects unsupported widths.
-fn lanes_from_env() -> usize {
-    match std::env::var("ARK_LANES") {
-        Err(_) => DEFAULT_LANES,
-        Ok(v) => match v.parse::<usize>() {
-            Err(e) => panic!("ARK_LANES={v:?}: {e}"),
-            Ok(l) => match check_lanes(l) {
-                Ok(l) => l,
-                Err(e) => panic!("ARK_LANES={v:?}: {e}"),
-            },
-        },
     }
 }
 
@@ -283,8 +255,9 @@ impl Default for Ensemble {
 
 impl Ensemble {
     /// An ensemble engine with the given worker count; `0` means one worker
-    /// per available CPU. The lane width comes from `ARK_LANES` (default
-    /// [`DEFAULT_LANES`]); see [`Ensemble::with_lanes`].
+    /// per available CPU. The lane width is the process default
+    /// ([`default_lanes`]: `ARK_LANES`, else [`DEFAULT_LANES`]), the width
+    /// native kernel libraries are built for; see [`Ensemble::with_lanes`].
     pub fn new(workers: usize) -> Self {
         let workers = if workers == 0 {
             std::thread::available_parallelism().map_or(1, usize::from)
@@ -293,7 +266,7 @@ impl Ensemble {
         };
         Ensemble {
             workers,
-            lanes: lanes_from_env(),
+            lanes: default_lanes(),
         }
     }
 
@@ -305,7 +278,7 @@ impl Ensemble {
     pub fn serial() -> Self {
         Ensemble {
             workers: 1,
-            lanes: lanes_from_env(),
+            lanes: default_lanes(),
         }
     }
 
