@@ -1,7 +1,6 @@
 //! # ark-bench: benchmark harness and paper-figure regeneration
 //!
-//! One binary per table/figure of the paper's evaluation, plus the
-//! static-analysis CLI:
+//! One binary per table/figure of the paper's evaluation:
 //!
 //! | target | reproduces |
 //! |--------|------------|
@@ -13,7 +12,6 @@
 //! | `spice_validation` | §4.5 — 1000 random DGs vs SPICE netlists |
 //! | `fig_intercon_cost` | §7.2 — local/global interconnect cost trade-off |
 //! | `fig_stiff` | TR-BDF2 vs Dormand–Prince step counts on Van der Pol and Robertson |
-//! | `ark_lint` | Verifier, domain analysis and determinism lint over every paper design |
 //!
 //! Run with `cargo run --release -p ark-bench --bin <target>`; pass a
 //! number as the first argument to scale trial counts down for quick runs.

@@ -30,7 +30,8 @@
 //!   exported at every kernel width, and reduction-tree shape reporting for
 //!   long additive chains.
 //! - [`analyze`] bundles all of the above plus per-segment statistics into a
-//!   [`ProgramReport`] (the payload of the `ark-lint` CLI in `crates/bench`).
+//!   [`ProgramReport`] (what the workspace's `tests/program_size.rs` lint
+//!   gate asserts over every paper design).
 //!
 //! [`ProgramBuilder::finish`]: crate::ProgramBuilder::finish
 
@@ -458,9 +459,8 @@ impl SystemProgram {
     /// width, plus the exported wrappers at width `1` and
     /// [`default_lanes`](crate::default_lanes)). Emission is pure string
     /// generation — no toolchain, cache, or dlopen involved — so this is
-    /// always available; [`determinism_lint`] and the `ark-lint` CLI use
-    /// it to cross-check the emitted kernels against the interpreter
-    /// contract.
+    /// always available; [`determinism_lint`] uses it to cross-check the
+    /// emitted kernels against the interpreter contract.
     pub fn codegen_source(&self) -> String {
         codegen::emit(self, &codegen::default_widths()).source
     }
@@ -1077,7 +1077,7 @@ pub struct SegmentStats {
 
 /// Everything the analysis suite knows about one program: verifier
 /// diagnostics, domain warnings, determinism-lint issues, and the shape
-/// statistics the `ark-lint` CLI prints.
+/// statistics of each segment.
 #[derive(Debug, Clone)]
 pub struct ProgramReport {
     /// Every structural violation ([`SystemProgram::verify_all`]).

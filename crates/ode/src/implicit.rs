@@ -43,11 +43,10 @@
 //! # Ok::<(), ark_ode::SolveError>(())
 //! ```
 
-use crate::integrate::{LaneError, SolveError};
+use crate::integrate::SolveError;
 use crate::linalg::{Lu, Matrix};
 use crate::observe::{Observer, StepInfo};
-use crate::solver::Workspace;
-use crate::solver::{validate_dim, validate_span, Adaptive, Elem, Fixed, Solver, SystemOver};
+use crate::solver::{scalar_only, Adaptive, Elem, Fixed, Solver, SystemOver, Workspace};
 use crate::trajectory::SolveStats;
 
 /// γ = 2 − √2: the trapezoidal sub-step fraction that makes both TR-BDF2
@@ -487,17 +486,9 @@ impl<'a, E: Elem, S: SystemOver<E> + ?Sized> Core<'a, E, S> {
     }
 }
 
-/// Reject lane widths above 1 (Newton/LU has no laned form).
-fn scalar_only<E: Elem>() -> Result<(), SolveError> {
-    if E::WIDTH > 1 {
-        return Err(LaneError::ScalarOnlyPolicy {
-            policy: "TR-BDF2 implicit stepper (Newton/LU is scalar-only)",
-            width: E::WIDTH,
-        }
-        .into());
-    }
-    Ok(())
-}
+/// The scalar-only policy name TR-BDF2 reports at lane widths above 1
+/// (Newton/LU has no laned form).
+const POLICY: &str = "TR-BDF2 implicit stepper (Newton/LU is scalar-only)";
 
 /// Copy a scalar state into the width-generic observer buffer.
 fn to_elems<E: Elem>(y: &[f64], ye: &mut [E]) {
@@ -516,7 +507,7 @@ impl Solver for TrBdf2<Adaptive> {
         obs: &mut O,
         _ws: &mut Workspace<E>,
     ) -> Result<SolveStats, SolveError> {
-        scalar_only::<E>()?;
+        scalar_only::<E>(POLICY)?;
         let cfg = &self.control;
         cfg.validate(t0, t1, y0.len(), sys.dim())?;
         let n = y0.len();
@@ -535,7 +526,7 @@ impl Solver for TrBdf2<Adaptive> {
                 return Err(SolveError::StepSizeUnderflow { t });
             }
             // Same attempt-counting budget as the explicit adaptive loop
-            // (`VotingAdaptive::drive`): rejected steps burn it too.
+            // (`Adaptive::drive`): rejected steps burn it too.
             if cfg.max_steps > 0 && (stats.accepted + stats.rejected) as u64 >= cfg.max_steps {
                 return Err(SolveError::MaxStepsExceeded {
                     t,
@@ -599,15 +590,9 @@ impl Solver for TrBdf2<Fixed> {
         obs: &mut O,
         _ws: &mut Workspace<E>,
     ) -> Result<SolveStats, SolveError> {
-        scalar_only::<E>()?;
+        scalar_only::<E>(POLICY)?;
+        self.control.validate(t0, t1, y0.len(), sys.dim())?;
         let dt = self.control.dt;
-        if dt.is_nan() || dt <= 0.0 {
-            return Err(SolveError::BadConfig(format!(
-                "step dt={dt} must be positive"
-            )));
-        }
-        validate_span(t0, t1)?;
-        validate_dim(y0.len(), sys.dim())?;
         let n = y0.len();
         let mut y: Vec<f64> = y0.iter().map(|e| e.get(0)).collect();
         let mut ye: Vec<E> = y0.to_vec();

@@ -10,12 +10,9 @@
 //!   ([`Fixed`] control), predictable cost, used for the TLN/OBC
 //!   simulations where the step is set by the signal bandwidth;
 //! * [`DormandPrince`] — adaptive 5(4) embedded Runge–Kutta with PI step
-//!   control ([`Adaptive`]), used when stiffness varies across a run (CNN
-//!   mismatch studies);
-//! * [`VotingDormandPrince`] — the lane-batched adaptive mode
-//!   ([`VotingAdaptive`] control): min-over-lanes step voting with
-//!   per-lane early-exit masks, opt-in because the voted step grid trades
-//!   bit-identity across lane widths for ensemble throughput.
+//!   control ([`Adaptive`], scalar-only), the accuracy reference of the
+//!   step-convergence tests and the explicit baseline of the stiff
+//!   comparison.
 //!
 //! Every solver runs through [`Solver::solve`] with an
 //! [`Observer`](crate::Observer). [`integrate()`] is the one allocating
@@ -26,7 +23,7 @@
 use crate::observe::Strided;
 use crate::solver::{
     Adaptive, Dp45Stages, Elem, EulerStages, Fixed, OdeWorkspace, Rk4Stages, Solver, StepControl,
-    SystemOver, VotingAdaptive, Workspace,
+    SystemOver, Workspace,
 };
 use crate::system::OdeSystem;
 use crate::trajectory::Trajectory;
@@ -51,8 +48,8 @@ pub enum LaneError {
         supported: &'static [usize],
     },
     /// The step-control policy has no laned form but was driven at a lane
-    /// width above 1 (the PI-adaptive controller is lockstep
-    /// fixed-step-only; see `VotingAdaptive` for the laned alternative).
+    /// width above 1 (the PI-adaptive controller and TR-BDF2 are
+    /// scalar-only; ensembles run them per instance).
     ScalarOnlyPolicy {
         /// Name of the scalar-only policy.
         policy: &'static str,
@@ -75,8 +72,7 @@ impl fmt::Display for LaneError {
             LaneError::ScalarOnlyPolicy { policy, width } => write!(
                 f,
                 "the {policy} has no laned form but was driven at lane width \
-                 {width}; use VotingAdaptive to trade bit-identity for laned \
-                 adaptive stepping"
+                 {width}; run it at width 1"
             ),
         }
     }
@@ -272,32 +268,28 @@ impl Solver for Rk4 {
 /// Recorded samples land on the accepted (possibly large) steps: bound
 /// `h_max` when a trajectory must be interpolated densely.
 ///
-/// # No laned form by default (lockstep fixed-step-only policy)
+/// # No laned form (lockstep fixed-step-only policy)
 ///
-/// The default lane-batched ensemble path deliberately does **not** extend
-/// to this solver. Lockstep lanes must share one step sequence, but the PI
+/// The lane-batched ensemble path deliberately does **not** extend to this
+/// solver. Lockstep lanes must share one step sequence, but the PI
 /// controller derives each step from the error norm of *one* instance:
 /// any shared policy (min/vote across lanes) changes the accepted-step grid
 /// and therefore breaks the bit-identity guarantee against the scalar
 /// path, while per-lane step sequences are no longer lanes at all.
-/// Adaptive ensembles in `ark-sim` fall back to the scalar path per
-/// instance ([`Solver::supports_lanes`] returns `false` here).
-///
-/// Workloads willing to trade bit-identity for throughput can opt into
-/// step-size **voting** — [`DormandPrince::voting`] /
-/// [`VotingDormandPrince`] — which lanes the adaptive solver with a shared
-/// min-over-lanes step and per-lane early-exit masks.
+/// Adaptive ensembles in `ark-sim` run the scalar path per instance
+/// ([`Solver::supports_lanes`] returns `false` here).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DormandPrince {
     /// Relative error tolerance.
     pub rtol: f64,
     /// Absolute error tolerance.
     pub atol: f64,
-    /// Initial step (guessed from the interval when `None`).
+    /// Initial step (guessed from the interval when `None`); finite and
+    /// positive when set.
     pub h0: Option<f64>,
-    /// Smallest step before declaring failure.
+    /// Smallest step before declaring failure (`≥ 0`).
     pub h_min: f64,
-    /// Largest allowed step.
+    /// Largest allowed step (`> 0`; `∞` for no bound).
     pub h_max: f64,
     /// Hard budget on step attempts (accepted + rejected); `0` means
     /// unlimited. See [`Adaptive`]'s `max_steps`.
@@ -355,61 +347,6 @@ impl DormandPrince {
             h_max: self.h_max,
             max_steps: self.max_steps,
         }
-    }
-
-    /// The step-size-voting form of this solver: lane-batched adaptive
-    /// stepping (see [`VotingDormandPrince`]).
-    pub fn voting(self) -> VotingDormandPrince {
-        VotingDormandPrince(self)
-    }
-}
-
-/// The lane-batched adaptive solver: [`DormandPrince`] stages under
-/// [`VotingAdaptive`] step control.
-///
-/// All lanes share one accepted-step grid chosen by the worst live lane's
-/// error norm (equivalently: each lane votes for a step, the minimum
-/// wins), and a lane whose state leaves ℝ is masked out of the vote and
-/// the recording while the others continue. Results depend only on the
-/// seeds **and the lane width** — never on the worker count — which is the
-/// documented trade: unlike every default path, different lane widths
-/// produce different (all individually valid) step grids. At width 1 this
-/// solver is bit-identical to [`DormandPrince`].
-///
-/// # Examples
-///
-/// ```
-/// use ark_ode::{DormandPrince, FnLanedSystem, LaneWorkspace, Solver, Strided};
-///
-/// // Four decays with different rates, one shared adaptive step sequence.
-/// let sys = FnLanedSystem::new(1, |_t, y: &[[f64; 4]], d: &mut [[f64; 4]]| {
-///     for l in 0..4 {
-///         d[0][l] = -(1.0 + l as f64) * y[0][l];
-///     }
-/// });
-/// let solver = DormandPrince::new(1e-9, 1e-12).voting();
-/// let mut rec = Strided::every(1);
-/// solver.solve(&sys, 0.0, &[[1.0; 4]], 1.0, &mut rec, &mut LaneWorkspace::new(1))?;
-/// for (l, tr) in rec.into_trajectories().iter().enumerate() {
-///     let expect = (-(1.0 + l as f64)).exp();
-///     assert!((tr.last().unwrap().1[0] - expect).abs() < 1e-7, "lane {l}");
-/// }
-/// # Ok::<(), ark_ode::SolveError>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VotingDormandPrince(pub DormandPrince);
-
-impl Solver for VotingDormandPrince {
-    fn solve<E: Elem, S: SystemOver<E> + ?Sized, O: crate::Observer<E>>(
-        &self,
-        sys: &S,
-        t0: f64,
-        y0: &[E],
-        t1: f64,
-        obs: &mut O,
-        ws: &mut Workspace<E>,
-    ) -> Result<crate::SolveStats, SolveError> {
-        VotingAdaptive(self.0.control()).drive(&Dp45Stages, sys, t0, y0, t1, obs, ws)
     }
 }
 
@@ -645,6 +582,75 @@ mod tests {
                 integrate(&crate::TrBdf2::fixed(0.1), &sys, t0, &[1.0], t1, 1),
                 Err(SolveError::BadConfig(_))
             ));
+        }
+        // Explicit and implicit fixed grids share one step check.
+        for dt in [0.0, -0.1, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                integrate(&Rk4 { dt }, &sys, 0.0, &[1.0], 1.0, 1),
+                Err(SolveError::BadConfig(_))
+            ));
+            assert!(matches!(
+                integrate(&crate::TrBdf2::fixed(dt), &sys, 0.0, &[1.0], 1.0, 1),
+                Err(SolveError::BadConfig(_))
+            ));
+        }
+        // Unusable adaptive step bounds are configuration errors, not
+        // run-time step failures, for DP and TR-BDF2 alike.
+        let base = DormandPrince::new(1e-6, 1e-9);
+        let bad_bounds = [
+            DormandPrince {
+                h0: Some(-1.0),
+                ..base
+            },
+            DormandPrince {
+                h0: Some(0.0),
+                ..base
+            },
+            DormandPrince {
+                h0: Some(f64::NAN),
+                ..base
+            },
+            DormandPrince {
+                h0: Some(f64::INFINITY),
+                ..base
+            },
+            DormandPrince {
+                h_min: f64::NAN,
+                ..base
+            },
+            DormandPrince {
+                h_min: -1e-14,
+                ..base
+            },
+            DormandPrince { h_max: 0.0, ..base },
+            DormandPrince {
+                h_max: -1.0,
+                ..base
+            },
+            DormandPrince {
+                h_max: f64::NAN,
+                ..base
+            },
+        ];
+        for dp in bad_bounds {
+            assert!(
+                matches!(
+                    integrate(&dp, &sys, 0.0, &[1.0], 1.0, 1),
+                    Err(SolveError::BadConfig(_))
+                ),
+                "{dp:?}"
+            );
+            let implicit = crate::TrBdf2 {
+                control: dp.control(),
+                ..crate::TrBdf2::new(dp.rtol, dp.atol)
+            };
+            assert!(
+                matches!(
+                    integrate(&implicit, &sys, 0.0, &[1.0], 1.0, 1),
+                    Err(SolveError::BadConfig(_))
+                ),
+                "{dp:?}"
+            );
         }
     }
 
@@ -891,81 +897,45 @@ mod tests {
     }
 
     #[test]
-    fn voting_width_one_is_bit_identical_to_scalar_dp() {
-        // At WIDTH == 1 the vote degenerates to the PI controller exactly.
-        let sys = FnSystem::new(1, |t: f64, y: &[f64], d: &mut [f64]| {
-            d[0] = -3.0 * y[0] + (5.0 * t).sin()
-        });
-        let dp = DormandPrince::new(1e-8, 1e-11);
-        let scalar = integrate(&dp, &sys, 0.0, &[1.0], 2.0, 1).unwrap();
-        let mut rec = Strided::every(1);
-        dp.voting()
-            .solve(&sys, 0.0, &[1.0], 2.0, &mut rec, &mut OdeWorkspace::new(1))
-            .unwrap();
-        assert_eq!(scalar, rec.into_trajectory());
+    fn dp45_underflows_on_a_finite_blowup() {
+        // dy/dt = y² keeps its error estimate finite while diverging toward
+        // the pole at t = 1, so the controller shrinks the step into
+        // underflow there.
+        let sys = FnSystem::new(1, |_t, y: &[f64], d: &mut [f64]| d[0] = y[0] * y[0]);
+        let res = integrate(&DormandPrince::new(1e-8, 1e-11), &sys, 0.0, &[1.0], 2.0, 1);
+        let Err(SolveError::StepSizeUnderflow { t }) = res else {
+            panic!("expected StepSizeUnderflow, got {res:?}");
+        };
+        assert!((t - 1.0).abs() < 1e-3, "underflow at t={t}");
     }
 
     #[test]
-    fn voting_masks_a_poisoned_lane_but_keeps_stepping() {
-        // Lane 1's derivative turns NaN past t = 0.5; lane 0 is a benign
-        // decay. The poisoned lane is masked out of the vote (early exit)
-        // so lane 0 keeps stepping all the way to t1, and the group then
-        // reports lane 1's failure — the fixed-step laned error semantics.
-        const L: usize = 2;
-        let sys = crate::system::FnLanedSystem::new(1, |t, y: &[[f64; L]], d: &mut [[f64; L]]| {
-            d[0][0] = -y[0][0];
-            d[0][1] = if t > 0.5 { f64::NAN } else { -y[0][1] };
+    fn dp45_nan_derivative_fails_non_finite_and_is_never_recorded() {
+        // The derivative turns NaN past t = 0.5: the run fails NonFinite
+        // there, and no sample the observer saw is non-finite.
+        let sys = FnSystem::new(1, |t: f64, y: &[f64], d: &mut [f64]| {
+            d[0] = if t > 0.5 { f64::NAN } else { -y[0] }
         });
-        let solver = DormandPrince::new(1e-8, 1e-11).voting();
-        let mut t_seen = 0.0f64;
-        let mut probe = crate::Probe::new(|t: f64, _y: &[[f64; L]], _info, _alive: &[bool]| {
+        let (mut samples, mut t_seen) = (0usize, 0.0f64);
+        let mut probe = crate::Probe::new(|t: f64, y: &[f64], _info, _alive: &[bool]| {
+            assert!(y.iter().all(|v| v.is_finite()), "recorded {y:?} at t={t}");
+            samples += 1;
             t_seen = t;
             true
         });
-        let err = solver
-            .solve(
-                &sys,
-                0.0,
-                &[[1.0, 1.0]],
-                2.0,
-                &mut probe,
-                &mut LaneWorkspace::new(1),
-            )
+        let mut ws = OdeWorkspace::new(1);
+        let dp = DormandPrince::new(1e-8, 1e-11);
+        let err = dp
+            .solve(&sys, 0.0, &[1.0], 2.0, &mut probe, &mut ws)
             .unwrap_err();
-        assert!(matches!(err, SolveError::NonFinite { .. }), "{err}");
-        // The surviving lane carried the run to the end of the interval.
-        assert!(t_seen >= 2.0, "run stopped early at t={t_seen}");
-    }
-
-    #[test]
-    fn voting_underflows_like_scalar_on_a_finite_blowup() {
-        // dy/dt = y² keeps its error estimate finite while diverging, so
-        // the vote shrinks the shared step into underflow — the same
-        // failure mode the scalar controller hits.
-        const L: usize = 2;
-        let sys = crate::system::FnLanedSystem::new(1, |_t, y: &[[f64; L]], d: &mut [[f64; L]]| {
-            d[0][0] = -y[0][0];
-            d[0][1] = y[0][1] * y[0][1];
-        });
-        let solver = DormandPrince::new(1e-8, 1e-11).voting();
-        let mut rec = Strided::every(1);
-        let err = solver
-            .solve(
-                &sys,
-                0.0,
-                &[[1.0, 1.0]],
-                2.0,
-                &mut rec,
-                &mut LaneWorkspace::new(1),
-            )
-            .unwrap_err();
+        let SolveError::NonFinite { t } = err else {
+            panic!("expected NonFinite, got {err}");
+        };
         assert!(
-            matches!(
-                err,
-                SolveError::StepSizeUnderflow { .. } | SolveError::NonFinite { .. }
-            ),
-            "{err}"
+            t <= 0.5 && t_seen <= t,
+            "failed at t={t}, last sample {t_seen}"
         );
+        assert!(samples > 0, "the run recorded its steps before t = 0.5");
     }
 
     #[test]
@@ -991,7 +961,6 @@ mod tests {
             "{err}"
         );
         assert!(!DormandPrince::default().supports_lanes());
-        assert!(DormandPrince::default().voting().supports_lanes());
         assert!(Rk4 { dt: 1.0 }.supports_lanes());
     }
 }
@@ -1114,32 +1083,6 @@ mod proptests {
             let fresh = integrate(&dp, &sys, 0.0, &y0, 1.0, 1);
             let inplace = solve_in(&dp, &sys, &y0, 1.0, 1, &mut ws);
             prop_assert_eq!(fresh, inplace);
-        }
-
-        /// Step-size voting at width 4: every lane's result meets the
-        /// tolerance (the vote can only *tighten* any individual lane's
-        /// grid), and the run is reproducible.
-        #[test]
-        fn voting_lanes_meet_tolerance(rates in proptest::collection::vec(0.2..4.0f64, 4)) {
-            const L: usize = 4;
-            let rs: [f64; L] = [rates[0], rates[1], rates[2], rates[3]];
-            let sys = crate::system::FnLanedSystem::new(1, move |_t, y: &[[f64; L]], d: &mut [[f64; L]]| {
-                for l in 0..L {
-                    d[0][l] = -rs[l] * y[0][l];
-                }
-            });
-            let solver = DormandPrince::new(1e-9, 1e-12).voting();
-            let mut rec = Strided::every(1);
-            solver.solve(&sys, 0.0, &[[1.0; L]], 1.0, &mut rec, &mut LaneWorkspace::new(1)).unwrap();
-            let trs = rec.into_trajectories();
-            let mut rec2 = Strided::every(1);
-            solver.solve(&sys, 0.0, &[[1.0; L]], 1.0, &mut rec2, &mut LaneWorkspace::new(1)).unwrap();
-            prop_assert_eq!(&trs, &rec2.into_trajectories());
-            for l in 0..L {
-                let expect = (-rs[l]).exp();
-                let got = trs[l].last().unwrap().1[0];
-                prop_assert!((got - expect).abs() < 1e-7, "lane {} got {} want {}", l, got, expect);
-            }
         }
 
         /// TR-BDF2 converges at its design order on forced linear decay:

@@ -7,8 +7,8 @@
 //! * [`Solver`] — the unified solver trait: one `solve` entry point over
 //!   scalar (`f64`) and lane-batched (`[f64; L]`) integration, assembled
 //!   from a [`Stepper`] (Butcher-stage arithmetic written once over both
-//!   widths) and a [`StepControl`] policy ([`Fixed`], [`Adaptive`] PI
-//!   control, lane-voting [`VotingAdaptive`]) — see [`solver`];
+//!   widths) and a [`StepControl`] policy ([`Fixed`] grid or scalar
+//!   [`Adaptive`] PI control) — see [`solver`];
 //! * [`integrate()`] — the one allocating convenience: `solve` with a
 //!   fresh workspace and a [`Strided`] recorder, returning a
 //!   [`Trajectory`];
@@ -20,7 +20,6 @@
 //! * [`Rk4`], [`Euler`] — fixed-step explicit solver configurations;
 //! * [`DormandPrince`] — adaptive 5(4) embedded pair with PI step control
 //!   and rejected-step accounting ([`SolveStats`]);
-//!   [`VotingDormandPrince`] — its opt-in lane-batched voting form;
 //! * [`TrBdf2`] — L-stable implicit TR-BDF2 with a damped-Newton inner loop
 //!   over a factor-once LU ([`linalg`]), adaptive via its embedded error
 //!   estimate or fixed-grid, consuming analytic Jacobians through
@@ -72,13 +71,11 @@ pub use analysis::{
     EnsembleStats,
 };
 pub use implicit::{NewtonCfg, TrBdf2};
-pub use integrate::{
-    integrate, DormandPrince, Euler, LaneError, Rk4, SolveError, VotingDormandPrince,
-};
+pub use integrate::{integrate, DormandPrince, Euler, LaneError, Rk4, SolveError};
 pub use observe::{FinalState, Observer, Probe, StepInfo, Strided};
 pub use solver::{
     Adaptive, Dp45Stages, Elem, EmbeddedStepper, EulerStages, Fixed, LaneWorkspace, Method,
-    OdeWorkspace, Rk4Stages, Solver, StepControl, Stepper, SystemOver, VotingAdaptive, Workspace,
+    OdeWorkspace, Rk4Stages, Solver, StepControl, Stepper, SystemOver, Workspace,
 };
 pub use system::{FnLanedSystem, FnSystem, LanedOdeSystem, LinearSystem, OdeSystem, StageHint};
 pub use trajectory::{relative_rmse, SolveStats, Trajectory};

@@ -9,10 +9,9 @@
 //!   and laned (`[f64; L]`) forms are literally the same code. Per lane,
 //!   every operation matches the historical scalar loops exactly, which is
 //!   what keeps the laned paths bit-identical to the scalar ones;
-//! * a [`StepControl`] policy — [`Fixed`] (lockstep grid), [`Adaptive`]
-//!   (the PI controller, scalar-only by the bit-identity policy), and
-//!   [`VotingAdaptive`] (min-over-lanes step voting with per-lane
-//!   early-exit masks — the opt-in laned adaptive mode).
+//! * a [`StepControl`] policy — [`Fixed`] (lockstep grid, any width) or
+//!   [`Adaptive`] (the PI controller, scalar-only by the bit-identity
+//!   policy).
 //!
 //! Integration is *observer-driven*: instead of baking `Trajectory`
 //! recording into the loop, the drive loops report every accepted step to
@@ -39,7 +38,7 @@
 //! # Ok::<(), ark_ode::SolveError>(())
 //! ```
 
-use crate::integrate::SolveError;
+use crate::integrate::{LaneError, SolveError};
 use crate::observe::{Observer, StepInfo};
 use crate::system::StageHint;
 use crate::trajectory::SolveStats;
@@ -170,8 +169,8 @@ impl<const L: usize, S: LanedOdeSystem<L> + ?Sized> SystemOver<[f64; L]> for S {
 
 /// Reusable integration buffers over element type `E`: the current state, a
 /// stage scratch vector, stage-derivative vectors (up to seven for the
-/// Dormand–Prince tableau), and the per-lane failure masks of the drive
-/// loops.
+/// Dormand–Prince tableau), and the per-lane failure masks of the
+/// fixed-step loop.
 ///
 /// Create one per worker/thread and pass it to any number of solve calls;
 /// buffers grow on demand (never shrink), so one workspace serves systems
@@ -185,7 +184,7 @@ pub struct Workspace<E> {
     pub(crate) tmp: Vec<E>,
     pub(crate) k: Vec<Vec<E>>,
     /// Per-lane liveness of the current run (failed lanes stop recording
-    /// and voting but keep stepping so live lanes are unaffected).
+    /// but keep stepping so live lanes are unaffected).
     pub(crate) alive: Vec<bool>,
     /// Per-lane first failure, reported at the same `t` the scalar path
     /// would have detected it.
@@ -240,14 +239,16 @@ impl<E: Elem> Workspace<E> {
         self.failed.resize(E::WIDTH, None);
     }
 
-    /// Lane index of the lowest lane that failed in the last run — the
-    /// lane whose error the drive loop returned. `None` when every lane
-    /// survived. Only meaningful right after a failed [`Solver::solve`]
-    /// whose error carries a time ([`SolveError::time`] is `Some`):
-    /// pre-flight errors (`BadConfig`/`UnsupportedLanes`) return before
-    /// the masks are reset, so the masks still describe the *previous*
-    /// run. Ensemble engines use this to attribute a lane-group failure
-    /// to the instance (seed) that caused it.
+    /// Lane index of the lowest lane that failed in the last [`Fixed`]
+    /// run — the lane whose error the drive loop returned. `None` when
+    /// every lane survived. Only meaningful right after a failed
+    /// fixed-step [`Solver::solve`] whose error carries a time
+    /// ([`SolveError::time`] is `Some`): pre-flight errors
+    /// (`BadConfig`/`UnsupportedLanes`) return before the masks are reset,
+    /// and the scalar-only policies never touch them, so the masks may
+    /// still describe an earlier run. Ensemble engines use this to
+    /// attribute a lane-group failure to the instance (seed) that caused
+    /// it.
     pub fn first_failed_lane(&self) -> Option<usize> {
         self.alive.iter().position(|a| !a)
     }
@@ -536,20 +537,19 @@ impl EmbeddedStepper for Dp45Stages {
 ///
 /// # Examples
 ///
-/// The same stepper under different policies — a fixed grid and the
-/// lane-voting adaptive controller:
+/// Two policies over their steppers — a fixed RK4 grid and the adaptive
+/// PI controller over the Dormand–Prince pair:
 ///
 /// ```
 /// use ark_ode::{
 ///     Adaptive, Dp45Stages, Fixed, FnSystem, OdeWorkspace, Rk4Stages, StepControl, Strided,
-///     VotingAdaptive,
 /// };
 ///
 /// let sys = FnSystem::new(1, |_t, y, dydt| dydt[0] = -y[0]);
 /// let mut ws = OdeWorkspace::new(1);
 /// let mut fixed = Strided::every(1);
 /// Fixed::new(1e-3).drive(&Rk4Stages, &sys, 0.0, &[1.0], 1.0, &mut fixed, &mut ws)?;
-/// let adaptive = Adaptive {
+/// let control = Adaptive {
 ///     rtol: 1e-9,
 ///     atol: 1e-12,
 ///     h0: None,
@@ -557,10 +557,11 @@ impl EmbeddedStepper for Dp45Stages {
 ///     h_max: f64::INFINITY,
 ///     max_steps: 0,
 /// };
-/// let mut voted = Strided::every(1);
-/// VotingAdaptive(adaptive).drive(&Dp45Stages, &sys, 0.0, &[1.0], 1.0, &mut voted, &mut ws)?;
-/// let (f, v) = (fixed.into_trajectory(), voted.into_trajectory());
-/// assert!((f.last().unwrap().1[0] - v.last().unwrap().1[0]).abs() < 1e-8);
+/// let mut adaptive = Strided::every(1);
+/// control.drive(&Dp45Stages, &sys, 0.0, &[1.0], 1.0, &mut adaptive, &mut ws)?;
+/// let (f, a) = (fixed.into_trajectory(), adaptive.into_trajectory());
+/// assert!((f.last().unwrap().1[0] - a.last().unwrap().1[0]).abs() < 1e-8);
+/// assert!(a.len() < f.len(), "the controller takes far fewer steps");
 /// # Ok::<(), ark_ode::SolveError>(())
 /// ```
 pub trait StepControl<St> {
@@ -608,6 +609,26 @@ impl Fixed {
     pub fn new(dt: f64) -> Self {
         Fixed { dt, max_steps: 0 }
     }
+
+    /// Pre-flight checks shared by every fixed-grid drive loop (explicit
+    /// and implicit): a finite positive step, a finite non-empty interval
+    /// and an initial state of the system's dimension.
+    pub(crate) fn validate(
+        &self,
+        t0: f64,
+        t1: f64,
+        y_len: usize,
+        dim: usize,
+    ) -> Result<(), SolveError> {
+        if !self.dt.is_finite() || self.dt <= 0.0 {
+            return Err(SolveError::BadConfig(format!(
+                "step dt={} must be positive and finite",
+                self.dt
+            )));
+        }
+        validate_span(t0, t1)?;
+        validate_dim(y_len, dim)
+    }
 }
 
 /// Adaptive PI step control — the policy of the historical
@@ -615,20 +636,21 @@ impl Fixed {
 ///
 /// Scalar-only by design: lockstep lanes must share one step sequence, but
 /// the PI controller derives each step from the error norm of *one*
-/// instance, so any shared policy changes the accepted-step grid and breaks
-/// the bit-identity guarantee against the scalar path. Lane-batched
-/// adaptive integration is the explicit opt-in [`VotingAdaptive`] policy.
+/// instance, so any shared policy would change the accepted-step grid and
+/// break the bit-identity guarantee against the scalar path. Ensembles run
+/// it per instance.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Adaptive {
     /// Relative error tolerance.
     pub rtol: f64,
     /// Absolute error tolerance.
     pub atol: f64,
-    /// Initial step (guessed from the interval when `None`).
+    /// Initial step (guessed from the interval when `None`); finite and
+    /// positive when set.
     pub h0: Option<f64>,
-    /// Smallest step before declaring failure.
+    /// Smallest step before declaring failure (`≥ 0`).
     pub h_min: f64,
-    /// Largest allowed step.
+    /// Largest allowed step (`> 0`; `∞` for no bound).
     pub h_max: f64,
     /// Hard budget on step *attempts* (accepted + rejected); `0` means
     /// unlimited. Exceeding it fails the run with
@@ -638,24 +660,19 @@ pub struct Adaptive {
     pub max_steps: u64,
 }
 
-/// Step-size *voting* control: the laned adaptive mode.
-///
-/// All lanes share one step sequence; each trial step is judged by the
-/// **worst error norm over the live lanes**, which is equivalent to every
-/// lane proposing its own next step and the group taking the minimum. A
-/// lane whose state (or error estimate) leaves ℝ is masked out — it keeps
-/// stepping (its NaNs stay in its own lane) but stops voting and stops
-/// being recorded — so one diverging instance cannot stall the group.
-///
-/// **Opt-in, and deliberately not the default**: the voted step grid
-/// depends on which instances share a lane group, so results depend on the
-/// seeds *and the lane width* — unlike every default path, which is
-/// bit-identical across widths. Results never depend on the worker count.
-/// At `WIDTH == 1` voting degenerates to [`Adaptive`] exactly, bit for bit.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VotingAdaptive(pub Adaptive);
+/// Reject lane widths above 1 for a scalar-only `policy`.
+pub(crate) fn scalar_only<E: Elem>(policy: &'static str) -> Result<(), SolveError> {
+    if E::WIDTH > 1 {
+        return Err(LaneError::ScalarOnlyPolicy {
+            policy,
+            width: E::WIDTH,
+        }
+        .into());
+    }
+    Ok(())
+}
 
-pub(crate) fn validate_span(t0: f64, t1: f64) -> Result<(), SolveError> {
+fn validate_span(t0: f64, t1: f64) -> Result<(), SolveError> {
     if !t0.is_finite() || !t1.is_finite() {
         return Err(SolveError::BadConfig(format!(
             "interval [{t0}, {t1}] must have finite endpoints"
@@ -669,7 +686,7 @@ pub(crate) fn validate_span(t0: f64, t1: f64) -> Result<(), SolveError> {
     Ok(())
 }
 
-pub(crate) fn validate_dim(y_len: usize, dim: usize) -> Result<(), SolveError> {
+fn validate_dim(y_len: usize, dim: usize) -> Result<(), SolveError> {
     if y_len != dim {
         return Err(SolveError::BadConfig(format!(
             "initial state has {y_len} entries but the system dimension is {dim}"
@@ -693,14 +710,7 @@ impl<St: Stepper> StepControl<St> for Fixed {
         obs: &mut O,
         ws: &mut Workspace<E>,
     ) -> Result<SolveStats, SolveError> {
-        if !self.dt.is_finite() || self.dt <= 0.0 {
-            return Err(SolveError::BadConfig(format!(
-                "step dt={} must be positive and finite",
-                self.dt
-            )));
-        }
-        validate_span(t0, t1)?;
-        validate_dim(y0.len(), sys.dim())?;
+        self.validate(t0, t1, y0.len(), sys.dim())?;
         let n = y0.len();
         ws.ensure(n, St::STAGES);
         ws.reset_masks();
@@ -771,6 +781,9 @@ impl<St: Stepper> StepControl<St> for Fixed {
 }
 
 impl Adaptive {
+    /// Pre-flight checks shared by every adaptive drive loop (explicit and
+    /// implicit): a finite non-empty interval, an initial state of the
+    /// system's dimension, positive tolerances and usable step bounds.
     pub(crate) fn validate(
         &self,
         t0: f64,
@@ -782,6 +795,25 @@ impl Adaptive {
         validate_dim(y_len, dim)?;
         if self.rtol.is_nan() || self.rtol <= 0.0 || self.atol.is_nan() || self.atol < 0.0 {
             return Err(SolveError::BadConfig("tolerances must be positive".into()));
+        }
+        if let Some(h0) = self.h0 {
+            if !h0.is_finite() || h0 <= 0.0 {
+                return Err(SolveError::BadConfig(format!(
+                    "initial step h0={h0} must be positive and finite"
+                )));
+            }
+        }
+        if self.h_min.is_nan() || self.h_min < 0.0 {
+            return Err(SolveError::BadConfig(format!(
+                "minimum step h_min={} must be non-negative",
+                self.h_min
+            )));
+        }
+        if self.h_max.is_nan() || self.h_max <= 0.0 {
+            return Err(SolveError::BadConfig(format!(
+                "maximum step h_max={} must be positive",
+                self.h_max
+            )));
         }
         Ok(())
     }
@@ -802,142 +834,68 @@ impl<St: EmbeddedStepper> StepControl<St> for Adaptive {
         obs: &mut O,
         ws: &mut Workspace<E>,
     ) -> Result<SolveStats, SolveError> {
-        if E::WIDTH > 1 {
-            return Err(crate::integrate::LaneError::ScalarOnlyPolicy {
-                policy: "adaptive PI controller (lockstep fixed-step-only policy)",
-                width: E::WIDTH,
-            }
-            .into());
-        }
-        // One PI-controller implementation: at WIDTH == 1 the voting loop
-        // degenerates to the scalar controller exactly — the vote is a
-        // max over one lane, acceptance/failure checks see one lane, and
-        // the NaN-masking of a single lane reports the same NonFinite the
-        // scalar loop would. The pre-redesign bit-identity proptests in
-        // tests/solver_observers.rs run through this delegation.
-        VotingAdaptive(*self).drive(stepper, sys, t0, y0, t1, obs, ws)
-    }
-}
-
-impl<St: EmbeddedStepper> StepControl<St> for VotingAdaptive {
-    fn supports_lanes(&self) -> bool {
-        true
-    }
-
-    fn drive<E: Elem, S: SystemOver<E> + ?Sized, O: Observer<E>>(
-        &self,
-        stepper: &St,
-        sys: &S,
-        t0: f64,
-        y0: &[E],
-        t1: f64,
-        obs: &mut O,
-        ws: &mut Workspace<E>,
-    ) -> Result<SolveStats, SolveError> {
-        let cfg = &self.0;
-        cfg.validate(t0, t1, y0.len(), sys.dim())?;
+        scalar_only::<E>("adaptive PI controller (lockstep fixed-step-only policy)")?;
+        self.validate(t0, t1, y0.len(), sys.dim())?;
         let n = y0.len();
         ws.ensure(n, St::STAGES);
-        ws.reset_masks();
         obs.start(t0, y0, None);
-        let Workspace {
-            y,
-            tmp,
-            k,
-            alive,
-            failed,
-        } = ws;
+        let Workspace { y, tmp, k, .. } = ws;
         let y = &mut y[..n];
         y.copy_from_slice(y0);
         let ytmp = &mut tmp[..n];
         let mut t = t0;
-        let mut h = cfg.h0.unwrap_or((t1 - t0) / 100.0).min(cfg.h_max);
+        let mut h = self.h0.unwrap_or((t1 - t0) / 100.0).min(self.h_max);
         let mut stats = SolveStats::default();
         stepper.prime(sys, t, y, k);
         stats.rhs_evals += 1;
         let mut err_prev: f64 = 1.0;
 
-        'outer: while t < t1 {
-            if h < cfg.h_min {
+        while t < t1 {
+            if h < self.h_min {
                 return Err(SolveError::StepSizeUnderflow { t });
             }
             // Budget counts attempts, so rejected steps burn it too — a
             // system that keeps rejecting cannot dodge the budget.
-            if cfg.max_steps > 0 && (stats.accepted + stats.rejected) as u64 >= cfg.max_steps {
+            if self.max_steps > 0 && (stats.accepted + stats.rejected) as u64 >= self.max_steps {
                 return Err(SolveError::MaxStepsExceeded {
                     t,
-                    budget: cfg.max_steps,
+                    budget: self.max_steps,
                 });
             }
             if t + h > t1 {
                 h = t1 - t;
             }
-            let err_e = stepper.attempt(sys, t, h, y, ytmp, k, cfg.atol, cfg.rtol);
+            let err_sq = stepper.attempt(sys, t, h, y, ytmp, k, self.atol, self.rtol);
             stats.rhs_evals += St::RHS_EVALS_PER_ATTEMPT;
-            // The vote: worst error norm over the live lanes, i.e. the
-            // minimum of the steps the lanes would choose individually. A
-            // lane with a NaN estimate can never be stepped into tolerance
-            // and exits the vote as failed.
-            let mut err: f64 = 0.0;
-            let mut live = false;
-            for l in 0..E::WIDTH {
-                if !alive[l] {
-                    continue;
-                }
-                let el = (err_e.get(l) / n as f64).sqrt();
-                if el.is_nan() {
-                    alive[l] = false;
-                    failed[l] = Some(SolveError::NonFinite { t });
-                    continue;
-                }
-                live = true;
-                err = err.max(el);
-            }
-            if !live {
-                break;
+            let err = (err_sq.get(0) / n as f64).sqrt();
+            // A NaN estimate can never be stepped into tolerance.
+            if err.is_nan() {
+                return Err(SolveError::NonFinite { t });
             }
 
-            if err <= 1.0 || h <= cfg.h_min * 2.0 {
-                // Accept for every lane (masked lanes ride along).
+            if err <= 1.0 || h <= self.h_min * 2.0 {
                 t += h;
                 y.copy_from_slice(ytmp);
-                let mut live = false;
-                for l in 0..E::WIDTH {
-                    if !alive[l] {
-                        continue;
-                    }
-                    if y.iter().all(|yi| yi.get(l).is_finite()) {
-                        live = true;
-                    } else {
-                        alive[l] = false;
-                        failed[l] = Some(SolveError::NonFinite { t });
-                    }
-                }
                 stats.accepted += 1;
-                if !live {
-                    break;
+                if !y.iter().all(|yi| yi.get(0).is_finite()) {
+                    return Err(SolveError::NonFinite { t });
                 }
                 let info = StepInfo {
                     index: stats.accepted,
                     last: t >= t1,
                 };
-                let go_on = obs.record(t, y, info, alive);
+                let go_on = obs.record(t, y, info, &[true]);
                 stepper.accept(k);
                 let e = err.max(1e-10);
                 let fac = 0.9 * e.powf(-0.7 / 5.0) * err_prev.powf(0.4 / 5.0);
-                h = (h * fac.clamp(0.2, 5.0)).min(cfg.h_max);
+                h = (h * fac.clamp(0.2, 5.0)).min(self.h_max);
                 err_prev = e;
                 if !go_on {
-                    break 'outer;
+                    break;
                 }
             } else {
                 stats.rejected += 1;
                 h *= (0.9 * err.powf(-0.2)).clamp(0.1, 1.0);
-            }
-        }
-        for f in failed.iter_mut() {
-            if let Some(e) = f.take() {
-                return Err(e);
             }
         }
         obs.finish(stats);
@@ -972,7 +930,7 @@ pub trait Solver {
     ///
     /// `E` selects the width: `f64` for one instance, `[f64; L]` for `L`
     /// lockstep instances (one trajectory per lane, each bit-identical to a
-    /// scalar run of that lane alone on the default policies).
+    /// scalar run of that lane alone).
     ///
     /// # Errors
     ///

@@ -44,7 +44,6 @@
 pub type DynError = Box<dyn std::error::Error + Send + Sync>;
 
 pub mod cnn;
-pub mod coloring;
 pub mod image;
 pub mod maxcut;
 pub mod obc;

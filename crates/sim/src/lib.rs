@@ -27,10 +27,10 @@
 //!   and [`reduce::YieldCounter`], all merging block partials in fixed
 //!   seed order (see the module docs for the determinism contract);
 //! * any [`ark_ode::Solver`] drives the integration — `Rk4`, `Euler`,
-//!   `DormandPrince`, or the lane-voting `VotingDormandPrince`. Solvers
-//!   whose policy is scalar-only ([`ark_ode::Solver::supports_lanes`] is
-//!   false, i.e. the PI-adaptive `DormandPrince`) automatically dispatch
-//!   through the scalar path;
+//!   `DormandPrince` or `TrBdf2`. Solvers whose policy is scalar-only
+//!   ([`ark_ode::Solver::supports_lanes`] is false: the PI-adaptive
+//!   `DormandPrince` and `TrBdf2`) automatically dispatch through the
+//!   scalar path;
 //! * [`LaneReadout`] / [`EnsembleRun::map_grouped`] — readout that sees a
 //!   whole *lane group* at once (a scalar run is the one-lane group), so
 //!   observation programs (CNN snapshot images, convergence probes)
@@ -39,13 +39,13 @@
 //! # Determinism guarantee
 //!
 //! Results depend **only on the seeds** (and the job closure), never on the
-//! number of workers or on OS scheduling: jobs are self-contained, workers
-//! only pick *which* job to run next from a shared counter, and results are
-//! written back by job index. Running the same ensemble with 1, 2, or 64
-//! workers produces bit-identical output — the property the determinism
-//! suite in `tests/ensemble_determinism.rs` locks in. (The lane-voting
-//! adaptive solver additionally keys results on the lane width — see
-//! [`ark_ode::VotingAdaptive`] — but never on the worker count.)
+//! number of workers, the lane width or OS scheduling: jobs are
+//! self-contained, workers only pick *which* job to run next from a shared
+//! counter, results are written back by job index, and every solver gives
+//! each lane exactly the scalar operation sequence. Running the same
+//! ensemble with 1, 2, or 64 workers at lane width 1, 4 or 8 produces
+//! bit-identical output — the property the determinism suite in
+//! `tests/ensemble_determinism.rs` locks in.
 //!
 //! # Examples
 //!
@@ -165,8 +165,7 @@ fn check_lanes(lanes: usize) -> Result<usize, LaneError> {
 /// through the laned interpreter — `L` instances per interpreted
 /// instruction — which is what lifts the per-instance readout tail off
 /// ensembles like the CNN Monte Carlo. Group trajectories come from
-/// lockstep fixed-step (or voting-adaptive) runs, so all lanes share one
-/// time grid.
+/// lockstep fixed-step runs, so all lanes share one time grid.
 ///
 /// Per-lane results must not depend on `L` — the engine's "results never
 /// depend on worker count or lane width" guarantee extends through the
@@ -230,16 +229,14 @@ where
 /// interpreter
 /// ([`CompiledSystem::bind_lanes`](ark_core::CompiledSystem::bind_lanes)):
 /// one interpreted instruction advances the whole group, which is a
-/// single-core ensemble speedup on top of the worker-pool parallelism. On
-/// the default solvers, per-instance results are **bit-identical for every
-/// lane width** (each lane performs exactly the scalar operation sequence),
+/// single-core ensemble speedup on top of the worker-pool parallelism.
+/// Per-instance results are **bit-identical for every lane width** under
+/// every solver (each lane performs exactly the scalar operation sequence),
 /// so the width is purely a throughput knob; CI's lane-matrix job pins
 /// this. The default is [`DEFAULT_LANES`], overridable with the `ARK_LANES`
 /// environment variable or explicitly with [`Ensemble::with_lanes`].
-/// Solvers without a laned form (the PI-adaptive `DormandPrince`) always
-/// run the scalar path; the lane-voting `VotingDormandPrince` runs laned
-/// but keys its step grid on the lane width (see
-/// [`ark_ode::VotingAdaptive`]).
+/// Solvers without a laned form (the PI-adaptive `DormandPrince`,
+/// `TrBdf2`) always run the scalar path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ensemble {
     workers: usize,
@@ -283,8 +280,8 @@ impl Ensemble {
     }
 
     /// This engine with an explicit lane width for the integration entry
-    /// points (one of [`SUPPORTED_LANES`]). On the default solvers,
-    /// results are bit-identical across widths; wider lanes amortize
+    /// points (one of [`SUPPORTED_LANES`]). Results are bit-identical
+    /// across widths; wider lanes amortize
     /// interpreter dispatch over more instances per instruction.
     ///
     /// # Panics
@@ -705,36 +702,6 @@ mod tests {
             .trajectories()
             .unwrap();
         assert_eq!(scalar, laned);
-    }
-
-    /// The lane-voting adaptive solver goes through the laned path and
-    /// stays worker-count independent (its lane-width dependence is pinned
-    /// by tests/voting_determinism.rs).
-    #[test]
-    fn voting_adaptive_runs_laned_and_worker_independent() {
-        let (_lang, sys) = decay_parametric();
-        let solver = DormandPrince::new(1e-8, 1e-11).voting();
-        let seeds = seed_range(0, 9);
-        let reference = Ensemble::serial()
-            .with_lanes(4)
-            .run(&sys, &solver, &seeds, 0.0, 1.0)
-            .params(|s| lane_test_params(&sys, s))
-            .trajectories()
-            .unwrap();
-        for workers in [2usize, 8] {
-            let got = Ensemble::new(workers)
-                .with_lanes(4)
-                .run(&sys, &solver, &seeds, 0.0, 1.0)
-                .params(|s| lane_test_params(&sys, s))
-                .trajectories()
-                .unwrap();
-            assert_eq!(reference, got, "workers {workers}");
-        }
-        // Full groups really share one (voted) time grid; the tail is
-        // scalar-adaptive per instance.
-        for l in 1..4 {
-            assert_eq!(reference[0].times(), reference[l].times(), "lane {l}");
-        }
     }
 
     /// `map` runs the readout closure once per lane with results in seed

@@ -12,8 +12,8 @@
 //! # Determinism contract
 //!
 //! Streamed results are **bit-identical for any worker count and lane
-//! width** (on the default solvers, whose per-instance output is
-//! width-independent — see [`Ensemble`](crate::Ensemble)):
+//! width** (every solver's per-instance output is width-independent — see
+//! [`Ensemble`](crate::Ensemble)):
 //!
 //! * seeds are partitioned into fixed blocks of [`STREAM_BLOCK`] *before*
 //!   work distribution — one accumulator per block, block partials merged

@@ -33,10 +33,8 @@
 //! bit — is unchanged by failures for any worker count. Lane-group
 //! demotion re-runs a failed group's instances scalar under the *primary*
 //! solver first, which is exactly what a `lanes = 1` engine would have
-//! run, so outcomes and accumulators are bit-identical across lane widths
-//! on the default (fixed-step and scalar-adaptive) solvers. The
-//! lane-voting solvers keep their documented exception: their accepted
-//! step grid is keyed on the lane width.
+//! run, so outcomes and accumulators are bit-identical across worker
+//! counts and lane widths for every solver.
 
 use crate::reduce::Reducer;
 use ark_ode::{
@@ -315,9 +313,8 @@ pub struct KindStats {
 }
 
 /// The aggregate outcome accounting of a recovering ensemble run:
-/// deterministic counts (bit-identical for any worker count and, on the
-/// default solvers, any lane width) plus first-failure provenance per
-/// error kind.
+/// deterministic counts (bit-identical for any worker count and any lane
+/// width) plus first-failure provenance per error kind.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveryReport {
     /// Instances whose primary solve succeeded.

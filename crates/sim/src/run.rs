@@ -60,9 +60,8 @@ pub struct FinalSnapshot<'r> {
 /// groups, `lanes = 1`, lane-incapable solvers) runs scalar.
 ///
 /// Every terminal inherits the engine's determinism guarantee: results
-/// depend only on the seeds, never on the worker count (see
-/// [`Ensemble`]); on the default solvers they are also bit-identical
-/// across lane widths.
+/// depend only on the seeds, never on the worker count or the lane width
+/// (see [`Ensemble`]).
 #[derive(Debug, Clone, Copy)]
 pub struct EnsembleRun<'a, S, P> {
     ens: Ensemble,
@@ -488,9 +487,8 @@ enum OnFailure<'p, E> {
 /// fails, the whole group is *demoted*: each of its instances re-runs
 /// scalar under the primary solver first (exactly what a `lanes = 1`
 /// engine runs), then walks the fallback chain if still failing — so
-/// outcomes and accumulators are bit-identical across lane widths on the
-/// default solvers. The lane-voting solvers keep their documented
-/// exception (their step grid is keyed on the lane width).
+/// outcomes and accumulators are bit-identical across lane widths for
+/// every solver.
 #[derive(Debug, Clone, Copy)]
 pub struct RecoveringRun<'a, S, P> {
     run: EnsembleRun<'a, S, P>,

@@ -4,9 +4,19 @@
 //! function of the compiler, so a lost CSE, a broken fusion rule or a
 //! prologue-hoisting regression fails this suite the moment it lands;
 //! a count that *improves* is re-pinned in the same change.
+//!
+//! The static-analysis gate runs here too: every program of every paper
+//! design (and the two stiff benchmarks) verifies, has no dead
+//! instruction, passes the determinism lint and has no guaranteed-undefined
+//! operation.
 
-use ark::core::Backend;
+use ark::core::func::GraphBuilder;
+use ark::core::{Backend, CompiledSystem, Graph, Language};
 use ark::expr::analyze;
+use ark::paradigms::obc::{intercon_obc_language, obc_language};
+use ark::paradigms::stiff::{robertson_language, robertson_network, vdp_language, vdp_oscillator};
+use ark::paradigms::tln::{branched_tline, gmc_tln_language, tln_language, TlineConfig};
+use ark::spice::validate::random_gmc_tline;
 use ark_bench::rhs_workloads;
 
 /// Instructions per RHS evaluation, per workload.
@@ -36,21 +46,93 @@ fn native_backend_reports_the_same_counts() {
     }
 }
 
-/// Every emitted program — RHS, observables and the derived Jacobian —
-/// verifies with no structural error and no dead instruction.
+/// The §7.2 all-to-all interconnect network at `n` oscillators (the
+/// grouped-local variant lowers to the same dynamics, so one topology
+/// covers the program analysis).
+fn intercon_all_to_all(lang: &Language, n: usize) -> Graph {
+    let mut b = GraphBuilder::new(lang, 0);
+    for i in 0..n {
+        let g = if i < n / 2 { "Osc_G0" } else { "Osc_G1" };
+        b.node(&format!("o{i}"), g).unwrap();
+        let o = format!("o{i}");
+        b.edge(&format!("s{i}"), "Cpl_l", &o, &o).unwrap();
+    }
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let (a, c) = (format!("o{i}"), format!("o{j}"));
+            b.edge(&format!("g{i}_{j}"), "Cpl_g", &a, &c).unwrap();
+        }
+    }
+    b.finish().unwrap()
+}
+
+/// Every paper design plus the stiff benchmarks: the three RHS-benchmark
+/// workloads, the Figure 2 branched line, a §4.5 generator design, the
+/// §7.2 interconnect network, Van der Pol at μ = 1000 and Robertson.
+fn lint_designs() -> Vec<(&'static str, CompiledSystem)> {
+    let mut out: Vec<_> = rhs_workloads()
+        .into_iter()
+        .map(|w| (w.name, w.sys))
+        .collect();
+    let compile = |lang: &Language, graph: &Graph| CompiledSystem::compile(lang, graph).unwrap();
+    let tbase = tln_language();
+    let branched = branched_tline(&tbase, 8, 10, 8, &TlineConfig::default(), 0).unwrap();
+    out.push(("tln_fig2_branched", compile(&tbase, &branched)));
+    let gmc = gmc_tln_language(&tbase);
+    out.push((
+        "spice_s45_gmc",
+        compile(&gmc, &random_gmc_tline(&gmc, 0).unwrap()),
+    ));
+    let ic = intercon_obc_language(&obc_language());
+    out.push(("intercon_s72", compile(&ic, &intercon_all_to_all(&ic, 8))));
+    let vlang = vdp_language();
+    out.push((
+        "stiff_vdp",
+        compile(&vlang, &vdp_oscillator(&vlang, 1000.0).unwrap()),
+    ));
+    let rlang = robertson_language();
+    out.push((
+        "stiff_robertson",
+        compile(&rlang, &robertson_network(&rlang).unwrap()),
+    ));
+    out
+}
+
+/// Every emitted program — RHS, observables and the derived Jacobian — of
+/// every lint design verifies with no structural error, no dead
+/// instruction, no determinism-lint error and no domain warning.
 #[test]
 fn emitted_programs_verify_with_no_dead_instructions() {
-    for w in rhs_workloads() {
-        let jac = w.sys.jacobian();
+    let mut linted = 0;
+    for (name, sys) in lint_designs() {
+        let jac = sys.jacobian();
         let programs = [
-            ("rhs", w.sys.rhs_program()),
-            ("obs", w.sys.obs_program()),
+            ("rhs", sys.rhs_program()),
+            ("obs", sys.obs_program()),
             ("jacobian", jac.program()),
         ];
         for (kind, prog) in programs {
             let report = analyze(prog);
-            assert_eq!(report.dead_instrs(), 0, "{} {kind}", w.name);
-            assert_eq!(report.hard_errors(), 0, "{} {kind}", w.name);
+            assert_eq!(report.dead_instrs(), 0, "{name} {kind}");
+            assert_eq!(
+                report.hard_errors(),
+                0,
+                "{name} {kind}: {:?}",
+                report.errors
+            );
+            assert_eq!(
+                report.determinism_errors(),
+                0,
+                "{name} {kind}: {:?}",
+                report.determinism
+            );
+            assert!(
+                report.domain.is_empty(),
+                "{name} {kind}: {:?}",
+                report.domain
+            );
+            linted += 1;
         }
     }
+    assert_eq!(linted, 24);
 }
