@@ -879,11 +879,6 @@ impl CompiledSystem {
         self.rhs_prog.register_count()
     }
 
-    /// Pooled constants of the fused right-hand side.
-    pub fn rhs_const_count(&self) -> usize {
-        self.rhs_prog.const_count()
-    }
-
     /// Evaluate the right-hand side and every algebraic node with the
     /// tree-walking [`ark_expr::eval()`] over the per-node expressions: the
     /// one reference semantics the fused programs (scalar, laned and

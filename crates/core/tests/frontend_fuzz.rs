@@ -23,8 +23,11 @@ fn quickstart_source() -> &'static str {
     &file[start..start + len]
 }
 
-/// Replacement tokens: keywords, names from the program, punctuation and
-/// numeric edge cases.
+/// Replacement tokens: keywords, names from the program, punctuation,
+/// numeric edge cases and a derived language. The last token, replacing a
+/// word of a comment inside `diffuse`, closes `diffuse` early and opens
+/// `leaky inherits diffuse` over the rest of its body, so edited programs
+/// also reach the round trip with an `inherits` chain.
 #[rustfmt::skip]
 const TOKENS: &[&str] = &[
     "", " ", "\n", "0", "1", "-1", "1e308", "-1e308", "1e-320", "inf", "-inf", "nan", "NaN",
@@ -34,6 +37,7 @@ const TOKENS: &[&str] = &[
     "set-attr", "set-init", "var", "Cell", "Link", "diffuse", "chain", "s", "t", "e", "w",
     "tau", "a", "b", "c", "a(0)", "a(1)", "s.tau", "e.w", "var(s)", "var(t)", "sin(", "exp(",
     "real[0, 10]", "real[10, 0]", "match(0, inf, Link, Cell)", "ntyp(0, sum)", "ntyp(3, mul)",
+    "inherits", "inherit", "\n}\nlang leaky inherits diffuse { ntyp(1, sum) Leaky inherit Cell {};\n//",
 ];
 
 /// One edit: `(kind, position, length, token/byte selector)`. Positions

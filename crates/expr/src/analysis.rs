@@ -1,5 +1,5 @@
-//! Static analysis over fused [`SystemProgram`]s: a structural verifier,
-//! an interval/domain analysis, and a determinism lint.
+//! Static analysis over fused [`SystemProgram`]s: a structural verifier
+//! and an interval/domain analysis.
 //!
 //! The fused IR is transformed by several passes (CSE, mul-add fusion,
 //! liveness-driven register reuse, two-tier prologue hoisting, forward-mode
@@ -24,14 +24,14 @@
 //!   feed each flagged site. Inputs (state, time, parameters) are assumed
 //!   unbounded, so a warning means "wrong for *all* inputs", never "wrong
 //!   for some" — warnings are conservative and their absence proves nothing.
-//! - [`determinism_lint`] checks the invariants the bit-identity contract
-//!   between the interpreter and native codegen relies on: no FMA-contracted
-//!   patterns in the emitted source, each segment lowered exactly once and
-//!   exported at every kernel width, and reduction-tree shape reporting for
-//!   long additive chains.
 //! - [`analyze`] bundles all of the above plus per-segment statistics into a
 //!   [`ProgramReport`] (what the workspace's `tests/program_size.rs` lint
 //!   gate asserts over every paper design).
+//!
+//! Nothing here reads the native kernels' source: their bit identity with
+//! the interpreter is checked by running both engines and comparing bits
+//! (the `native_equivalence` property suite in `ark-core` over random
+//! designs, and `tests/program_size.rs` over every paper design).
 //!
 //! [`ProgramBuilder::finish`]: crate::ProgramBuilder::finish
 
@@ -39,7 +39,6 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::ast::{BinaryOp, CmpOp, UnaryOp};
-use crate::codegen;
 use crate::program::{PInstr, POp, SystemProgram};
 
 // ---------------------------------------------------------------------------
@@ -452,17 +451,6 @@ impl SystemProgram {
     /// instead of stopping at the first.
     pub fn verify_all(&self) -> Vec<VerifyError> {
         verify_program(self)
-    }
-
-    /// The Rust source the native-codegen backend emits for this program's
-    /// default-width-set library (each segment once, generic over the lane
-    /// width, plus the exported wrappers at width `1` and
-    /// [`default_lanes`](crate::default_lanes)). Emission is pure string
-    /// generation — no toolchain, cache, or dlopen involved — so this is
-    /// always available; [`determinism_lint`] uses it to cross-check the
-    /// emitted kernels against the interpreter contract.
-    pub fn codegen_source(&self) -> String {
-        codegen::emit(self, &codegen::default_widths()).source
     }
 }
 
@@ -911,156 +899,6 @@ fn transfer_cmp(op: CmpOp, a: Interval, b: Interval) -> Interval {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism lint
-// ---------------------------------------------------------------------------
-
-/// Check the invariants the interpreter/native bit-identity contract
-/// relies on, returning one human-readable line per issue:
-///
-/// - the emitted kernel source must contain no FMA-contracted pattern
-///   (`mul_add` / `fma`) — fused multiply-adds round once where the
-///   interpreter rounds twice, so a single contraction breaks bit
-///   identity;
-/// - every segment must be lowered exactly once — the chunks its driver
-///   calls hold one store per IR instruction between them — and the
-///   exported wrapper for each width of the default set (`1` and
-///   [`default_lanes`](crate::default_lanes)) must exist and call that
-///   driver at its own width, so the scalar and laned kernels run the same
-///   statement sequence;
-/// - long fully-skewed additive chains are reported (informational): a
-///   left-leaning sum of `n` terms has depth `n - 1`, which both engines
-///   evaluate in the same order (so determinism holds), but rebalancing
-///   would change results — the lint documents where the shape matters.
-pub fn determinism_lint(prog: &SystemProgram) -> Vec<String> {
-    let mut issues = Vec::new();
-    let source = prog.codegen_source();
-    for pat in ["mul_add", "fma("] {
-        if source.contains(pat) {
-            issues.push(format!(
-                "emitted source contains FMA-contractible pattern `{pat}` \
-                 (breaks interpreter bit identity)"
-            ));
-        }
-    }
-    issues.extend(kernel_parity_issues(
-        &source,
-        [prog.pprologue.len(), prog.tprologue.len(), prog.body.len()],
-        &codegen::default_widths(),
-    ));
-    // Additive-chain shape: count terms and depth per register through the
-    // additive slots of Add/MulAdd/AddMul. A fully-skewed chain of >= 8
-    // terms (depth == terms - 1) is worth knowing about when reasoning
-    // about rounding — both engines evaluate it identically, so this is
-    // informational, not an error.
-    let n_regs = prog.register_count();
-    let mut terms = vec![1u32; n_regs];
-    let mut depth = vec![0u32; n_regs];
-    let mut flagged = 0usize;
-    for instr in prog
-        .pprologue
-        .iter()
-        .chain(&prog.tprologue)
-        .chain(&prog.body)
-    {
-        let dest = instr.dest as usize;
-        if dest >= n_regs {
-            continue;
-        }
-        let (t, d) = match instr.op {
-            POp::Bin(BinaryOp::Add, a, b) | POp::Bin(BinaryOp::Sub, a, b) => {
-                let (a, b) = (a as usize, b as usize);
-                (
-                    terms[a].saturating_add(terms[b]),
-                    depth[a].max(depth[b]) + 1,
-                )
-            }
-            // MulAdd(a, b, c) = a * b + c and MulSub subtract: the chain
-            // continues through c; AddMul(a, b, c) = a + b * c and SubMul:
-            // through a.
-            POp::MulAdd(_, _, c) | POp::MulSub(_, _, c) => {
-                (terms[c as usize].saturating_add(1), depth[c as usize] + 1)
-            }
-            POp::AddMul(a, _, _) | POp::SubMul(a, _, _) => {
-                (terms[a as usize].saturating_add(1), depth[a as usize] + 1)
-            }
-            _ => (1, 0),
-        };
-        if t >= 8 && d == t - 1 && terms[dest] < t {
-            flagged += 1;
-        }
-        terms[dest] = t;
-        depth[dest] = d;
-    }
-    if flagged > 0 {
-        issues.push(format!(
-            "note: {flagged} fully-skewed additive chain(s) of >= 8 terms \
-             (evaluated identically by both engines; rebalancing would change rounding)"
-        ));
-    }
-    issues
-}
-
-/// Check that emitted kernel source lowers each segment exactly once and
-/// exports it at every width it was emitted for: the chunks a segment's
-/// driver calls hold one register store per IR instruction between them
-/// (`seg_lens`, in [`Segment`] order), and each exported wrapper, one per
-/// width of `widths`, calls its segment's driver at its own width.
-fn kernel_parity_issues(source: &str, seg_lens: [usize; 3], widths: &[usize]) -> Vec<String> {
-    let mut issues = Vec::new();
-    for (seg, expect) in codegen::SEGMENT_NAMES.into_iter().zip(seg_lens) {
-        match segment_store_count(source, seg) {
-            Some(got) if got == expect => {}
-            Some(got) => issues.push(format!(
-                "segment `{seg}`: {got} stores across its chunks, {expect} instructions in the IR \
-                 (lowering parity broken)"
-            )),
-            None => issues.push(format!(
-                "segment `{seg}`: driver or a called chunk missing from emitted source"
-            )),
-        }
-        for &width in widths {
-            let name = codegen::export_name(seg, width);
-            let call = format!("{{ {seg}::<{width}>(r, s, t) }}");
-            match source.lines().find(|l| l.contains(&format!("fn {name}("))) {
-                Some(line) if line.ends_with(&call) => {}
-                Some(_) => issues.push(format!(
-                    "exported fn `{name}` does not call `{seg}::<{width}>` (width binding broken)"
-                )),
-                None => issues.push(format!("exported fn `{name}` missing from emitted source")),
-            }
-        }
-    }
-    issues
-}
-
-/// Count register-store statements across the chunks segment `seg`'s
-/// driver calls, or `None` if the driver or a called chunk is absent.
-/// Operand *reads* also spell `*r.add(`, so only lines that *start* with
-/// the store (the destination is always the first token of a statement)
-/// are counted.
-fn segment_store_count(source: &str, seg: &str) -> Option<usize> {
-    let driver = top_level_item(source, &format!("\nunsafe fn {seg}<"))?;
-    let mut count = 0;
-    for chunk in driver
-        .lines()
-        .filter_map(|l| l.trim().strip_suffix("::run::<L>(r, s, t);"))
-    {
-        count += top_level_item(source, &format!("\nmod {chunk} {{"))?
-            .lines()
-            .filter(|l| l.trim_start().starts_with("*r.add("))
-            .count();
-    }
-    Some(count)
-}
-
-/// The text of the top-level item starting at `header`, up to its closing
-/// brace (the first line holding a lone `}`).
-fn top_level_item<'a>(source: &'a str, header: &str) -> Option<&'a str> {
-    let rest = &source[source.find(header)?..];
-    Some(&rest[..rest.find("\n}\n").unwrap_or(rest.len())])
-}
-
-// ---------------------------------------------------------------------------
 // Aggregate report
 // ---------------------------------------------------------------------------
 
@@ -1076,17 +914,13 @@ pub struct SegmentStats {
 }
 
 /// Everything the analysis suite knows about one program: verifier
-/// diagnostics, domain warnings, determinism-lint issues, and the shape
-/// statistics of each segment.
+/// diagnostics, domain warnings, and the shape statistics of each segment.
 #[derive(Debug, Clone)]
 pub struct ProgramReport {
     /// Every structural violation ([`SystemProgram::verify_all`]).
     pub errors: Vec<VerifyError>,
     /// Guaranteed-undefined operations ([`domain_analysis`]).
     pub domain: Vec<DomainWarning>,
-    /// Bit-identity contract issues ([`determinism_lint`]). Lines starting
-    /// with `note:` are informational.
-    pub determinism: Vec<String>,
     /// Instruction counts per segment.
     pub segments: SegmentStats,
     /// Pooled constants.
@@ -1112,14 +946,6 @@ impl ProgramReport {
     pub fn hard_errors(&self) -> usize {
         self.errors.len() - self.dead_instrs()
     }
-
-    /// Determinism issues excluding informational `note:` lines.
-    pub fn determinism_errors(&self) -> usize {
-        self.determinism
-            .iter()
-            .filter(|l| !l.starts_with("note:"))
-            .count()
-    }
 }
 
 /// Run every analysis over one program and bundle the results.
@@ -1127,7 +953,6 @@ pub fn analyze(prog: &SystemProgram) -> ProgramReport {
     ProgramReport {
         errors: verify_program(prog),
         domain: domain_analysis(prog),
-        determinism: determinism_lint(prog),
         segments: SegmentStats {
             pprologue: prog.param_prologue_len(),
             tprologue: prog.prologue_len() - prog.param_prologue_len(),
@@ -1297,77 +1122,5 @@ mod tests {
             Interval::range(2.0, 3.0),
         );
         assert!(c.is_point(1.0), "decided comparison should be a point");
-    }
-
-    #[test]
-    fn determinism_lint_clean_on_builder_output() {
-        let prog = build("sat(var(x)) * var(x) + time");
-        let report = analyze(&prog);
-        assert_eq!(
-            report.determinism_errors(),
-            0,
-            "got {:?}",
-            report.determinism
-        );
-        let source = prog.codegen_source();
-        assert!(source.contains("fn ark_body("));
-        assert!(!source.contains("mul_add"));
-    }
-
-    #[test]
-    fn skewed_additive_chain_reported_as_note() {
-        let terms: Vec<String> = (1..=9).map(|k| format!("var(x) * {k}.0")).collect();
-        let prog = build(&terms.join(" + "));
-        let issues = determinism_lint(&prog);
-        assert!(
-            issues.iter().any(|l| l.starts_with("note:")),
-            "expected a chain-shape note, got {issues:?}"
-        );
-        // Notes are informational: not counted as determinism errors.
-        assert_eq!(analyze(&prog).determinism_errors(), 0);
-    }
-
-    #[test]
-    fn laned_parity_breakage_detected() {
-        // Long enough that the body spans several chunks.
-        let terms: Vec<String> = (1..=150).map(|k| format!("sin(var(x) * {k}.5)")).collect();
-        let prog = build(&terms.join(" + "));
-        let lens = [prog.pprologue.len(), prog.tprologue.len(), prog.body.len()];
-        let source = codegen::emit(&prog, &[1, 4]).source;
-        assert!(kernel_parity_issues(&source, lens, &[1, 4]).is_empty());
-        assert!(source.contains("\nmod body_2 {"), "body spans 3+ chunks");
-        let wide = codegen::emit(&prog, &[8]).source;
-        assert!(kernel_parity_issues(&wide, lens, &[8]).is_empty());
-
-        // A width the source was not emitted for: its wrappers are missing.
-        let issues = kernel_parity_issues(&source, lens, &[1, 4, 8]);
-        assert_eq!(issues.len(), 3, "got {issues:?}");
-        for seg in ["pp", "tp", "body"] {
-            let missing = format!("exported fn `ark_{seg}8` missing");
-            assert!(
-                issues.iter().any(|l| l.starts_with(&missing)),
-                "got {issues:?}"
-            );
-        }
-
-        // A store dropped from a middle chunk.
-        let mut dropped = source.clone();
-        let start = dropped.find("\nmod body_1 {").unwrap();
-        let cut = dropped[start..].find("*r.add(").unwrap() + start;
-        let line_end = dropped[cut..].find('\n').unwrap() + cut;
-        dropped.replace_range(cut..=line_end, "");
-        assert_eq!(
-            segment_store_count(&dropped, "body"),
-            Some(prog.body_len() - 1)
-        );
-        let issues = kernel_parity_issues(&dropped, lens, &[1, 4]);
-        assert_eq!(issues.len(), 1, "got {issues:?}");
-        assert!(issues[0].starts_with("segment `body`"), "got {issues:?}");
-
-        // A laned wrapper bound to the wrong width.
-        let rebound = source.replace("{ body::<4>(r, s, t) }", "{ body::<8>(r, s, t) }");
-        let issues = kernel_parity_issues(&rebound, lens, &[1, 4]);
-        assert_eq!(issues.len(), 1, "got {issues:?}");
-        assert!(issues[0].contains("`ark_body4`"), "got {issues:?}");
     }
 }

@@ -348,14 +348,6 @@ impl Expr {
         })
     }
 
-    /// Substitute every [`Expr::Var`] reference via the given mapping.
-    pub fn substitute_vars(&self, map: &impl Fn(&str) -> Option<Expr>) -> Expr {
-        self.transform(&|e| match e {
-            Expr::Var(n) => map(n),
-            _ => None,
-        })
-    }
-
     /// Rename entity references (`Var`, `Attr`, `CallAttr`) according to `map`.
     ///
     /// Used by the compiler's `Rewrite` step (paper Alg. 1) to instantiate a

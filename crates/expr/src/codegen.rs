@@ -94,15 +94,30 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// The process-wide default backend, read once from `ARK_BACKEND`
-    /// (`native` selects [`Backend::Native`]; anything else, including
-    /// unset, selects [`Backend::Interp`]).
+    /// The process-wide default backend, read once from `ARK_BACKEND`:
+    /// unset or empty selects [`Backend::Interp`], and `interp` / `native`
+    /// (in any case) select their backend.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any other value, naming the accepted ones, so a mistyped
+    /// value never silently runs the interpreter.
     pub fn from_env() -> Backend {
         static DEFAULT: OnceLock<Backend> = OnceLock::new();
-        *DEFAULT.get_or_init(|| match std::env::var("ARK_BACKEND") {
-            Ok(v) if v.eq_ignore_ascii_case("native") => Backend::Native,
-            _ => Backend::Interp,
+        *DEFAULT.get_or_init(|| {
+            let v = std::env::var_os("ARK_BACKEND");
+            Backend::parse_env(v.as_ref().map(|v| v.to_string_lossy()).as_deref())
         })
+    }
+
+    /// The backend an `ARK_BACKEND` value selects ([`Backend::from_env`]).
+    fn parse_env(value: Option<&str>) -> Backend {
+        match value.unwrap_or("") {
+            "" => Backend::Interp,
+            v if v.eq_ignore_ascii_case("interp") => Backend::Interp,
+            v if v.eq_ignore_ascii_case("native") => Backend::Native,
+            v => panic!("ARK_BACKEND={v:?}: expected `interp` or `native` (any case), or unset"),
+        }
     }
 }
 
@@ -168,21 +183,6 @@ pub enum NativeStatus {
     Fallback(FallbackReason),
 }
 
-impl NativeStatus {
-    /// True when evaluations actually run native code.
-    pub fn is_active(&self) -> bool {
-        matches!(self, NativeStatus::Active)
-    }
-
-    /// The cached failure, when the program fell back to the interpreter.
-    pub fn fallback_reason(&self) -> Option<&FallbackReason> {
-        match self {
-            NativeStatus::Fallback(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for NativeStatus {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -202,7 +202,7 @@ impl fmt::Display for NativeStatus {
 /// process's default lane width [`default_lanes`] (full lane groups).
 /// Every other width of [`SUPPORTED_LANES`] gets a one-width library of
 /// its own the first time it runs.
-pub(crate) fn default_widths() -> Vec<usize> {
+fn default_widths() -> Vec<usize> {
     let mut widths = vec![1, default_lanes()];
     widths.dedup();
     widths
@@ -210,11 +210,11 @@ pub(crate) fn default_widths() -> Vec<usize> {
 
 /// Each segment's name in the emitted source, in [`Segment`] order: the
 /// generic driver is `<name>::<L>`, its chunks are modules `<name>_<k>`.
-pub(crate) const SEGMENT_NAMES: [&str; 3] = ["pp", "tp", "body"];
+const SEGMENT_NAMES: [&str; 3] = ["pp", "tp", "body"];
 
 /// The exported symbol of segment `seg` at `width`: `ark_<seg>` for the
 /// scalar kernel, `ark_<seg><width>` for a laned one.
-pub(crate) fn export_name(seg: &str, width: usize) -> String {
+fn export_name(seg: &str, width: usize) -> String {
     if width == 1 {
         format!("ark_{seg}")
     } else {
@@ -224,8 +224,8 @@ pub(crate) fn export_name(seg: &str, width: usize) -> String {
 
 /// Generated source plus the bounds the kernel may touch, used for the
 /// safety checks before handing it raw pointers.
-pub(crate) struct Emitted {
-    pub(crate) source: String,
+struct Emitted {
+    source: String,
     /// The lane widths the source exports wrappers for.
     widths: Vec<usize>,
     /// Exclusive upper bound on register indices read or written.
@@ -246,11 +246,12 @@ fn slot(s: u32) -> String {
 }
 
 /// The right-hand-side expression computing one instruction, mirroring
-/// [`exec`](crate::program) operation for operation. Uses the same `f64`
-/// operations in the same order as the interpreter, so the compiled result
-/// is bit-identical (no FMA contraction: `rustc` does not enable
-/// floating-point contraction, and the multiply and add are separate
-/// expressions here just as they are separate ops in `exec`).
+/// the interpreter's `exec_lanes` ([`program`](crate::program)) operation
+/// for operation. Uses the same `f64` operations in the same order as the
+/// interpreter, so the compiled result is bit-identical (no FMA
+/// contraction: `rustc` does not enable floating-point contraction, and the
+/// multiply and add are separate expressions here just as they are
+/// separate ops in `exec_lanes`).
 fn pop_expr(op: &POp) -> String {
     match *op {
         POp::Time => "t".to_string(),
@@ -447,7 +448,7 @@ fn ark_smoothstep(t: f64, t0: f64, tau: f64) -> f64 {
 /// widths matter: the constant pool, parameter segment, and output map
 /// stay on the interpreter side, so two programs with identical streams
 /// share one kernel per width set.
-pub(crate) fn emit(prog: &SystemProgram, widths: &[usize]) -> Emitted {
+fn emit(prog: &SystemProgram, widths: &[usize]) -> Emitted {
     let mut source = String::from(PRELUDE);
     let segs: [&[PInstr]; 3] = [&prog.pprologue, &prog.tprologue, &prog.body];
     for (name, instrs) in SEGMENT_NAMES.into_iter().zip(segs) {
@@ -1061,16 +1062,24 @@ mod tests {
 
     #[test]
     fn backend_env_parsing_defaults_to_interp() {
-        // from_env is cached process-wide; just pin the parse rule through
-        // the match arm it uses.
-        let pick = |v: Option<&str>| match v {
-            Some(v) if v.eq_ignore_ascii_case("native") => Backend::Native,
-            _ => Backend::Interp,
-        };
-        assert_eq!(pick(Some("native")), Backend::Native);
-        assert_eq!(pick(Some("NATIVE")), Backend::Native);
-        assert_eq!(pick(Some("interp")), Backend::Interp);
-        assert_eq!(pick(Some("")), Backend::Interp);
-        assert_eq!(pick(None), Backend::Interp);
+        for (value, backend) in [
+            (None, Backend::Interp),
+            (Some(""), Backend::Interp),
+            (Some("interp"), Backend::Interp),
+            (Some("INTERP"), Backend::Interp),
+            (Some("native"), Backend::Native),
+            (Some("Native"), Backend::Native),
+        ] {
+            assert_eq!(Backend::parse_env(value), backend, "{value:?}");
+        }
+        let typo = std::panic::catch_unwind(|| Backend::parse_env(Some("nativ")))
+            .expect_err("a mistyped backend must not fall back to the interpreter");
+        let msg = typo
+            .downcast_ref::<String>()
+            .expect("formatted panic message");
+        assert!(
+            msg.contains("\"nativ\"") && msg.contains("`native`"),
+            "{msg}"
+        );
     }
 }

@@ -333,11 +333,6 @@ impl<'a> Cursor<'a> {
         &self.toks[self.pos.min(self.toks.len() - 1)]
     }
 
-    /// The token `n` positions ahead.
-    pub fn peek_at(&self, n: usize) -> &Token {
-        &self.toks[(self.pos + n).min(self.toks.len() - 1)]
-    }
-
     /// Advance and return the consumed token.
     ///
     /// Not an `Iterator`: the cursor never ends (it sticks at EOF) and

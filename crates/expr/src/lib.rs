@@ -50,8 +50,8 @@ pub mod parse;
 pub mod program;
 
 pub use analysis::{
-    analyze, determinism_lint, domain_analysis, DomainWarning, DomainWarningKind, Interval,
-    ProgramReport, Segment, SegmentStats, VerifyError,
+    analyze, domain_analysis, DomainWarning, DomainWarningKind, Interval, ProgramReport, Segment,
+    SegmentStats, VerifyError,
 };
 pub use ast::{BinaryOp, BoolExpr, CmpOp, Expr, Lambda, UnaryOp};
 pub use codegen::{Backend, CodegenCache, CodegenError, FallbackReason, NativeStatus, Provenance};

@@ -152,11 +152,6 @@ impl Model {
         self.n_vars
     }
 
-    /// Number of constraints.
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
     /// Add a linear constraint `Σ aᵢxᵢ cmp rhs`.
     ///
     /// # Panics

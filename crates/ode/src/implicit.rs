@@ -146,14 +146,6 @@ impl TrBdf2<Fixed> {
     }
 }
 
-impl<C> TrBdf2<C> {
-    /// Replace the Newton configuration.
-    pub fn with_newton(mut self, newton: NewtonCfg) -> Self {
-        self.newton = newton;
-        self
-    }
-}
-
 /// Why a step attempt failed (internally recoverable under adaptive
 /// control: reject and retry with a smaller step).
 enum AttemptFail {

@@ -269,9 +269,6 @@ impl NonIdeality {
 pub mod templates {
     use super::Template;
 
-    /// Re-export of the edge-detection template.
-    pub const EDGE: Template = super::EDGE_TEMPLATE;
-
     /// Horizontal line detector: keeps black pixels whose left/right
     /// neighbors are black too.
     pub const HORIZONTAL_LINE: Template = Template {

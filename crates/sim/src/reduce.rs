@@ -118,15 +118,6 @@ impl MomentStats {
         }
     }
 
-    /// Sample variance `M2 / (n − 1)` (`NaN` below two items).
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            f64::NAN
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Population standard deviation (`NaN` when empty).
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()

@@ -157,11 +157,6 @@ impl Netlist {
         self.names.len()
     }
 
-    /// Number of elements.
-    pub fn num_elements(&self) -> usize {
-        self.elements.len()
-    }
-
     /// Set a node's initial voltage.
     ///
     /// # Panics

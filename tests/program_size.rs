@@ -7,8 +7,10 @@
 //!
 //! The static-analysis gate runs here too: every program of every paper
 //! design (and the two stiff benchmarks) verifies, has no dead
-//! instruction, passes the determinism lint and has no guaranteed-undefined
-//! operation.
+//! instruction and has no guaranteed-undefined operation, and its native
+//! kernel evaluates it bit for bit like the interpreter. Under
+//! `ARK_REQUIRE_NATIVE=1` a kernel that fell back to the interpreter fails
+//! the gate, so the comparison is known to have run generated code.
 
 use ark::core::func::GraphBuilder;
 use ark::core::{Backend, CompiledSystem, Graph, Language};
@@ -98,20 +100,49 @@ fn lint_designs() -> Vec<(&'static str, CompiledSystem)> {
     out
 }
 
+/// RHS, observables and dense Jacobian of `sys` at one fixed point: a
+/// state off the initial condition, `t = 0.37` and the nominal parameters.
+fn evaluate(sys: &CompiledSystem) -> [Vec<f64>; 3] {
+    let (n, params, t) = (sys.num_states(), sys.nominal_params(), 0.37);
+    let y: Vec<f64> = sys
+        .initial_state()
+        .iter()
+        .enumerate()
+        .map(|(k, y0)| y0 + 0.25 * ((k + 1) as f64).sin())
+        .collect();
+    let mut scratch = sys.scratch();
+    let mut dydt = vec![0.0; n];
+    sys.rhs_with_params(t, &y, &mut dydt, &params, &mut scratch);
+    let obs = sys
+        .eval_algebraics_with_params(t, &y, &params, &mut scratch)
+        .to_vec();
+    let mut jac = vec![0.0; n * n];
+    sys.eval_jacobian_with(t, &y, &params, &mut jac, &mut scratch);
+    [dydt, obs, jac]
+}
+
 /// Every emitted program — RHS, observables and the derived Jacobian — of
 /// every lint design verifies with no structural error, no dead
-/// instruction, no determinism-lint error and no domain warning.
+/// instruction and no domain warning, and a second compile of the design
+/// on [`Backend::Native`] evaluates it bit for bit like the interpreter.
 #[test]
 fn emitted_programs_verify_with_no_dead_instructions() {
+    let require_native = std::env::var("ARK_REQUIRE_NATIVE").is_ok_and(|v| v == "1");
     let mut linted = 0;
-    for (name, sys) in lint_designs() {
-        let jac = sys.jacobian();
+    for ((name, sys), (_, native)) in lint_designs().into_iter().zip(lint_designs()) {
+        let sys = sys.with_backend(Backend::Interp);
+        let native = native.with_backend(Backend::Native);
         let programs = [
-            ("rhs", sys.rhs_program()),
-            ("obs", sys.obs_program()),
-            ("jacobian", jac.program()),
+            ("rhs", sys.rhs_program(), native.rhs_program()),
+            ("obs", sys.obs_program(), native.obs_program()),
+            (
+                "jacobian",
+                sys.jacobian().program(),
+                native.jacobian().program(),
+            ),
         ];
-        for (kind, prog) in programs {
+        let outputs = evaluate(&sys).into_iter().zip(evaluate(&native));
+        for ((kind, prog, native_prog), (want, got)) in programs.into_iter().zip(outputs) {
             let report = analyze(prog);
             assert_eq!(report.dead_instrs(), 0, "{name} {kind}");
             assert_eq!(
@@ -120,17 +151,24 @@ fn emitted_programs_verify_with_no_dead_instructions() {
                 "{name} {kind}: {:?}",
                 report.errors
             );
-            assert_eq!(
-                report.determinism_errors(),
-                0,
-                "{name} {kind}: {:?}",
-                report.determinism
-            );
             assert!(
                 report.domain.is_empty(),
                 "{name} {kind}: {:?}",
                 report.domain
             );
+            assert!(
+                !require_native || native_prog.native_active(),
+                "{name} {kind}: ARK_REQUIRE_NATIVE=1 but {}",
+                native_prog.native_status()
+            );
+            assert_eq!(want.len(), got.len(), "{name} {kind}");
+            for (i, (a, b)) in want.iter().zip(&got).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{name} {kind}[{i}]: interp {a} vs native {b}"
+                );
+            }
             linted += 1;
         }
     }
