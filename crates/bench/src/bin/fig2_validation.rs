@@ -8,6 +8,7 @@ use ark_core::validate::{validate, ExternRegistry};
 use ark_paradigms::tln::{branched_tline, linear_tline, pulse_fn, tln_language, TlineConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    ark_bench::resolve_engine_env();
     let lang = tln_language();
     let externs = ExternRegistry::new();
     let cfg = TlineConfig::default();

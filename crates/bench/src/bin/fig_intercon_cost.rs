@@ -13,6 +13,7 @@ use ark_core::validate::{validate, ExternRegistry};
 use ark_paradigms::obc::{intercon_obc_language, interconnect_cost, obc_language};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    ark_bench::resolve_engine_env();
     let base = obc_language();
     let ic = intercon_obc_language(&base);
     let externs = ExternRegistry::new();

@@ -36,6 +36,13 @@ pub const TLINE_T_END: f64 = 8e-8;
 /// Dormand–Prince reference.
 pub const TLINE_DT: f64 = 2e-11;
 
+/// Simulated time of every §4.5 cross-simulation (seconds).
+pub const SPICE_T_END: f64 = 2e-8;
+/// Step of both the RK4 and the trapezoidal transient of every §4.5
+/// cross-simulation (seconds). The step-convergence tier pins the RMSE's
+/// order over it: the 1% bound is a step budget, not a model discrepancy.
+pub const SPICE_DT: f64 = 4e-11;
+
 /// Parse an optional non-negative count argument. An absent argument is
 /// `default`; one that does not parse as a `usize` is an error naming the
 /// argument, never a silent fallback to the default.
@@ -52,9 +59,22 @@ fn parse_count(arg: Option<&str>, name: &str, default: usize) -> Result<usize, S
     }
 }
 
+/// Resolve the process-wide engine settings, `ARK_BACKEND` and
+/// `ARK_LANES`, now. A bad value (a typo like `nativ`) panics naming the
+/// variable before the binary prints anything, instead of at its first
+/// compile, after a banner or CSV header already went to stdout. Every
+/// binary calls this first: through [`count_arg`], or directly when it
+/// takes no count.
+pub fn resolve_engine_env() {
+    ark_expr::Backend::from_env();
+    ark_expr::default_lanes();
+}
+
 /// Read the optional count argument at CLI `position` (1-based); exit with
-/// status 2 and a usage message if it is present but not a count.
+/// status 2 and a usage message if it is present but not a count. Resolves
+/// the engine settings first ([`resolve_engine_env`]).
 pub fn count_arg(position: usize, name: &str, default: usize) -> usize {
+    resolve_engine_env();
     let mut args = std::env::args();
     let bin = args.next().unwrap_or_default();
     match parse_count(args.nth(position - 1).as_deref(), name, default) {

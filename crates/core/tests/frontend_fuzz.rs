@@ -1,12 +1,15 @@
 //! No-panic fuzz of the textual frontend: 20 000 randomly edited copies of
-//! the quickstart program go through [`Program::parse`] and
+//! the seed program — the quickstart program plus one language derived
+//! from its `diffuse` — go through [`Program::parse`] and
 //! [`Program::build`]. Every edit may make the program invalid, and a
 //! typed error is the expected answer; a panic anywhere in parse, invoke,
 //! validate or compile fails the test and prints the offending source.
 //! A second property prints every language of each edited program that
 //! parses, parses the printout again and prints that: both printouts must
-//! agree. One directed edit pins the typed error of a call that parses and
-//! validates but has no program opcode.
+//! agree. Because the seed already derives a language, the round trip
+//! takes the `inherits` branch in every case that still parses, not only
+//! when an edit happens to create one. One directed edit pins the typed
+//! error of a call that parses and validates but has no program opcode.
 
 use ark_core::program::{Program, ProgramError};
 use ark_core::validate::ExternRegistry;
@@ -23,11 +26,28 @@ fn quickstart_source() -> &'static str {
     &file[start..start + len]
 }
 
-/// Replacement tokens: keywords, names from the program, punctuation,
-/// numeric edge cases and a derived language. The last token, replacing a
-/// word of a comment inside `diffuse`, closes `diffuse` early and opens
-/// `leaky inherits diffuse` over the rest of its body, so edited programs
-/// also reach the round trip with an `inherits` chain.
+/// A language deriving from `diffuse`: a narrowed, mismatched subtype of
+/// each of its types and a production over them.
+const DERIVED: &str = r#"
+lang leaky inherits diffuse {
+    ntyp(1, sum) Leaky inherit Cell {
+        attr tau = real[0.1, 10] mm(0, 0.1);
+    };
+    etyp Pipe inherit Link { attr w = real[0, 1]; };
+    prod(e:Pipe, s:Leaky -> t:Leaky) t <= e.w*(var(s)-var(t));
+}
+"#;
+
+/// The fuzz seed: the quickstart program with [`DERIVED`] right after
+/// its language.
+fn seed_source() -> String {
+    let src = quickstart_source();
+    let at = src.find("\n}\n").expect("quickstart defines a language") + 3;
+    format!("{}{DERIVED}{}", &src[..at], &src[at..])
+}
+
+/// Replacement tokens: keywords, names from the program, punctuation and
+/// numeric edge cases.
 #[rustfmt::skip]
 const TOKENS: &[&str] = &[
     "", " ", "\n", "0", "1", "-1", "1e308", "-1e308", "1e-320", "inf", "-inf", "nan", "NaN",
@@ -37,7 +57,7 @@ const TOKENS: &[&str] = &[
     "set-attr", "set-init", "var", "Cell", "Link", "diffuse", "chain", "s", "t", "e", "w",
     "tau", "a", "b", "c", "a(0)", "a(1)", "s.tau", "e.w", "var(s)", "var(t)", "sin(", "exp(",
     "real[0, 10]", "real[10, 0]", "match(0, inf, Link, Cell)", "ntyp(0, sum)", "ntyp(3, mul)",
-    "inherits", "inherit", "\n}\nlang leaky inherits diffuse { ntyp(1, sum) Leaky inherit Cell {};\n//",
+    "inherits", "inherit",
 ];
 
 /// One edit: `(kind, position, length, token/byte selector)`. Positions
@@ -94,9 +114,9 @@ fn apply(src: &mut Vec<u8>, (kind, pos, len, pick): Edit) {
     }
 }
 
-/// The quickstart program with `edits` applied in order.
-fn edited_quickstart(edits: &[Edit]) -> String {
-    let mut bytes = quickstart_source().as_bytes().to_vec();
+/// The seed program with `edits` applied in order.
+fn edited_seed(edits: &[Edit]) -> String {
+    let mut bytes = seed_source().into_bytes();
     for &edit in edits {
         apply(&mut bytes, edit);
     }
@@ -122,10 +142,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(20_000))]
 
     #[test]
-    fn edited_quickstart_never_panics(
+    fn edited_seed_never_panics(
         edits in proptest::collection::vec((0u8..5, 0usize..4096, 1usize..16, 0usize..4096), 1..=4),
     ) {
-        let src = edited_quickstart(&edits);
+        let src = edited_seed(&edits);
         let outcome = panic::catch_unwind(|| {
             Program::parse(&src).and_then(|program| {
                 program.build("chain", &[Value::Real(2.0)], 0, &ExternRegistry::new())
@@ -135,10 +155,10 @@ proptest! {
     }
 
     #[test]
-    fn edited_quickstart_prints_and_reparses_identically(
+    fn edited_seed_prints_and_reparses_identically(
         edits in proptest::collection::vec((0u8..5, 0usize..4096, 1usize..16, 0usize..4096), 1..=4),
     ) {
-        let src = edited_quickstart(&edits);
+        let src = edited_seed(&edits);
         if let Ok(program) = Program::parse(&src) {
             for lang in program.lang_names() {
                 let printed = language_to_source(program.language(lang).expect("listed language"));
@@ -150,6 +170,22 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// The unedited seed parses, derives `leaky` from `diffuse`, builds the
+/// quickstart's `chain` and round-trips every language.
+#[test]
+fn seed_program_derives_a_language() {
+    let program = Program::parse(&seed_source()).expect("seed parses");
+    let leaky = program.language("leaky").expect("derived language");
+    assert_eq!(leaky.parent_name(), Some("diffuse"));
+    program
+        .build("chain", &[Value::Real(2.0)], 0, &ExternRegistry::new())
+        .expect("chain builds");
+    for lang in program.lang_names() {
+        let printed = language_to_source(program.language(lang).expect("listed language"));
+        assert_eq!(reprint(&program, lang).expect("printout parses"), printed);
     }
 }
 

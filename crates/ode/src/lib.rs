@@ -78,4 +78,4 @@ pub use solver::{
     OdeWorkspace, Rk4Stages, Solver, StepControl, Stepper, SystemOver, Workspace,
 };
 pub use system::{FnLanedSystem, FnSystem, LanedOdeSystem, LinearSystem, OdeSystem, StageHint};
-pub use trajectory::{relative_rmse, SolveStats, Trajectory};
+pub use trajectory::{relative_rmse, relative_rmse_and_rms, SolveStats, Trajectory};

@@ -62,13 +62,23 @@ impl Matrix {
     ///
     /// Panics when `x.len() != dim()`.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.n, "dimension mismatch");
         let mut y = vec![0.0; self.n];
-        for (i, yi) in y.iter_mut().enumerate() {
-            let row = &self.data[i * self.n..(i + 1) * self.n];
+        self.matvec_into(x, &mut y);
+        y
+    }
+
+    /// [`Matrix::matvec`] into a caller-provided buffer, bit for bit: the
+    /// allocation-free form for loops that multiply once per step.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x.len()` or `y.len()` is not `dim()`.
+    pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), self.n, "dimension mismatch");
+        assert_eq!(y.len(), self.n, "dimension mismatch");
+        for (row, yi) in self.data.chunks_exact(self.n.max(1)).zip(y) {
             *yi = row.iter().zip(x).map(|(a, b)| a * b).sum();
         }
-        y
     }
 
     /// `self + alpha * other`.

@@ -28,7 +28,10 @@ pub struct SolveStats {
 ///
 /// Samples are stored in one flat `times.len() × dim` buffer so recording a
 /// sample never allocates a fresh per-row `Vec` (amortized growth only) —
-/// part of the allocation-free integrator hot path.
+/// part of the allocation-free integrator hot path. Reading one component
+/// back allocates nothing either: [`Trajectory::value_at`] interpolates
+/// only that component, so [`Trajectory::resample`] allocates just its
+/// result and [`relative_rmse`] nothing at all.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trajectory {
     times: Vec<f64>,
@@ -158,40 +161,66 @@ impl Trajectory {
     ///
     /// Panics on an empty trajectory or an undersized buffer.
     pub fn at_into(&self, t: f64, out: &mut [f64]) {
-        assert!(!self.is_empty(), "cannot sample an empty trajectory");
         let out = &mut out[..self.dim];
-        if t <= self.times[0] {
-            out.copy_from_slice(self.state(0));
-            return;
-        }
-        if t >= *self.times.last().expect("nonempty") {
-            out.copy_from_slice(self.state(self.len() - 1));
-            return;
-        }
-        let idx = match self
-            .times
-            .binary_search_by(|x| x.partial_cmp(&t).expect("finite"))
-        {
-            Ok(i) => {
-                out.copy_from_slice(self.state(i));
-                return;
+        match self.locate(t) {
+            Position::Sample(i) => out.copy_from_slice(self.state(i)),
+            Position::Between(i, w) => {
+                for ((o, a), b) in out.iter_mut().zip(self.state(i - 1)).zip(self.state(i)) {
+                    *o = a + w * (b - a);
+                }
             }
-            Err(i) => i,
-        };
-        let (t0, t1) = (self.times[idx - 1], self.times[idx]);
-        let w = (t - t0) / (t1 - t0);
-        for ((o, a), b) in out.iter_mut().zip(self.state(idx - 1)).zip(self.state(idx)) {
-            *o = a + w * (b - a);
         }
     }
 
-    /// Linearly interpolated value of component `var` at time `t`.
+    /// Linearly interpolated value of component `var` at time `t`: the
+    /// `var` entry of [`Trajectory::at`], bit for bit, computed without
+    /// allocating or interpolating the other components.
     ///
     /// # Panics
     ///
     /// Panics on an empty trajectory or out-of-range `var`.
     pub fn value_at(&self, t: f64, var: usize) -> f64 {
-        self.at(t)[var]
+        self.component(self.locate(t), var)
+    }
+
+    /// Where `t` falls on the sample grid. Outside the recorded range it
+    /// clamps to the first/last sample; inside, an exact hit is that
+    /// sample and anything else is the interval ending at the first later
+    /// sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty trajectory.
+    fn locate(&self, t: f64) -> Position {
+        assert!(!self.is_empty(), "cannot sample an empty trajectory");
+        let last = self.len() - 1;
+        if t <= self.times[0] {
+            return Position::Sample(0);
+        }
+        if t >= self.times[last] {
+            return Position::Sample(last);
+        }
+        let idx = match self
+            .times
+            .binary_search_by(|x| x.partial_cmp(&t).expect("finite"))
+        {
+            Ok(i) => return Position::Sample(i),
+            Err(i) => i,
+        };
+        let (t0, t1) = (self.times[idx - 1], self.times[idx]);
+        Position::Between(idx, (t - t0) / (t1 - t0))
+    }
+
+    /// Component `var` at grid position `pos`.
+    fn component(&self, pos: Position, var: usize) -> f64 {
+        let at = |i: usize| self.state(i)[var];
+        match pos {
+            Position::Sample(i) => at(i),
+            Position::Between(i, w) => {
+                let (a, b) = (at(i - 1), at(i));
+                a + w * (b - a)
+            }
+        }
     }
 
     /// Maximum of component `var` over `[t0, t1]`, returned as `(t, value)`.
@@ -219,17 +248,22 @@ impl Trajectory {
 
     /// Resample component `var` at `n` evenly spaced points across `[t0, t1]`.
     ///
+    /// Equal to [`Trajectory::value_at`] at each point, bit for bit.
+    ///
     /// # Panics
     ///
     /// Panics if `n < 2` or the trajectory is empty.
     pub fn resample(&self, var: usize, t0: f64, t1: f64, n: usize) -> Vec<f64> {
+        self.walk(var, t0, t1, n).collect()
+    }
+
+    /// The values of [`Trajectory::resample`], lazily.
+    fn walk(&self, var: usize, t0: f64, t1: f64, n: usize) -> impl Iterator<Item = f64> + '_ {
         assert!(n >= 2, "need at least two sample points");
-        (0..n)
-            .map(|i| {
-                let t = t0 + (t1 - t0) * (i as f64) / ((n - 1) as f64);
-                self.value_at(t, var)
-            })
-            .collect()
+        (0..n).map(move |i| {
+            let t = t0 + (t1 - t0) * (i as f64) / ((n - 1) as f64);
+            self.value_at(t, var)
+        })
     }
 
     /// Iterate over `(time, state)` samples.
@@ -244,7 +278,8 @@ impl Trajectory {
 /// Root-mean-squared error between component `var_a` of `a` and `var_b` of
 /// `b`, resampled at `n` points over `[t0, t1]`, normalized by the RMS of
 /// the reference `a` (so 0.01 means 1% error, as in the paper's §4.5
-/// empirical validation).
+/// empirical validation). Allocates nothing: both trajectories are read
+/// one component value per point.
 ///
 /// # Panics
 ///
@@ -258,18 +293,46 @@ pub fn relative_rmse(
     t1: f64,
     n: usize,
 ) -> f64 {
-    let xs = a.resample(var_a, t0, t1, n);
-    let ys = b.resample(var_b, t0, t1, n);
+    relative_rmse_and_rms(a, var_a, b, var_b, t0, t1, n).0
+}
+
+/// [`relative_rmse`] together with the RMS of the reference `a` over the
+/// same `n` points, both from one pass: `(relative RMSE, reference RMS)`.
+/// A caller that skips near-silent references reads the second value
+/// instead of resampling `a` again.
+///
+/// # Panics
+///
+/// Panics if either trajectory is empty or `n < 2`.
+pub fn relative_rmse_and_rms(
+    a: &Trajectory,
+    var_a: usize,
+    b: &Trajectory,
+    var_b: usize,
+    t0: f64,
+    t1: f64,
+    n: usize,
+) -> (f64, f64) {
     let mut err = 0.0;
     let mut norm = 0.0;
-    for (x, y) in xs.iter().zip(&ys) {
+    for (x, y) in a.walk(var_a, t0, t1, n).zip(b.walk(var_b, t0, t1, n)) {
         err += (x - y) * (x - y);
         norm += x * x;
     }
+    let rms = (norm / n as f64).sqrt();
     if norm == 0.0 {
-        return if err == 0.0 { 0.0 } else { f64::INFINITY };
+        return (if err == 0.0 { 0.0 } else { f64::INFINITY }, rms);
     }
-    (err / norm).sqrt()
+    ((err / norm).sqrt(), rms)
+}
+
+/// A time's place on a trajectory's sample grid ([`Trajectory::locate`]).
+#[derive(Debug, Clone, Copy)]
+enum Position {
+    /// Exactly sample `i` (a clamp or an exact hit).
+    Sample(usize),
+    /// Between samples `i - 1` and `i`, at interpolation weight `w`.
+    Between(usize, f64),
 }
 
 #[cfg(test)]
@@ -397,11 +460,222 @@ mod tests {
     }
 
     #[test]
+    fn resample_on_the_sample_grid_hits_every_sample() {
+        let tr = ramp();
+        let r = tr.resample(1, 0.0, 10.0, 11);
+        let samples: Vec<f64> = (0..11).map(|i| tr.state(i)[1]).collect();
+        assert_eq!(r, samples);
+        // Reversed span: the same points in reverse order.
+        let mut back = tr.resample(1, 10.0, 0.0, 11);
+        back.reverse();
+        assert_eq!(back, samples);
+    }
+
+    #[test]
+    fn relative_rmse_and_rms_reports_the_reference_rms() {
+        let tr = ramp();
+        let (e, rms) = relative_rmse_and_rms(&tr, 0, &tr, 0, 0.0, 10.0, 2);
+        assert_eq!(e, 0.0);
+        assert_eq!(rms, (400.0f64 / 2.0).sqrt());
+    }
+
+    #[test]
     fn iter_yields_pairs() {
         let tr = ramp();
         let v: Vec<_> = tr.iter().collect();
         assert_eq!(v.len(), 11);
         assert_eq!(v[0].0, 0.0);
         assert_eq!(v[10].1, &[20.0, -10.0]);
+    }
+}
+
+/// Bit-identity of the component readout against the row readout it
+/// replaced: binary-search the grid, interpolate the whole row, index it.
+#[cfg(test)]
+mod row_oracle {
+    use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// The row readout, verbatim.
+    fn oracle_at(tr: &Trajectory, t: f64) -> Vec<f64> {
+        let times = tr.times();
+        if t <= times[0] {
+            return tr.state(0).to_vec();
+        }
+        if t >= *times.last().expect("nonempty") {
+            return tr.state(tr.len() - 1).to_vec();
+        }
+        let idx = match times.binary_search_by(|x| x.partial_cmp(&t).expect("finite")) {
+            Ok(i) => return tr.state(i).to_vec(),
+            Err(i) => i,
+        };
+        let (t0, t1) = (times[idx - 1], times[idx]);
+        let w = (t - t0) / (t1 - t0);
+        tr.state(idx - 1)
+            .iter()
+            .zip(tr.state(idx))
+            .map(|(a, b)| a + w * (b - a))
+            .collect()
+    }
+
+    /// The per-point resample over the row readout, verbatim.
+    fn oracle_resample(tr: &Trajectory, var: usize, t0: f64, t1: f64, n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| {
+                let t = t0 + (t1 - t0) * (i as f64) / ((n - 1) as f64);
+                oracle_at(tr, t)[var]
+            })
+            .collect()
+    }
+
+    /// The resampling relative RMSE and the §4.5 reference-RMS formula,
+    /// verbatim.
+    fn oracle_rmse(
+        a: &Trajectory,
+        var_a: usize,
+        b: &Trajectory,
+        var_b: usize,
+        (t0, t1, n): (f64, f64, usize),
+    ) -> (f64, f64) {
+        let xs = oracle_resample(a, var_a, t0, t1, n);
+        let ys = oracle_resample(b, var_b, t0, t1, n);
+        let rms = (xs.iter().map(|x| x * x).sum::<f64>() / xs.len() as f64).sqrt();
+        let mut err = 0.0;
+        let mut norm = 0.0;
+        for (x, y) in xs.iter().zip(&ys) {
+            err += (x - y) * (x - y);
+            norm += x * x;
+        }
+        if norm == 0.0 {
+            return (if err == 0.0 { 0.0 } else { f64::INFINITY }, rms);
+        }
+        ((err / norm).sqrt(), rms)
+    }
+
+    /// A trajectory of dimension 1–3 or 20–24 over 2–40 samples. Irregular
+    /// grids take random steps; regular ones a step of 0.25 from an integer
+    /// start, so evenly spaced points land exactly on samples.
+    fn trajectory() -> impl Strategy<Value = Trajectory> {
+        (
+            prop_oneof![1usize..=3, 20usize..=24],
+            2usize..=40,
+            -10i32..10,
+            0u8..2,
+        )
+            .prop_flat_map(|(dim, len, start, regular)| {
+                (vec(1e-3..1.0f64, len), vec(-5.0..5.0f64, len * dim)).prop_map(
+                    move |(steps, values)| {
+                        let mut tr = Trajectory::new();
+                        let mut t = f64::from(start);
+                        for (row, step) in values.chunks(dim).zip(&steps) {
+                            tr.push_slice(t, row);
+                            t += if regular == 1 { 0.25 } else { *step };
+                        }
+                        tr
+                    },
+                )
+            })
+    }
+
+    /// A query time, by kind: an exact sample time, before the range,
+    /// after it, or inside an interval (picked by `index`, placed by
+    /// `frac`).
+    type Query = (u8, usize, f64);
+
+    fn query() -> impl Strategy<Value = Query> {
+        (0u8..4, 0usize..64, 0.0..1.0f64)
+    }
+
+    fn time_of(tr: &Trajectory, (kind, index, frac): Query) -> f64 {
+        let times = tr.times();
+        let (first, last) = (times[0], times[times.len() - 1]);
+        match kind {
+            0 => times[index % times.len()],
+            1 => first - 5.0 * frac,
+            2 => last + 5.0 * frac,
+            _ => {
+                let i = index % (times.len() - 1);
+                times[i] + frac * (times[i + 1] - times[i])
+            }
+        }
+    }
+
+    /// A point count: two, the sample count (every sample of a regular
+    /// grid spanned end to end), twice that less one, or anything up to 300.
+    fn count(tr: &Trajectory, pick: usize) -> usize {
+        match pick % 4 {
+            0 => 2,
+            1 => tr.len(),
+            2 => 2 * tr.len() - 1,
+            _ => 2 + pick % 299,
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn value_at_matches_the_row_readout(
+            tr in trajectory(),
+            queries in vec(query(), 1..=8),
+        ) {
+            for q in queries {
+                let t = time_of(&tr, q);
+                let row = oracle_at(&tr, t);
+                prop_assert_eq!(bits(&tr.at(t)), bits(&row), "at({})", t);
+                for (var, want) in row.iter().enumerate() {
+                    prop_assert_eq!(tr.value_at(t, var).to_bits(), want.to_bits(), "value_at({}, {})", t, var);
+                }
+            }
+        }
+
+        #[test]
+        fn resample_matches_the_row_readout(
+            tr in trajectory(),
+            q0 in query(),
+            q1 in query(),
+            var_pick in 0usize..64,
+            n_pick in 0usize..4096,
+        ) {
+            let (t0, t1) = (time_of(&tr, q0), time_of(&tr, q1));
+            let (var, n) = (var_pick % tr.dim(), count(&tr, n_pick));
+            // Both directions: `t0 > t1` resamples from the end.
+            for (a, b) in [(t0, t1), (t1, t0)] {
+                prop_assert_eq!(
+                    bits(&tr.resample(var, a, b, n)),
+                    bits(&oracle_resample(&tr, var, a, b, n)),
+                    "resample({}, {}, {}, {})", var, a, b, n
+                );
+            }
+        }
+
+        #[test]
+        fn relative_rmse_matches_the_row_readout(
+            a in trajectory(),
+            b in trajectory(),
+            q0 in query(),
+            q1 in query(),
+            var_a in 0usize..64,
+            var_b in 0usize..64,
+            n_pick in 0usize..4096,
+            same in 0u8..4,
+        ) {
+            // One case in four compares a trajectory with itself.
+            let b = if same == 0 { a.clone() } else { b };
+            let (t0, t1) = (time_of(&a, q0), time_of(&a, q1));
+            let (var_a, var_b, n) = (var_a % a.dim(), var_b % b.dim(), count(&a, n_pick));
+            for span in [(t0, t1, n), (t1, t0, n)] {
+                let (e, rms) = oracle_rmse(&a, var_a, &b, var_b, span);
+                let (t0, t1, n) = span;
+                prop_assert_eq!(relative_rmse(&a, var_a, &b, var_b, t0, t1, n).to_bits(), e.to_bits());
+                let pair = relative_rmse_and_rms(&a, var_a, &b, var_b, t0, t1, n);
+                prop_assert_eq!((pair.0.to_bits(), pair.1.to_bits()), (e.to_bits(), rms.to_bits()));
+            }
+        }
     }
 }

@@ -272,8 +272,8 @@ impl Netlist {
         }
         let lu = Lu::factor(&lhs).map_err(NetlistError::Singular)?;
         let mut v = self.initial.clone();
-        let mut tr = Trajectory::new();
-        tr.push(0.0, v.clone());
+        let mut tr = Trajectory::with_capacity(n, steps / stride + 2);
+        tr.push_slice(0.0, &v);
         let src_at = |t: f64, out: &mut Vec<f64>| {
             out.iter_mut().for_each(|x| *x = 0.0);
             for (node, w) in &sources {
@@ -282,18 +282,19 @@ impl Netlist {
         };
         let mut i_now = vec![0.0; n];
         let mut i_next = vec![0.0; n];
+        let mut b = vec![0.0; n];
         src_at(0.0, &mut i_now);
         for k in 0..steps {
             let t_next = (k + 1) as f64 * dt;
             src_at(t_next, &mut i_next);
-            let mut b = rhs_m.matvec(&v);
+            rhs_m.matvec_into(&v, &mut b);
             for i in 0..n {
                 b[i] += 0.5 * (i_now[i] + i_next[i]);
             }
             lu.solve_into(&b, &mut v).expect("b sized by assemble");
             std::mem::swap(&mut i_now, &mut i_next);
             if (k + 1) % stride == 0 || k + 1 == steps {
-                tr.push(t_next, v.clone());
+                tr.push_slice(t_next, &v);
             }
         }
         Ok(tr)

@@ -4,7 +4,7 @@
 
 use crate::synth::{synthesize, SynthError};
 use ark_core::{CompiledSystem, Graph, Language};
-use ark_ode::{integrate, relative_rmse, Rk4, Trajectory};
+use ark_ode::{integrate, relative_rmse_and_rms, Rk4, Trajectory};
 use ark_paradigms::tln::{branched_tline, linear_tline, MismatchKind, TlineConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -109,15 +109,11 @@ pub fn dg_vs_netlist_rmse(
         let Some(nl_idx) = nl.node_index(&node.name) else {
             continue;
         };
+        let (e, ref_rms) = relative_rmse_and_rms(&dg_tr, dg_idx, &nl_tr, nl_idx, 0.0, t_end, 200);
         // Skip states that never carry signal (reference RMS ~ 0).
-        let ref_rms: f64 = {
-            let s = dg_tr.resample(dg_idx, 0.0, t_end, 200);
-            (s.iter().map(|x| x * x).sum::<f64>() / s.len() as f64).sqrt()
-        };
         if ref_rms < 1e-6 {
             continue;
         }
-        let e = relative_rmse(&dg_tr, dg_idx, &nl_tr, nl_idx, 0.0, t_end, 200);
         worst = worst.max(e);
     }
     Ok(worst)
@@ -200,6 +196,45 @@ mod tests {
         assert_eq!(reports.len(), 20);
         for r in &reports {
             assert!(r.rmse < 0.01, "instance {} rmse {}", r.seed, r.rmse);
+        }
+    }
+
+    /// `dg_vs_netlist_rmse` of `random_gmc_tline` seeds 0..64 at the
+    /// campaign's `(t_end, dt) = (2e-8, 4e-11)`, as `f64::to_bits`, from
+    /// the row-interpolating readout that resampled every component per
+    /// point. The one-walk readout must reproduce every bit.
+    #[rustfmt::skip]
+    const CAMPAIGN_RMSE_BITS: [u64; 64] = [
+    0x3f30120b88c59e00, 0x3f32e58d1bf9e289, 0x3f2b755e308eb02e, 0x3f203bf77964de68,
+    0x3f6adfba15bfd715, 0x3f30b8d85b8d28f7, 0x3f37b656303a8fe1, 0x3f26510e070e75be,
+    0x3f4353600fc4668c, 0x3f271df0f7624357, 0x3f2049d0bfbe31c2, 0x3f22dc85fc5ecbed,
+    0x3f36dfcb1a66f975, 0x3f391e141fcec8bf, 0x3f57145d8b2de4f1, 0x3f2eaa6fc681c541,
+    0x3f20d89d329bf827, 0x3f1d143c64a9e1fb, 0x3f31bae1e25cd928, 0x3f151134962399a3,
+    0x3f544a2064539d2b, 0x3f68b023b62b3a4f, 0x3f228f37a41c2bac, 0x3f36fdcf68ad5a2f,
+    0x3f1a718f36c6904c, 0x3f243a00b20a7c07, 0x3f1f881556fd4c53, 0x3f3731d86198e7e3,
+    0x3f2f768f68affc44, 0x3f42b6bef57308bc, 0x3f3e8fc7380a9f8f, 0x3f37d83ceea9203a,
+    0x3f135bfe3114559b, 0x3f61d0bb5a627b60, 0x3f66084bbc957fd9, 0x3f1f065cd17a83b3,
+    0x3f16f8f1a5e5c41f, 0x3f33d1d579cdf1ce, 0x3f34f56fcd33665f, 0x3f1cf08e21102572,
+    0x3f2437974144d6a5, 0x3f161ba823377aaf, 0x3f26038e63bce6aa, 0x3f608a1f2dc30272,
+    0x3f3cf9b7af9c914b, 0x3f630b530e6a5d66, 0x3f4c399178b706b6, 0x3f391775affadc41,
+    0x3f414639babcca1e, 0x3f3aaf6429f87df9, 0x3f16ad65e4328362, 0x3f30e5c4cce1192a,
+    0x3f27624225760a50, 0x3f3f0b6ace6c8790, 0x3f4df7d457eb831c, 0x3f277032116a9011,
+    0x3f410a04b21cb838, 0x3f24a29b69f73338, 0x3f203fa32ad148de, 0x3f23a3374e75e33f,
+    0x3f2a2262e3df2699, 0x3f27af616f67fa0a, 0x3f2bab4501beafac, 0x3f3b474d80b5978b,
+    ];
+
+    #[test]
+    fn campaign_rmse_is_pinned_bit_for_bit() {
+        let gmc = gmc_tln_language(&tln_language());
+        for (seed, want) in (0..).zip(CAMPAIGN_RMSE_BITS) {
+            let g = random_gmc_tline(&gmc, seed).unwrap();
+            let rmse = dg_vs_netlist_rmse(&gmc, &g, 2e-8, 4e-11).unwrap();
+            assert_eq!(
+                rmse.to_bits(),
+                want,
+                "seed {seed}: rmse {rmse:e}, pinned {:e}",
+                f64::from_bits(want)
+            );
         }
     }
 

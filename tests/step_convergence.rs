@@ -13,6 +13,10 @@
 //! cargo test --release --test step_convergence -- --nocapture
 //! ```
 //!
+//! The §4.5 row has no Dormand–Prince reference: it measures the RMSE
+//! between the RK4 transient and the trapezoidal netlist transient, which
+//! shrinks with the step only if both simulate the same equations.
+//!
 //! The max-cut and PUF rows sit next to their crate-private readouts, in
 //! the unit tests of `ark_paradigms::maxcut` and `ark_puf::metrics`.
 
@@ -24,10 +28,12 @@ use ark::paradigms::cnn::{
 };
 use ark::paradigms::image::Image;
 use ark::paradigms::tln::{
-    branched_out_v, branched_tline, linear_out_v, linear_tline, tln_language, TlineConfig,
+    branched_out_v, branched_tline, gmc_tln_language, linear_out_v, linear_tline, tln_language,
+    TlineConfig,
 };
 use ark::sim::{seed_range, Ensemble};
-use ark_bench::{TLINE_DT, TLINE_T_END};
+use ark::spice::validate::{dg_vs_netlist_rmse, random_gmc_tline};
+use ark_bench::{SPICE_DT, SPICE_T_END, TLINE_DT, TLINE_T_END};
 
 /// The reference every ladder is measured against.
 fn reference() -> DormandPrince {
@@ -236,6 +242,52 @@ fn tline_waveform_converges_at_the_figure_step() {
             &steps,
             &errs,
             TLINE_WAVE_TOL,
+        );
+    }
+}
+
+/// The §4.5 bound: DG and netlist transients agree within 1% RMSE.
+const SPICE_RMSE_TOL: f64 = 1e-2;
+/// The fixed design set of the §4.5 row: `random_gmc_tline` seeds.
+const SPICE_SEEDS: std::ops::Range<u64> = 0..16;
+
+/// §4.5 row: the worst `dg_vs_netlist_rmse` over 16 random GmC-TLN designs
+/// on the ladder around `SPICE_DT / 2` (dt/4, dt/2, dt, 2dt). Both
+/// transients share the step, so the RMSE is the step error of the
+/// second-order trapezoidal rule against RK4: it must fall at order ≈ 2
+/// toward zero rather than settle on a floor, which is what a mismatch
+/// between the graph's dynamics and the synthesized netlist would leave.
+/// The 1% of the campaign is that step budget. Measured: 3.3e-3 at
+/// `SPICE_DT`, order 1.93 / 1.98 / 1.99, cliff `SPICE_DT` (1.2e-2 at 2dt).
+#[test]
+fn spice_rmse_falls_at_second_order_in_the_step() {
+    let gmc = gmc_tln_language(&tln_language());
+    let designs: Vec<_> = SPICE_SEEDS
+        .map(|seed| random_gmc_tline(&gmc, seed).unwrap())
+        .collect();
+    let steps = ladder(SPICE_DT / 2.0);
+    let errs: Vec<f64> = steps
+        .iter()
+        .map(|&h| {
+            designs
+                .iter()
+                .map(|g| dg_vs_netlist_rmse(&gmc, g, SPICE_T_END, h).unwrap())
+                .fold(0.0, f64::max)
+        })
+        .collect();
+    report(
+        &format!("§4.5 worst DG-vs-netlist RMSE ({} designs)", designs.len()),
+        &steps,
+        &errs,
+        SPICE_RMSE_TOL,
+    );
+    for k in 1..steps.len() {
+        let order = (errs[k] / errs[k - 1]).log2() / (steps[k] / steps[k - 1]).log2();
+        assert!(
+            (1.8..=2.2).contains(&order),
+            "order {order:.2} between dt {:e} and {:e}",
+            steps[k - 1],
+            steps[k]
         );
     }
 }
