@@ -83,7 +83,8 @@ proptest! {
 
     /// Native == interpreter on *parametric* systems across instances:
     /// rebinding parameter vectors (nominal and perturbed) must agree at
-    /// every point, exercising the parameter-prologue kernel.
+    /// every point, exercising the interpreted parameter prologue that
+    /// feeds the native time prologue and body.
     #[test]
     fn native_parametric_rhs_bit_identical(
         spec in arb_spec(),

@@ -13,19 +13,31 @@
 //!
 //! # Emitted layout
 //!
-//! Each program segment (parameter prologue, time prologue, body) is lowered
-//! **once**, generic over the lane width `const L: usize`: every statement
-//! is a `for l in 0..L` loop over `*r.add(reg * L + l)` operands, the
+//! A kernel library holds two of a program's three segments: the time
+//! prologue and the body, the ones that run per evaluation. The parameter
+//! prologue runs once per parameter binding (once per fabricated instance,
+//! against hundreds of body runs), so it always runs on the interpreter,
+//! on the same register file the kernel then reads; [`KernelSegment`] has
+//! no variant for it.
+//!
+//! Each emitted segment is lowered **once**, generic over the lane width
+//! `const L: usize`, over `*r.add(reg * L + l)` operands: the
 //! struct-of-arrays layout of [`LaneScratch`](crate::LaneScratch), with
 //! `L = 1` the scalar kernel. The statements are split into
-//! `#[inline(never)]` chunk functions of 128 instructions, each in its own
-//! module, called in order by a generic per-segment driver. Bounded chunks
-//! keep LLVM's superlinear per-function passes cheap, and separate modules
-//! let `rustc` build chunks in parallel codegen units. The exported
-//! `unsafe extern "C" fn(regs, slots, time)` symbols are one-line wrappers
-//! that instantiate the driver at their width: `ark_pp`, `ark_tp`,
-//! `ark_body` at width 1, and `ark_pp<L>`, `ark_tp<L>`, `ark_body<L>` at a
-//! laned width `L`.
+//! `#[inline(never)]` chunk functions of at most 128 instructions, each in
+//! its own module, and each chunk body is a single `for l in 0..L` loop
+//! holding the chunk's statements in program order. A generic per-segment
+//! driver views the register file and the input slots as two slices (so
+//! the chunks know they never alias, and LLVM may vectorize a chunk's lane
+//! loop) and calls the chunks in order. Bounded chunks keep LLVM's
+//! superlinear per-function passes cheap, separate modules let `rustc`
+//! build chunks in parallel codegen units, and one loop per chunk instead
+//! of one per statement keeps `rustc`'s front end (type and borrow check,
+//! monomorphization) proportional to the chunk count rather than the
+//! instruction count. The exported `unsafe extern "C" fn(regs, slots,
+//! time)` symbols are one-line wrappers that instantiate the driver at
+//! their width: `ark_tp` and `ark_body` at width 1, and `ark_tp<L>` and
+//! `ark_body<L>` at a laned width `L`.
 //!
 //! # One library per width set
 //!
@@ -36,9 +48,11 @@
 //! the process's default lane width [`default_lanes`] (full lane groups).
 //! An evaluation at any other width of [`SUPPORTED_LANES`] builds and
 //! loads a one-width library for it the first time that width runs. The
-//! Figure 11 CNN's two kernels (the 777-instruction RHS and the
-//! observables) emit ~108 KiB of source; at widths 1 and 4 they build cold
-//! in ~1.7 s on two cores, against ~3.1 s with width 8 as well.
+//! Figure 11 CNN's two kernels (the 620 time-prologue and body
+//! instructions of its 777-instruction RHS, and the observables) emit
+//! ~67 KiB of source at widths 1 and 4. A hand `rustc` of the RHS kernel
+//! takes 0.66–0.98 s on two cores, against 2.0–2.5 s when every statement
+//! was a loop of its own and the parameter prologue was emitted too.
 //!
 //! # Cache layout and concurrency
 //!
@@ -67,7 +81,6 @@
 //! [`SystemProgram::native_active`](crate::SystemProgram::native_active)
 //! reports what actually runs.
 
-use crate::analysis::Segment;
 use crate::ast::{BinaryOp, CmpOp, UnaryOp};
 use crate::builtins::Builtin3;
 use crate::program::{default_lanes, PInstr, POp, SystemProgram, SUPPORTED_LANES};
@@ -208,9 +221,23 @@ fn default_widths() -> Vec<usize> {
     widths
 }
 
-/// Each segment's name in the emitted source, in [`Segment`] order: the
-/// generic driver is `<name>::<L>`, its chunks are modules `<name>_<k>`.
-const SEGMENT_NAMES: [&str; 3] = ["pp", "tp", "body"];
+/// A segment the kernel library holds: the time prologue and the body.
+///
+/// The parameter prologue is not one. It runs once per parameter binding
+/// while the body runs on every evaluation, so it always interprets, and
+/// no value of this type can ask a kernel to run it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum KernelSegment {
+    /// Static, time-dependent instructions (run when `time` changes).
+    TimePrologue,
+    /// Instructions run on every evaluation.
+    Body,
+}
+
+/// Each kernel segment's name in the emitted source, in [`KernelSegment`]
+/// order: the generic driver is `<name>::<L>`, its chunks are modules
+/// `<name>_<k>`.
+const SEGMENT_NAMES: [&str; 2] = ["tp", "body"];
 
 /// The exported symbol of segment `seg` at `width`: `ark_<seg>` for the
 /// scalar kernel, `ark_<seg><width>` for a laned one.
@@ -333,40 +360,64 @@ fn pop_expr(op: &POp) -> String {
 /// Instructions per emitted chunk function. LLVM's per-function passes are
 /// superlinear in function size, so bounded chunks compile far faster than
 /// one straight-line segment, and chunks in separate modules land in
-/// separate codegen units that `rustc` builds in parallel. On the Figure 11
-/// CNN body, 128 keeps the 4-lane kernel within a few percent of one
-/// unchunked function (8 lanes: ~8 % slower) and makes the scalar kernel
-/// faster; 64 costs ~10 % at 4 lanes, and 256 builds ~40 % slower.
+/// separate codegen units that `rustc` builds in parallel. Re-swept with
+/// one lane loop per chunk on the Figure 11 CNN (2 vCPUs, a noisy box):
+/// a hand `rustc` of the yield sweep's RHS kernel at widths {1, 4} takes
+/// 0.64–0.71 s at 64, 0.68–0.80 s at 128 and 0.63–1.04 s at 256, so the
+/// build no longer picks the size; the `rhs` bench's CNN `native4` row
+/// reads medians of 469, 496 and 807 ns (3 runs each). 128 stays: 64
+/// gains nothing outside the noise, and 256 runs slower.
 const CHUNK: usize = 128;
 
 /// Emit one segment, lowering each instruction once: `const L: usize`
 /// generic chunk functions (each `#[inline(never)]`, in its own module), a
 /// generic driver calling them in order, and one exported `extern "C"`
-/// wrapper per width in `widths`. `L = 1` is the scalar kernel.
-fn emit_segment(out: &mut String, seg: &str, instrs: &[PInstr], widths: &[usize]) {
+/// wrapper per width in `widths`. `L = 1` is the scalar kernel. The driver
+/// views the register file and the slots as two slices of `min_regs` and
+/// `min_slots` lane rows, so the chunks know the two never alias.
+fn emit_segment(
+    out: &mut String,
+    seg: &str,
+    instrs: &[PInstr],
+    widths: &[usize],
+    (min_regs, min_slots): (usize, usize),
+) {
     let sig = "(r: *mut f64, s: *const f64, t: f64)";
     for (k, chunk) in instrs.chunks(CHUNK).enumerate() {
         let _ = writeln!(out, "mod {seg}_{k} {{");
         let _ = writeln!(out, "    use super::*;");
         let _ = writeln!(out, "    #[inline(never)]");
-        let _ = writeln!(out, "    pub unsafe fn run<const L: usize>{sig} {{");
-        // Elementwise per-lane loop: lane `l` performs exactly the scalar
-        // operation sequence on its own values, so per-lane results match
-        // the scalar kernel (and the laned interpreter) bit for bit.
+        let _ = writeln!(
+            out,
+            "    pub unsafe fn run<const L: usize>(r: &mut [f64], s: &[f64], t: f64) {{"
+        );
+        let _ = writeln!(out, "        let (r, s) = (r.as_mut_ptr(), s.as_ptr());");
+        // One lane loop per chunk: every statement reads and writes lane
+        // `l` only, so lane `l` performs exactly the scalar operation
+        // sequence on its own values, and per-lane results match the
+        // scalar kernel (and the laned interpreter) bit for bit.
+        let _ = writeln!(out, "        for l in 0..L {{");
         for i in chunk {
-            let _ = writeln!(out, "        for l in 0..L {{");
             let _ = writeln!(
                 out,
                 "            *r.add({} * L + l) = {};",
                 i.dest,
                 pop_expr(&i.op)
             );
-            let _ = writeln!(out, "        }}");
         }
+        let _ = writeln!(out, "        }}");
         let _ = writeln!(out, "    }}");
         let _ = writeln!(out, "}}");
     }
     let _ = writeln!(out, "unsafe fn {seg}<const L: usize>{sig} {{");
+    let _ = writeln!(
+        out,
+        "    let r = core::slice::from_raw_parts_mut(r, {min_regs} * L);"
+    );
+    let _ = writeln!(
+        out,
+        "    let s = core::slice::from_raw_parts(s, {min_slots} * L);"
+    );
     for k in 0..instrs.len().div_ceil(CHUNK) {
         let _ = writeln!(out, "    {seg}_{k}::run::<L>(r, s, t);");
     }
@@ -442,18 +493,14 @@ fn ark_smoothstep(t: f64, t0: f64, tau: f64) -> f64 {
 }
 "#;
 
-/// Lower a program's three instruction segments to Rust source, each
-/// segment once, exported at every width of `widths` (each one of
-/// [`SUPPORTED_LANES`], no repeats). Only the instruction stream and the
-/// widths matter: the constant pool, parameter segment, and output map
-/// stay on the interpreter side, so two programs with identical streams
-/// share one kernel per width set.
+/// Lower a program's time prologue and body to Rust source, each segment
+/// once, exported at every width of `widths` (each one of
+/// [`SUPPORTED_LANES`], no repeats). Only those two instruction streams and
+/// the widths matter: the constant pool, parameter segment, parameter
+/// prologue and output map stay on the interpreter side, so two programs
+/// with identical streams share one kernel per width set.
 fn emit(prog: &SystemProgram, widths: &[usize]) -> Emitted {
-    let mut source = String::from(PRELUDE);
-    let segs: [&[PInstr]; 3] = [&prog.pprologue, &prog.tprologue, &prog.body];
-    for (name, instrs) in SEGMENT_NAMES.into_iter().zip(segs) {
-        emit_segment(&mut source, name, instrs, widths);
-    }
+    let segs: [&[PInstr]; 2] = [&prog.tprologue, &prog.body];
     let mut min_regs = 0usize;
     let mut min_slots = 0usize;
     let mut touch_reg = |r: u32| min_regs = min_regs.max(r as usize + 1);
@@ -478,6 +525,10 @@ fn emit(prog: &SystemProgram, widths: &[usize]) -> Emitted {
                 touch_reg(c);
             }
         }
+    }
+    let mut source = String::from(PRELUDE);
+    for (name, instrs) in SEGMENT_NAMES.into_iter().zip(segs) {
+        emit_segment(&mut source, name, instrs, widths, (min_regs, min_slots));
     }
     Emitted {
         source,
@@ -597,9 +648,9 @@ mod dl {
 
 type SegFn = unsafe extern "C" fn(*mut f64, *const f64, f64);
 
-/// A loaded native kernel library: one function pointer per program
-/// segment at each lane width it was built for, with the register and slot
-/// bounds the generated code may touch.
+/// A loaded native kernel library: one function pointer per
+/// [`KernelSegment`] at each lane width it was built for, with the register
+/// and slot bounds the generated code may touch.
 ///
 /// Obtained from [`CodegenCache::prepare`]; consumed internally by
 /// [`SystemProgram`] evaluation. The backing library stays mapped for the
@@ -607,9 +658,9 @@ type SegFn = unsafe extern "C" fn(*mut f64, *const f64, f64);
 /// deliberately leaked, never unloaded.
 pub struct NativeKernel {
     /// `fns[w][seg]`: width index `w` into [`SUPPORTED_LANES`] (`None` for
-    /// a width the library was not built for), segment in [`Segment`]
-    /// order.
-    fns: [Option<[SegFn; 3]>; SUPPORTED_LANES.len()],
+    /// a width the library was not built for), segment in
+    /// [`KernelSegment`] order.
+    fns: [Option<[SegFn; 2]>; SUPPORTED_LANES.len()],
     min_regs: usize,
     min_slots: usize,
 }
@@ -638,7 +689,7 @@ impl NativeKernel {
     }
 
     /// The library's segment functions at `width`, if it was built for it.
-    fn segs(&self, width: usize) -> Option<&[SegFn; 3]> {
+    fn segs(&self, width: usize) -> Option<&[SegFn; 2]> {
         let w = SUPPORTED_LANES.iter().position(|&s| s == width)?;
         self.fns[w].as_ref()
     }
@@ -653,7 +704,7 @@ impl NativeKernel {
     /// kernel).
     pub(crate) fn run_lanes<const L: usize>(
         &self,
-        seg: Segment,
+        seg: KernelSegment,
         regs: &mut [[f64; L]],
         slots: &[[f64; L]],
         t: f64,
@@ -668,7 +719,10 @@ impl NativeKernel {
             [seg as usize];
         // SAFETY: `[[f64; L]]` is a contiguous lane-major f64 buffer of
         // len()*L elements, the layout the width-`L` kernel indexes; bounds
-        // checked in lane units above.
+        // checked in lane units above. The kernel views the first
+        // `min_regs * L` and `min_slots * L` elements as a mutable and a
+        // shared slice: both lie inside the buffers, and the buffers come
+        // from an exclusive and a shared borrow, so they never overlap.
         unsafe { f(regs.as_mut_ptr().cast(), slots.as_ptr().cast(), t) }
     }
 }
@@ -917,8 +971,8 @@ fn load_kernel(so: &Path, sig: u64, emitted: &Emitted) -> Result<Arc<NativeKerne
     let mut fns = [None; SUPPORTED_LANES.len()];
     for (slot, width) in fns.iter_mut().zip(SUPPORTED_LANES) {
         if emitted.widths.contains(&width) {
-            let [pp, tp, body] = SEGMENT_NAMES;
-            *slot = Some([f(pp, width)?, f(tp, width)?, f(body, width)?]);
+            let [tp, body] = SEGMENT_NAMES;
+            *slot = Some([f(tp, width)?, f(body, width)?]);
         }
     }
     Ok(Arc::new(NativeKernel {
@@ -939,7 +993,7 @@ fn load_kernel(_: &Path, _: u64, _: &Emitted) -> Result<Arc<NativeKernel>, Codeg
 mod tests {
     use super::*;
     use crate::parse::parse_expr;
-    use crate::program::{ProgramBuilder, SlotResolver};
+    use crate::program::{ProgramBuilder, ProgramResolver, SlotResolver, VarRef};
 
     fn sample_program() -> SystemProgram {
         let mut pb = ProgramBuilder::new();
@@ -976,45 +1030,34 @@ mod tests {
         let a = emit(&prog, &SUPPORTED_LANES);
         let b = emit(&prog, &SUPPORTED_LANES);
         assert_eq!(a.source, b.source);
-        for name in [
-            "ark_pp",
-            "ark_tp",
-            "ark_body",
-            "ark_pp4",
-            "ark_tp4",
-            "ark_body4",
-            "ark_pp8",
-            "ark_tp8",
-            "ark_body8",
-        ] {
-            assert!(
-                a.source.contains(&format!("fn {name}(")),
-                "missing segment {name}"
-            );
-        }
+        assert_eq!(
+            exports(&a.source),
+            [
+                "ark_tp",
+                "ark_tp4",
+                "ark_tp8",
+                "ark_body",
+                "ark_body4",
+                "ark_body8"
+            ]
+        );
         // A width set exports its widths and no others.
         let narrow = emit(&prog, &[1, 4]).source;
         assert_eq!(
             exports(&narrow),
-            [
-                "ark_pp",
-                "ark_pp4",
-                "ark_tp",
-                "ark_tp4",
-                "ark_body",
-                "ark_body4"
-            ]
+            ["ark_tp", "ark_tp4", "ark_body", "ark_body4"]
         );
-        for name in ["ark_pp8", "ark_tp8", "ark_body8"] {
+        for name in ["ark_tp8", "ark_body8"] {
             assert!(!narrow.contains(name), "{{1, 4}} emits no {name}");
         }
         let wide = emit(&prog, &[8]).source;
-        assert_eq!(exports(&wide), ["ark_pp8", "ark_tp8", "ark_body8"]);
+        assert_eq!(exports(&wide), ["ark_tp8", "ark_body8"]);
         assert!(a.min_slots >= 1, "program loads slot 0");
         assert!(a.min_regs >= prog.body_len());
 
-        // Each instruction is lowered once, whatever the number of kernel
-        // widths, and no chunk exceeds CHUNK instructions.
+        // Each instruction of these parameter-free programs is lowered once,
+        // whatever the number of kernel widths, and no chunk exceeds CHUNK
+        // instructions or holds more than one lane loop.
         let mut pb = ProgramBuilder::new();
         let resolve = SlotResolver(|n: &str| (n == "x").then_some(0));
         let terms: Vec<String> = (1..=150).map(|k| format!("sin(var(x) * {k}.5)")).collect();
@@ -1028,13 +1071,37 @@ mod tests {
         assert_eq!(stores(&e.source), long.len());
         // Every module after the prelude's `lm` is a chunk.
         let chunks: Vec<&str> = e.source.split("\nmod ").skip(2).collect();
-        let segs = [&long.pprologue, &long.tprologue, &long.body];
+        let segs = [&long.tprologue, &long.body];
         let expect: usize = segs.iter().map(|s| s.len().div_ceil(CHUNK)).sum();
         assert_eq!(chunks.len(), expect);
         for chunk in chunks {
             let chunk = &chunk[..chunk.find("\n}").expect("closed module")];
             assert!((1..=CHUNK).contains(&stores(chunk)), "{chunk}");
+            assert_eq!(chunk.matches("for l in 0..L").count(), 1, "{chunk}");
         }
+    }
+
+    #[test]
+    fn parameter_prologue_is_not_emitted() {
+        struct R;
+        impl ProgramResolver for R {
+            fn var(&self, _: &str) -> Option<VarRef> {
+                Some(VarRef::Slot(0))
+            }
+            fn attr(&self, _: &str, attr: &str) -> Option<usize> {
+                (attr == "a").then_some(0)
+            }
+        }
+        let mut pb = ProgramBuilder::new();
+        let v = pb
+            .add_expr(&parse_expr("exp(p.a) * var(x) + sin(time)").unwrap(), &R)
+            .unwrap();
+        let prog = pb.finish(&[v], 1);
+        assert!(prog.param_prologue_len() > 0, "exp(p.a) is prologue work");
+        let e = emit(&prog, &[1]);
+        assert_eq!(stores(&e.source), prog.len() - prog.param_prologue_len());
+        assert!(!e.source.contains("= exp("), "{}", e.source);
+        assert!(!e.source.contains("mod pp_"), "{}", e.source);
     }
 
     #[test]

