@@ -6,8 +6,9 @@
 //! OBC max-cut).
 //!
 //! The bench is also the native backend's timing floor: on the CNN, the
-//! generated kernel must have actually run and must be no slower per RHS
-//! than the interpreter, or the bench panics. A silent interpreter
+//! generated kernel must have actually run and its median per-RHS time
+//! over repeated timings must be no slower than the interpreter's, or the
+//! bench panics. A silent interpreter
 //! fallback (no `rustc`, unusable `ARK_CODEGEN_DIR`) therefore fails
 //! `cargo bench` instead of timing the interpreter twice. The programs'
 //! deterministic sizes are pinned by `tests/program_size.rs`.
@@ -18,8 +19,11 @@ use ark_ode::LanedOdeSystem;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::time::Instant;
 
-/// Timed evaluations per backend for the floor.
-const FLOOR_EVALS: usize = 20_000;
+/// Timed evaluations per `time_rhs` call for the floor.
+const FLOOR_EVALS: usize = 4_000;
+/// `time_rhs` calls per backend for the floor, alternating between the
+/// backends; the floor compares their medians.
+const FLOOR_REPS: usize = 11;
 
 /// Mean ns per RHS evaluation. The time grid cycles, so the fused path's
 /// prologue cache almost never hits — this is its *conservative* cost.
@@ -43,17 +47,26 @@ fn time_rhs(sys: &CompiledSystem, evals: usize) -> f64 {
     start.elapsed().as_nanos() as f64 / evals as f64
 }
 
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
 fn bench_rhs(c: &mut Criterion) {
     // A second, independently compiled copy of each workload carries the
     // native backend (`CompiledSystem` deliberately isn't `Clone`; the
     // builders are deterministic, so the programs are identical).
     for (w, copy) in rhs_workloads().into_iter().zip(rhs_workloads()) {
         let native = copy.sys.with_backend(Backend::Native);
-        let fused_ns = time_rhs(&w.sys, FLOOR_EVALS);
-        let native_ns = time_rhs(&native, FLOOR_EVALS);
+        let (mut fused, mut natives) = (Vec::new(), Vec::new());
+        for _ in 0..FLOOR_REPS {
+            fused.push(time_rhs(&w.sys, FLOOR_EVALS));
+            natives.push(time_rhs(&native, FLOOR_EVALS));
+        }
+        let (fused_ns, native_ns) = (median(fused), median(natives));
         println!(
-            "{}: {} fused instrs ({} prologue), {fused_ns:.0} ns -> {native_ns:.0} ns native \
-             per rhs ({:?})",
+            "{}: {} fused instrs ({} prologue), median {fused_ns:.0} ns -> {native_ns:.0} ns \
+             native per rhs ({:?})",
             w.name,
             w.sys.rhs_instruction_count(),
             w.sys.rhs_prologue_len(),

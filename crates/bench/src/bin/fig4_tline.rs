@@ -9,15 +9,16 @@ use ark_bench::{print_series, sparkline, trials_arg, TLINE_DT as DT, TLINE_T_END
 use ark_core::CompiledSystem;
 use ark_ode::{ensemble_stats, integrate, Rk4, Trajectory};
 use ark_paradigms::tln::{
-    branched_out_v, branched_tline, gmc_tln_language, linear_out_v, linear_tline, tln_language,
-    MismatchKind, TlineConfig,
+    branched_out_v, branched_tline, gmc_tln_language, linear_out_v, linear_tline,
+    tline_mismatch_ensemble, tln_language, MismatchKind, TlineConfig,
 };
+use ark_sim::{seed_range, Ensemble};
 
 fn simulate(
     lang: &ark_core::Language,
     graph: &ark_core::Graph,
     out: &str,
-) -> Result<(usize, Trajectory), Box<dyn std::error::Error>> {
+) -> Result<(usize, Trajectory), Box<dyn std::error::Error + Send + Sync>> {
     let sys = CompiledSystem::compile(lang, graph)?;
     let idx = sys.state_index(out).expect("observation node is stateful");
     let y0 = sys.initial_state();
@@ -25,7 +26,7 @@ fn simulate(
     Ok((idx, tr))
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     let trials = trials_arg(100);
     let base = tln_language();
     let gmc = gmc_tln_language(&base);
@@ -50,21 +51,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("    {}", sparkline(&btr.resample(bi, 0.0, T_END, 80)));
     print_series("branched_out_v", &btr, bi, 0.0, T_END, 160);
 
-    // (c)/(d) Mismatch ensembles over the linear line.
+    // (c)/(d) Mismatch ensembles over the linear line: compiled once, one
+    // parameter vector per seed, on the ensemble engine.
     let segments = 26;
-    let out_name = linear_out_v(segments);
-    let run_ensemble = |kind: MismatchKind| -> Result<Vec<Trajectory>, Box<dyn std::error::Error>> {
+    let seeds = seed_range(0, trials);
+    let ens = Ensemble::default();
+    let run_ensemble = |mismatch: MismatchKind| {
         let cfg = TlineConfig {
-            mismatch: kind,
+            mismatch,
             ..TlineConfig::default()
         };
-        let mut trs = Vec::with_capacity(trials);
-        for seed in 0..trials as u64 {
-            let g = linear_tline(&gmc, segments, &cfg, seed)?;
-            let (_, tr) = simulate(&gmc, &g, &out_name)?;
-            trs.push(tr);
-        }
-        Ok(trs)
+        tline_mismatch_ensemble(&gmc, segments, &cfg, T_END, DT, 8, &seeds, &ens)
     };
     let cint = run_ensemble(MismatchKind::Cint)?;
     let gm = run_ensemble(MismatchKind::Gm)?;

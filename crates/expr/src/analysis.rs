@@ -233,30 +233,6 @@ impl fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// Register operands of an instruction (`Load`/`NegLoad` slot indices are
-/// state-vector indices, not registers, and are excluded).
-fn operands(op: &POp) -> ([u32; 3], usize) {
-    match *op {
-        POp::Time | POp::Load(_) | POp::NegLoad(_) => ([0; 3], 0),
-        POp::Un(_, a) | POp::Not(a) => ([a, 0, 0], 1),
-        POp::Bin(_, a, b) | POp::Cmp(_, a, b) | POp::And(a, b) | POp::Or(a, b) => ([a, b, 0], 2),
-        POp::MulAdd(a, b, c)
-        | POp::AddMul(a, b, c)
-        | POp::MulSub(a, b, c)
-        | POp::SubMul(a, b, c)
-        | POp::Select(a, b, c)
-        | POp::Call3(_, a, b, c) => ([a, b, c], 3),
-    }
-}
-
-/// The state slot an instruction loads, if any.
-fn state_slot(op: &POp) -> Option<u32> {
-    match *op {
-        POp::Load(s) | POp::NegLoad(s) => Some(s),
-        _ => None,
-    }
-}
-
 /// Run the structural verifier, collecting every violation in segment
 /// order (parameter prologue, time prologue, body, outputs, then dead
 /// instructions).
@@ -291,7 +267,7 @@ pub(crate) fn verify_program(prog: &SystemProgram) -> Vec<VerifyError> {
                 errors.push(VerifyError::TimeInParamPrologue { index });
             }
             if segment != Segment::Body {
-                if let Some(slot) = state_slot(&instr.op) {
+                if let Some(slot) = instr.op.state_slot() {
                     errors.push(VerifyError::StateInPrologue {
                         segment,
                         index,
@@ -299,7 +275,7 @@ pub(crate) fn verify_program(prog: &SystemProgram) -> Vec<VerifyError> {
                     });
                 }
             }
-            let (ops, n) = operands(&instr.op);
+            let (ops, n) = instr.op.operands();
             for &reg in &ops[..n] {
                 if reg >= n_regs {
                     errors.push(VerifyError::RegisterOutOfRange {
@@ -384,7 +360,7 @@ fn dead_instructions(prog: &SystemProgram, errors: &mut Vec<VerifyError>) {
             body_dead.push((index, instr.dest));
             continue;
         }
-        let (ops, n) = operands(&instr.op);
+        let (ops, n) = instr.op.operands();
         live.extend(&ops[..n]);
     }
     // Prologues: permanent registers, each defined once — one global
@@ -396,7 +372,7 @@ fn dead_instructions(prog: &SystemProgram, errors: &mut Vec<VerifyError>) {
         .chain(&prog.tprologue)
         .chain(&prog.body)
     {
-        let (ops, n) = operands(&instr.op);
+        let (ops, n) = instr.op.operands();
         used.extend(&ops[..n]);
     }
     for (segment, instrs) in [
@@ -720,7 +696,7 @@ pub fn domain_analysis(prog: &SystemProgram) -> Vec<DomainWarning> {
             };
             // Provenance: union of operand provenance, plus the loaded
             // state slot for Load/NegLoad.
-            let (ops, n) = operands(&instr.op);
+            let (ops, n) = instr.op.operands();
             let mut states = BTreeSet::new();
             let mut params = BTreeSet::new();
             for &r in &ops[..n] {
@@ -729,7 +705,7 @@ pub fn domain_analysis(prog: &SystemProgram) -> Vec<DomainWarning> {
                     params.extend(&v.params);
                 }
             }
-            if let Some(slot) = state_slot(&instr.op) {
+            if let Some(slot) = instr.op.state_slot() {
                 states.insert(slot);
             }
             regs[dest] = AbsVal {

@@ -5,11 +5,24 @@
 //! Ark's compile-once discipline makes ahead-of-time codegen cheap to
 //! amortize: one design is replayed across ~10⁵ fabricated instances and
 //! millions of RHS evaluations, so a one-time `rustc` invocation trades for
-//! the ~3 ns/instruction interpreter dispatch on every one of them. The
-//! lowering is deliberately boring: each instruction becomes one statement
-//! that mirrors the interpreter's opcode execution *exactly* — same
-//! operations, same order, no FMA contraction, separate multiply-then-add —
-//! so native results are **bit-identical** to interpreted ones.
+//! the interpreter's dispatch on every one of them. On the Figure 11 CNN
+//! (`cargo bench -p ark-bench --bench rhs`, two vCPUs with AVX2) the
+//! interpreter costs about 2.6–3.1 ns per instruction at one lane and
+//! 0.7 ns per instruction and instance at four, the kernel 0.3–0.45 and
+//! 0.15 ns. The interpreter loop reads and writes registers without bounds
+//! checks: `ProgramBuilder::finish` checks every register once, in every
+//! build profile, and each evaluation checks once that the register file
+//! and the input slots are large enough. The loop is compiled twice,
+//! portable and with AVX2, and CPU detection picks one per call; both run
+//! the same IEEE operations in the same order, and `fma` must never be
+//! enabled for either, as it would fuse a multiply-then-add into one
+//! rounding.
+//!
+//! The lowering is deliberately boring: each instruction becomes one
+//! statement that mirrors the interpreter's opcode execution *exactly* —
+//! same operations, same order, no FMA contraction, separate
+//! multiply-then-add — so native results are **bit-identical** to
+//! interpreted ones.
 //!
 //! # Emitted layout
 //!
@@ -17,7 +30,7 @@
 //! prologue and the body, the ones that run per evaluation. The parameter
 //! prologue runs once per parameter binding (once per fabricated instance,
 //! against hundreds of body runs), so it always runs on the interpreter,
-//! on the same register file the kernel then reads; [`KernelSegment`] has
+//! on the same register file the kernel then reads; `KernelSegment` has
 //! no variant for it.
 //!
 //! Each emitted segment is lowered **once**, generic over the lane width
@@ -503,27 +516,13 @@ fn emit(prog: &SystemProgram, widths: &[usize]) -> Emitted {
     let segs: [&[PInstr]; 2] = [&prog.tprologue, &prog.body];
     let mut min_regs = 0usize;
     let mut min_slots = 0usize;
-    let mut touch_reg = |r: u32| min_regs = min_regs.max(r as usize + 1);
     for i in segs.into_iter().flatten() {
-        touch_reg(i.dest);
-        match i.op {
-            POp::Time => {}
-            POp::Load(s) | POp::NegLoad(s) => min_slots = min_slots.max(s as usize + 1),
-            POp::Un(_, a) | POp::Not(a) => touch_reg(a),
-            POp::Bin(_, a, b) | POp::Cmp(_, a, b) | POp::And(a, b) | POp::Or(a, b) => {
-                touch_reg(a);
-                touch_reg(b);
-            }
-            POp::MulAdd(a, b, c)
-            | POp::AddMul(a, b, c)
-            | POp::MulSub(a, b, c)
-            | POp::SubMul(a, b, c)
-            | POp::Select(a, b, c)
-            | POp::Call3(_, a, b, c) => {
-                touch_reg(a);
-                touch_reg(b);
-                touch_reg(c);
-            }
+        let (ops, k) = i.op.operands();
+        for &r in ops[..k].iter().chain([&i.dest]) {
+            min_regs = min_regs.max(r as usize + 1);
+        }
+        if let Some(s) = i.op.state_slot() {
+            min_slots = min_slots.max(s as usize + 1);
         }
     }
     let mut source = String::from(PRELUDE);
@@ -649,7 +648,7 @@ mod dl {
 type SegFn = unsafe extern "C" fn(*mut f64, *const f64, f64);
 
 /// A loaded native kernel library: one function pointer per
-/// [`KernelSegment`] at each lane width it was built for, with the register
+/// `KernelSegment` at each lane width it was built for, with the register
 /// and slot bounds the generated code may touch.
 ///
 /// Obtained from [`CodegenCache::prepare`]; consumed internally by

@@ -34,8 +34,9 @@
 
 #![warn(missing_docs)]
 // This crate hosts the project's only unsafe code (the codegen dlopen
-// path and the one-lane slice view of the scalar interpreter entry
-// points); every unsafe block must carry a `// SAFETY:` justification.
+// path, the one-lane slice view of the scalar interpreter entry points
+// and the unchecked interpreter loop); every unsafe block must carry a
+// `// SAFETY:` justification.
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod analysis;

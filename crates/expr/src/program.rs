@@ -624,6 +624,22 @@ impl ProgramBuilder {
         let pprologue: Vec<PInstr> = schedule[..n_pprologue].iter().map(emit).collect();
         let tprologue: Vec<PInstr> = schedule[n_pprologue..n_prologue].iter().map(emit).collect();
         let body: Vec<PInstr> = schedule[n_prologue..].iter().map(emit).collect();
+        // The interpreter loop reads and writes registers unchecked, so
+        // this range check runs in every build profile: it is what makes
+        // that loop sound. The segments stay `pub(crate)` for the analysis
+        // tests, which corrupt `body`/`pprologue` of a finished program to
+        // exercise the verifier; such a program must never be evaluated.
+        let mut min_slots = 0;
+        for instr in pprologue.iter().chain(&tprologue).chain(&body) {
+            let (ops, k) = instr.op.operands();
+            assert!(
+                instr.dest < next_reg && ops[..k].iter().all(|&r| r < next_reg),
+                "ProgramBuilder::finish emitted a register out of range: {instr:?}"
+            );
+            if let Some(s) = instr.op.state_slot() {
+                min_slots = min_slots.max(s as usize + 1);
+            }
+        }
         static NEXT_ID: AtomicU64 = AtomicU64::new(1);
         let prog = SystemProgram {
             consts,
@@ -633,6 +649,7 @@ impl ProgramBuilder {
             body,
             outputs: outputs.iter().map(|v| reg_of[v.0 as usize]).collect(),
             n_regs: next_reg,
+            min_slots,
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             backend: Backend::from_env(),
             native: OnceLock::new(),
@@ -685,6 +702,34 @@ pub(crate) enum POp {
     Not(u32),
     Select(u32, u32, u32),
     Call3(Builtin3, u32, u32, u32),
+}
+
+impl POp {
+    /// Register operands (`Load`/`NegLoad` slot indices are state-vector
+    /// indices, not registers, and are excluded).
+    pub(crate) fn operands(&self) -> ([u32; 3], usize) {
+        match *self {
+            POp::Time | POp::Load(_) | POp::NegLoad(_) => ([0; 3], 0),
+            POp::Un(_, a) | POp::Not(a) => ([a, 0, 0], 1),
+            POp::Bin(_, a, b) | POp::Cmp(_, a, b) | POp::And(a, b) | POp::Or(a, b) => {
+                ([a, b, 0], 2)
+            }
+            POp::MulAdd(a, b, c)
+            | POp::AddMul(a, b, c)
+            | POp::MulSub(a, b, c)
+            | POp::SubMul(a, b, c)
+            | POp::Select(a, b, c)
+            | POp::Call3(_, a, b, c) => ([a, b, c], 3),
+        }
+    }
+
+    /// The state slot the instruction loads, if any.
+    pub(crate) fn state_slot(&self) -> Option<u32> {
+        match *self {
+            POp::Load(s) | POp::NegLoad(s) => Some(s),
+            _ => None,
+        }
+    }
 }
 
 /// The lane widths evaluation supports — **the** authoritative set: `1`
@@ -808,6 +853,9 @@ pub struct SystemProgram {
     /// Register of each output, in output order.
     outputs: Vec<u32>,
     n_regs: u32,
+    /// One past the highest `Load`/`NegLoad` slot: the shortest `slots`
+    /// an evaluation accepts.
+    min_slots: usize,
     /// Unique id used to key scratch priming.
     id: u64,
     /// Which engine runs the instruction stream ([`Backend::Native`] falls
@@ -1125,6 +1173,15 @@ impl SystemProgram {
         } else {
             self.ensure_lanes(scratch);
         }
+        // With `finish`'s range check, these bound every register and slot
+        // the interpreter loop touches, so it runs unchecked.
+        assert!(scratch.regs.len() >= self.n_regs as usize);
+        assert!(
+            slots.len() >= self.min_slots,
+            "Load slot {} out of range of {} slots",
+            self.min_slots - 1,
+            slots.len()
+        );
         // Bit-identical either way: the generated kernels perform
         // `exec_lanes`'s operation sequence per lane, so which engine runs
         // is unobservable in the results (only in the ns).
@@ -1132,13 +1189,10 @@ impl SystemProgram {
         if !scratch.pprologue_run {
             // Parameter-dependent, time-free values: once per binding, so
             // always interpreted; the kernel holds only the segments that
-            // run per evaluation. A loop of its own: routing all three
-            // segments through one shared helper made the interpreted
-            // Figure 11 sweep ~12 % slower.
-            for instr in &self.pprologue {
-                scratch.regs[instr.dest as usize] =
-                    exec_lanes(&instr.op, &scratch.regs, slots, time);
-            }
+            // run per evaluation.
+            // SAFETY: `finish` range-checked the segment's registers
+            // against `n_regs`; the asserts above cover `regs` and `slots`.
+            unsafe { run_instrs(&self.pprologue, &mut scratch.regs, slots, time) };
             scratch.pprologue_run = true;
             scratch.has_time = false;
             scratch.hint_same_time = false;
@@ -1173,7 +1227,9 @@ impl SystemProgram {
     }
 
     /// Run segment `seg` over `regs`: through the native kernel when there
-    /// is one, else one [`exec_lanes`] per instruction.
+    /// is one, else through [`run_instrs`]. Only for
+    /// [`SystemProgram::eval_lanes_bound`], after its asserts on `regs` and
+    /// `slots`.
     #[inline(always)]
     fn run_segment<const L: usize>(
         &self,
@@ -1190,9 +1246,8 @@ impl SystemProgram {
             KernelSegment::TimePrologue => &self.tprologue,
             KernelSegment::Body => &self.body,
         };
-        for instr in instrs {
-            regs[instr.dest as usize] = exec_lanes(&instr.op, regs, slots, time);
-        }
+        // SAFETY: as for the parameter prologue in `eval_lanes_bound`.
+        unsafe { run_instrs(instrs, regs, slots, time) };
     }
 }
 
@@ -1212,98 +1267,176 @@ fn one_lane_mut(xs: &mut [f64]) -> &mut [[f64; 1]] {
     unsafe { std::slice::from_raw_parts_mut(xs.as_mut_ptr().cast(), xs.len()) }
 }
 
+/// Run `instrs` over `regs`, one [`exec_lanes`] per instruction, on the
+/// build of the loop the CPU runs best: the AVX2 one where
+/// `is_x86_feature_detected!` finds AVX2 (std caches the answer), else the
+/// portable one. Nothing else selects a build.
+///
+/// # Safety
+///
+/// Every register an instruction names is `< regs.len()` and every
+/// `Load`/`NegLoad` slot is `< slots.len()`.
+#[inline(always)]
+unsafe fn run_instrs<const L: usize>(
+    instrs: &[PInstr],
+    regs: &mut [[f64; L]],
+    slots: &[[f64; L]],
+    time: f64,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return run_instrs_avx2(instrs, regs, slots, time);
+    }
+    run_instrs_portable(instrs, regs, slots, time)
+}
+
+/// The interpreter loop, portable build. All operands of an instruction
+/// are read before its `dest` is written.
+///
+/// # Safety
+///
+/// As [`run_instrs`].
+#[inline(always)]
+unsafe fn run_instrs_portable<const L: usize>(
+    instrs: &[PInstr],
+    regs: &mut [[f64; L]],
+    slots: &[[f64; L]],
+    time: f64,
+) {
+    for instr in instrs {
+        let v = exec_lanes(&instr.op, regs, slots, time);
+        *regs.get_unchecked_mut(instr.dest as usize) = v;
+    }
+}
+
+/// The same loop compiled with AVX2, so a `[f64; 4]` lane operation is one
+/// 256-bit instruction. It runs the same IEEE operations in the same order
+/// with the same libm calls as the portable build, so the two agree bit
+/// for bit, up to which NaN a `+` or `*` of two different NaNs returns
+/// (IEEE 754 leaves that open, and LLVM may commute the operands). Never
+/// add `fma` here: it would let LLVM fuse a multiply-then-add into one
+/// rounding.
+///
+/// # Safety
+///
+/// As [`run_instrs`], on a CPU with AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn run_instrs_avx2<const L: usize>(
+    instrs: &[PInstr],
+    regs: &mut [[f64; L]],
+    slots: &[[f64; L]],
+    time: f64,
+) {
+    run_instrs_portable(instrs, regs, slots, time)
+}
+
 /// Execute one instruction across `L` lanes: every lane performs exactly
 /// the same arithmetic, in the same order, so lanes are bit-identical to
 /// each other and to the native kernels. The explicit `for l in 0..L`
 /// loops (rather than `std::array::from_fn`) plus `inline(always)` make
 /// `L = 1` compile to plain scalar code and wider `L` to SIMD.
+///
+/// Registers and slots are read without bounds checks: this runs once per
+/// instruction per evaluation, and [`ProgramBuilder::finish`]'s range
+/// check with the once-per-call asserts of
+/// [`SystemProgram::eval_lanes_bound`] already prove every index in range.
+/// It is compiled twice, portable and AVX2 ([`run_instrs`] picks one by
+/// CPU detection); `fma` must never be enabled for either build.
+///
+/// # Safety
+///
+/// Every register `op` reads is `< regs.len()`, and its `Load`/`NegLoad`
+/// slot is `< slots.len()`.
 #[inline(always)]
 #[allow(clippy::needless_range_loop)]
-fn exec_lanes<const L: usize>(
+unsafe fn exec_lanes<const L: usize>(
     op: &POp,
     regs: &[[f64; L]],
     slots: &[[f64; L]],
     time: f64,
 ) -> [f64; L] {
+    let reg = |r: u32| regs.get_unchecked(r as usize);
+    let slot = |s: u32| slots.get_unchecked(s as usize);
     let bit = |b: bool| if b { 1.0 } else { 0.0 };
     let mut out = [0.0; L];
     match *op {
         POp::Time => out = [time; L],
-        POp::Load(s) => out = slots[s as usize],
+        POp::Load(s) => out = *slot(s),
         POp::NegLoad(s) => {
-            let a = &slots[s as usize];
+            let a = slot(s);
             for l in 0..L {
                 out[l] = -a[l];
             }
         }
         POp::Un(op, a) => {
-            let a = &regs[a as usize];
+            let a = reg(a);
             for l in 0..L {
                 out[l] = op.apply(a[l]);
             }
         }
         POp::Bin(op, a, b) => {
-            let (a, b) = (&regs[a as usize], &regs[b as usize]);
+            let (a, b) = (reg(a), reg(b));
             for l in 0..L {
                 out[l] = op.apply(a[l], b[l]);
             }
         }
         POp::MulAdd(a, b, c) => {
-            let (a, b, c) = (&regs[a as usize], &regs[b as usize], &regs[c as usize]);
+            let (a, b, c) = (reg(a), reg(b), reg(c));
             for l in 0..L {
                 out[l] = a[l] * b[l] + c[l];
             }
         }
         POp::AddMul(a, b, c) => {
-            let (a, b, c) = (&regs[a as usize], &regs[b as usize], &regs[c as usize]);
+            let (a, b, c) = (reg(a), reg(b), reg(c));
             for l in 0..L {
                 out[l] = a[l] + b[l] * c[l];
             }
         }
         POp::MulSub(a, b, c) => {
-            let (a, b, c) = (&regs[a as usize], &regs[b as usize], &regs[c as usize]);
+            let (a, b, c) = (reg(a), reg(b), reg(c));
             for l in 0..L {
                 out[l] = a[l] * b[l] - c[l];
             }
         }
         POp::SubMul(a, b, c) => {
-            let (a, b, c) = (&regs[a as usize], &regs[b as usize], &regs[c as usize]);
+            let (a, b, c) = (reg(a), reg(b), reg(c));
             for l in 0..L {
                 out[l] = a[l] - b[l] * c[l];
             }
         }
         POp::Cmp(op, a, b) => {
-            let (a, b) = (&regs[a as usize], &regs[b as usize]);
+            let (a, b) = (reg(a), reg(b));
             for l in 0..L {
                 out[l] = bit(op.apply(a[l], b[l]));
             }
         }
         POp::And(a, b) => {
-            let (a, b) = (&regs[a as usize], &regs[b as usize]);
+            let (a, b) = (reg(a), reg(b));
             for l in 0..L {
                 out[l] = bit(a[l] > 0.5 && b[l] > 0.5);
             }
         }
         POp::Or(a, b) => {
-            let (a, b) = (&regs[a as usize], &regs[b as usize]);
+            let (a, b) = (reg(a), reg(b));
             for l in 0..L {
                 out[l] = bit(a[l] > 0.5 || b[l] > 0.5);
             }
         }
         POp::Not(a) => {
-            let a = &regs[a as usize];
+            let a = reg(a);
             for l in 0..L {
                 out[l] = if a[l] > 0.5 { 0.0 } else { 1.0 };
             }
         }
         POp::Select(c, t, e) => {
-            let (c, t, e) = (&regs[c as usize], &regs[t as usize], &regs[e as usize]);
+            let (c, t, e) = (reg(c), reg(t), reg(e));
             for l in 0..L {
                 out[l] = if c[l] > 0.5 { t[l] } else { e[l] };
             }
         }
         POp::Call3(b3, a, b, c) => {
-            let (a, b, c) = (&regs[a as usize], &regs[b as usize], &regs[c as usize]);
+            let (a, b, c) = (reg(a), reg(b), reg(c));
             for l in 0..L {
                 out[l] = b3.apply(a[l], b[l], c[l]);
             }
@@ -1607,5 +1740,230 @@ mod tests {
             let want = eval(&parse_expr(src).unwrap(), &ctx).unwrap();
             assert_eq!(want.to_bits(), got.to_bits(), "{src}");
         }
+    }
+
+    /// A one-`Load` program reading slot 2, evaluated with two slots: the
+    /// once-per-call guard must panic before the unchecked loop runs.
+    fn short_slots_panic<const L: usize>() {
+        let mut pb = ProgramBuilder::new();
+        let x = pb.load(2);
+        let v = pb.intern(VNode::Un(UnaryOp::Sin, x.0));
+        let prog = pb.finish(&[v], 0);
+        let mut scratch = LaneScratch::<L>::default();
+        prog.eval_lanes_bound(&mut scratch, &[[0.5; L]; 2], 0.0, &mut [[0.0; L]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "Load slot 2 out of range of 2 slots")]
+    fn short_slots_panic_l1() {
+        short_slots_panic::<1>();
+    }
+
+    #[test]
+    #[should_panic(expected = "Load slot 2 out of range of 2 slots")]
+    fn short_slots_panic_l4() {
+        short_slots_panic::<4>();
+    }
+
+    #[test]
+    #[should_panic(expected = "Load slot 2 out of range of 2 slots")]
+    fn short_slots_panic_l8() {
+        short_slots_panic::<8>();
+    }
+
+    /// Every `POp` variant, with every unary, binary, comparison and
+    /// three-argument operator (register operands are filled in later).
+    fn every_op() -> Vec<POp> {
+        use UnaryOp as U;
+        let mut ops = vec![POp::Time, POp::Load(0), POp::NegLoad(0)];
+        for u in [
+            U::Neg,
+            U::Sin,
+            U::Cos,
+            U::Tan,
+            U::Tanh,
+            U::Exp,
+            U::Ln,
+            U::Sqrt,
+            U::Abs,
+            U::Sgn,
+            U::Sat,
+            U::SatNi,
+        ] {
+            ops.push(POp::Un(u, 0));
+        }
+        for b in [
+            BinaryOp::Add,
+            BinaryOp::Sub,
+            BinaryOp::Mul,
+            BinaryOp::Div,
+            BinaryOp::Pow,
+            BinaryOp::Min,
+            BinaryOp::Max,
+        ] {
+            ops.push(POp::Bin(b, 0, 0));
+        }
+        for c in [
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+            CmpOp::Eq,
+            CmpOp::Ne,
+        ] {
+            ops.push(POp::Cmp(c, 0, 0));
+        }
+        for b3 in [Builtin3::Pulse, Builtin3::SquarePulse, Builtin3::Smoothstep] {
+            ops.push(POp::Call3(b3, 0, 0, 0));
+        }
+        ops.extend([
+            POp::MulAdd(0, 0, 0),
+            POp::AddMul(0, 0, 0),
+            POp::MulSub(0, 0, 0),
+            POp::SubMul(0, 0, 0),
+            POp::And(0, 0),
+            POp::Or(0, 0),
+            POp::Not(0),
+            POp::Select(0, 0, 0),
+        ]);
+        ops
+    }
+
+    /// `op` with its register operands and slot drawn from `next`.
+    fn with_operands(op: POp, n_regs: u32, n_slots: u32, next: &mut impl FnMut() -> u64) -> POp {
+        let mut r = || (next() % n_regs as u64) as u32;
+        match op {
+            POp::Time => POp::Time,
+            POp::Load(_) => POp::Load((next() % n_slots as u64) as u32),
+            POp::NegLoad(_) => POp::NegLoad((next() % n_slots as u64) as u32),
+            POp::Un(u, _) => POp::Un(u, r()),
+            POp::Bin(b, _, _) => POp::Bin(b, r(), r()),
+            POp::MulAdd(..) => POp::MulAdd(r(), r(), r()),
+            POp::AddMul(..) => POp::AddMul(r(), r(), r()),
+            POp::MulSub(..) => POp::MulSub(r(), r(), r()),
+            POp::SubMul(..) => POp::SubMul(r(), r(), r()),
+            POp::Cmp(c, _, _) => POp::Cmp(c, r(), r()),
+            POp::And(..) => POp::And(r(), r()),
+            POp::Or(..) => POp::Or(r(), r()),
+            POp::Not(_) => POp::Not(r()),
+            POp::Select(..) => POp::Select(r(), r(), r()),
+            POp::Call3(b3, ..) => POp::Call3(b3, r(), r(), r()),
+        }
+    }
+
+    /// Random programs over every `POp` variant on IEEE edge values, run
+    /// through the portable and the AVX2 build of the interpreter loop:
+    /// every register must agree bit for bit, except that a NaN only has
+    /// to be a NaN. When two NaNs of different bits meet in `+` or `*`,
+    /// x86 returns the first operand's and LLVM may commute the operands
+    /// (IEEE 754 leaves the choice open), so a NaN's sign and payload are
+    /// unspecified in either build — as across lane widths and against
+    /// the native kernels.
+    fn portable_and_avx2_agree<const L: usize>() {
+        const N_REGS: u32 = 24;
+        const N_SLOTS: u32 = 5;
+        let specials = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001), // signaling NaN
+            f64::from_bits(0x7ff8_0000_dead_beef), // NaN with a payload
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 3.0, // subnormal
+            -f64::from_bits(1),      // smallest negative subnormal
+            f64::MAX,
+            0.5,
+            1.0,
+            -1.0,
+            1e-300,
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ L as u64;
+        let mut next = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let avx2 = avx2_detected();
+        if !avx2 {
+            eprintln!("no AVX2 on this CPU: checking the portable interpreter loop alone");
+        }
+        let ops = every_op();
+        for round in 0..64 {
+            let value = |next: &mut dyn FnMut() -> u64| {
+                let k = next();
+                if k % 3 == 0 {
+                    (k >> 11) as f64 / (1u64 << 50) as f64 - 4.0
+                } else {
+                    specials[(k >> 8) as usize % specials.len()]
+                }
+            };
+            let regs: Vec<[f64; L]> = (0..N_REGS)
+                .map(|_| std::array::from_fn(|_| value(&mut next)))
+                .collect();
+            let slots: Vec<[f64; L]> = (0..N_SLOTS)
+                .map(|_| std::array::from_fn(|_| value(&mut next)))
+                .collect();
+            let time = value(&mut next);
+            // Every variant once, then random ones, in a shuffled order.
+            let mut kinds: Vec<POp> = ops.clone();
+            kinds.extend((0..ops.len()).map(|_| ops[next() as usize % ops.len()]));
+            for i in (1..kinds.len()).rev() {
+                kinds.swap(i, next() as usize % (i + 1));
+            }
+            let instrs: Vec<PInstr> = kinds
+                .into_iter()
+                .map(|op| PInstr {
+                    dest: (next() % N_REGS as u64) as u32,
+                    op: with_operands(op, N_REGS, N_SLOTS, &mut next),
+                })
+                .collect();
+            let mut portable = regs.clone();
+            // SAFETY: every register is `< N_REGS` and every slot
+            // `< N_SLOTS`, by construction.
+            unsafe { run_instrs_portable(&instrs, &mut portable, &slots, time) };
+            #[cfg(target_arch = "x86_64")]
+            if avx2 {
+                let mut wide = regs.clone();
+                // SAFETY: as above, and the CPU has AVX2.
+                unsafe { run_instrs_avx2(&instrs, &mut wide, &slots, time) };
+                let bits = |x: f64| {
+                    if x.is_nan() {
+                        f64::NAN.to_bits()
+                    } else {
+                        x.to_bits()
+                    }
+                };
+                for (r, (p, w)) in portable.iter().zip(&wide).enumerate() {
+                    for l in 0..L {
+                        assert_eq!(
+                            bits(p[l]),
+                            bits(w[l]),
+                            "L={L} round {round}: r{r} lane {l}: portable {} vs avx2 {}",
+                            p[l],
+                            w[l]
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    fn avx2_detected() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        false
+    }
+
+    #[test]
+    fn portable_and_avx2_loops_agree_bit_for_bit() {
+        portable_and_avx2_agree::<1>();
+        portable_and_avx2_agree::<4>();
+        portable_and_avx2_agree::<8>();
     }
 }
